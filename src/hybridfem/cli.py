@@ -54,7 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tau = args.tau if args.tau == "single-face" else float(args.tau)
+    try:
+        tau = args.tau if args.tau == "single-face" else float(args.tau)
+    except ValueError:
+        print(f"error: --tau must be a number or 'single-face', got {args.tau!r}",
+              file=sys.stderr)
+        return 2
     config = StudyConfig(
         method=args.method,
         degree=args.degree,
@@ -70,7 +75,7 @@ def main(argv=None) -> int:
     )
     try:
         report = run_study(config)
-    except HybridFEMError as exc:
+    except (HybridFEMError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.table())

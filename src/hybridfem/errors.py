@@ -47,6 +47,11 @@ class NonPositiveDiffusion(HybridFEMError):
     """Diffusion coefficient is not strictly positive at a quadrature point."""
 
 
+class InvalidProblemData(HybridFEMError):
+    """Source, boundary value or reaction coefficient is non-finite, or the
+    reaction coefficient is negative, at a quadrature point."""
+
+
 class TooLarge(HybridFEMError):
     """Diagnostic operation requested on a problem beyond its size limit."""
 

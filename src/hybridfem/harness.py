@@ -206,8 +206,7 @@ def compute_error_norms(triple: FieldTriple, case: ManufacturedCase, postprocess
     mesh, space = triple.mesh, triple.space
     k = space.degree
     exactness = 2 * k + 6
-    vol = ps.triangle_rule(exactness)
-    erule = ps.edge_rule(k + 4)
+    vol, erule = ps.quadrature_rules(k, exactness)  # k + 4 edge points
     qc, uc, lamc = _project_triple(triple, case.q, case.u, exactness)
 
     acc = dict.fromkeys(NORM_KEYS, 0.0)
@@ -242,9 +241,7 @@ def compute_error_norms(triple: FieldTriple, case: ManufacturedCase, postprocess
         ufield = triple.u_field(t)
         for loc in range(3):
             e = mesh.tri_edges[t, loc]
-            tri = mesh.triangles[t]
-            same = mesh.edges[e, 0] == tri[(loc + 1) % 3]
-            tpar = erule.points if same else 1.0 - erule.points
+            tpar = erule.points if mesh.tri_edge_aligned[t, loc] else 1.0 - erule.points
             we = erule.weights * em.edge_lengths[loc]
             pts = em.edge_points(loc, erule.points)
 
@@ -379,8 +376,8 @@ class StudyConfig:
                 tau = float(self.tau)
             except (TypeError, ValueError):
                 raise ConfigError("tau must be a number or 'single-face'") from None
-            if tau <= 0:
-                raise ConfigError("tau must be positive")
+            if not (tau > 0 and np.isfinite(tau)):
+                raise ConfigError("tau must be positive and finite")
 
 
 @dataclass

@@ -165,6 +165,8 @@ class Mesh:
         boundary: (ne,) bool array.
         tri_edges: (nt, 3) int array; column i is the global id of the edge
             opposite local vertex i.
+        tri_edge_aligned: (nt, 3) bool array; True where local edge i runs
+            along the stored direction of its global edge.
         h: (nt,) triangle diameters (longest edge).
         rho: (nt,) inscribed-circle diameters, 2*area/semiperimeter.
         areas: (nt,) triangle areas.
@@ -227,6 +229,8 @@ class Mesh:
                 a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
                 tri_edges[t, i] = index[(min(a, b), max(a, b))]
         self.tri_edges = tri_edges
+        # local edge i runs from local vertex i+1 to i+2 (mod 3)
+        self.tri_edge_aligned = edges[tri_edges, 0] == triangles[:, [1, 2, 0]]
 
         p = vertices[triangles]
         sides = np.stack(

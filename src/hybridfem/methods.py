@@ -17,7 +17,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +26,7 @@ import scipy.sparse.linalg as spla
 from . import polyspaces as ps
 from . import projections as pj
 from .errors import (
+    InvalidProblemData,
     InvalidStabilization,
     NonPositiveDiffusion,
     SingularLocalSolver,
@@ -105,9 +106,10 @@ class SpaceDescriptor:
 class ProblemData:
     """Coefficients and data of the model problem.
 
-    ``kappa`` must be strictly positive (checked at assembly quadrature
-    points); ``c`` is the optional nonnegative reaction coefficient; ``f``
-    the volume source; ``g`` the Dirichlet boundary value.
+    ``kappa`` must be strictly positive; ``c`` is the optional nonnegative
+    reaction coefficient; ``f`` the volume source; ``g`` the Dirichlet
+    boundary value.  Assembly checks all of them, finite included, at its
+    quadrature points.
     """
 
     kappa: callable
@@ -127,6 +129,8 @@ class StabilizationFunction:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[1] != 3:
             raise InvalidStabilization("expected an (n_elements, 3) array")
+        if not np.isfinite(values).all():
+            raise InvalidStabilization("stabilization must be finite")
         if values.min() < -1e-14:
             raise InvalidStabilization("stabilization must be nonnegative")
         if (values.max(axis=1) <= 0.0).any():
@@ -170,17 +174,11 @@ class DofLayout:
     def n_face(self):
         return self.num_edges * self.space.face_dim
 
-    def flux_slice(self, t):
-        nq = self.space.flux_dim
-        return slice(t * nq, (t + 1) * nq)
-
-    def scalar_slice(self, t):
-        nw = self.space.scalar_dim
-        return slice(t * nw, (t + 1) * nw)
-
-    def face_dofs(self, e):
+    @property
+    def interior_dofs(self):
+        """Multiplier dof ids on the interior edges, edge by edge."""
         nf = self.space.face_dim
-        return np.arange(e * nf, (e + 1) * nf)
+        return (self.interior_edges[:, None] * nf + np.arange(nf)).ravel()
 
 
 @dataclass
@@ -198,26 +196,8 @@ class LocalBlocks:
     Swl: np.ndarray        # (nt, nw, 3, nf) stabilization coupling to traces
     tau: np.ndarray | None # (nt, 3) or None
     F: np.ndarray          # (nt, nw) load
-    gdir: np.ndarray       # (ne, nf) Dirichlet projection on boundary edges
-    ori: np.ndarray        # (nt, 3) 1 where local edge runs along the global edge
+    gdir: np.ndarray       # (ne, nf) Dirichlet projection, zero off the boundary
     lamidx: np.ndarray     # (nt, 3, nf) global face dof ids per local edge
-    edge_ids: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.edge_ids = self.mesh.tri_edges
-
-
-def _edge_orientation(mesh: Mesh):
-    """ori[t, l] is 1 if local edge l of element t runs along the stored
-    global edge direction, else 0."""
-    nt = mesh.num_triangles
-    ori = np.zeros((nt, 3), dtype=np.int64)
-    for t in range(nt):
-        tri = mesh.triangles[t]
-        for loc in range(3):
-            e = mesh.tri_edges[t, loc]
-            ori[t, loc] = 1 if mesh.edges[e, 0] == tri[(loc + 1) % 3] else 0
-    return ori
 
 
 def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
@@ -248,32 +228,28 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     nq, nw, nf = space.flux_dim, space.scalar_dim, space.face_dim
     vb = ps.vector_basis(space.flux_space, k)
     sb = ps.scalar_basis(space.scalar_degree)
-    if quad_exactness is None:
-        vol = ps.triangle_rule(2 * k + 4)
-        erule = ps.edge_rule(k + 3)
-        edge_npts = k + 3
-    else:
-        vol = ps.triangle_rule(max(quad_exactness, 2 * k + 4))
-        edge_npts = max(k + 3, (quad_exactness + 2) // 2)
-        erule = ps.edge_rule(edge_npts)
+    vol, erule = ps.quadrature_rules(k, max(quad_exactness or 0, 2 * k + 4))
 
     maps = mesh.element_maps()
     nt = mesh.num_triangles
     Bmat = np.stack([m.B for m in maps])
     bvec = np.stack([m.b for m in maps])
     detJ = np.array([m.detJ for m in maps])
-    ajac = np.stack([m.edge_jacobians for m in maps])  # (nt, 3)
 
     # Volume data at all quadrature points of all elements.
     xq = np.einsum("ecd,gd->egc", Bmat, vol.points) + bvec[:, None, :]
     flat = xq.reshape(-1, 2)
     kap = np.asarray(data.kappa(flat), dtype=float).reshape(nt, -1)
-    if kap.min() <= 0.0:
-        raise NonPositiveDiffusion("kappa must be strictly positive")
+    if not np.all((kap > 0.0) & np.isfinite(kap)):
+        raise NonPositiveDiffusion("kappa must be finite and strictly positive")
     fvals = np.asarray(data.f(flat), dtype=float).reshape(nt, -1)
+    if not np.isfinite(fvals).all():
+        raise InvalidProblemData("f must be finite")
     cvals = None
     if data.c is not None:
         cvals = np.asarray(data.c(flat), dtype=float).reshape(nt, -1)
+        if not np.all((cvals >= 0.0) & np.isfinite(cvals)):
+            raise InvalidProblemData("c must be finite and nonnegative")
 
     Vhat = vb.eval(vol.points)        # (ng, nq, 2)
     What = sb.eval(vol.points)        # (ng, nw)
@@ -299,13 +275,12 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     w_ref = [sb.eval(ReferenceTriangle.edge_points(loc, s)) for loc in range(3)]
     Lhat = ReferenceTriangle.edge_lengths
 
-    ori = _edge_orientation(mesh)
     edge_len = mesh.edge_lengths[mesh.tri_edges]  # (nt, 3)
 
     C = np.zeros((nt, 3, nf, nq))
     Swl = np.zeros((nt, nw, 3, nf))
     for loc in range(3):
-        mu_sel = mu_both[1 - ori[:, loc]]  # (nt, ng, nf)
+        mu_sel = mu_both[np.where(mesh.tri_edge_aligned[:, loc], 0, 1)]  # (nt, ng, nf)
         scale = Lhat[loc] / np.sqrt(edge_len[:, loc])
         C[:, loc] = scale[:, None, None] * np.einsum(
             "g,egi,gq->eiq", erule.weights, mu_sel, nt_ref[loc]
@@ -325,9 +300,10 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     for e in np.flatnonzero(mesh.boundary):
         a, b = mesh.edges[e]
         gdir[e] = pj.project_face(
-            data.g, k, mesh.vertices[a], mesh.vertices[b],
-            npoints=None if quad_exactness is None else edge_npts,
+            data.g, k, mesh.vertices[a], mesh.vertices[b], npoints=len(erule.points)
         )
+    if not np.isfinite(gdir).all():
+        raise InvalidProblemData("g must be finite on the boundary")
 
     layout = DofLayout(
         space=space,
@@ -351,7 +327,6 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
         tau=tau_vals,
         F=F,
         gdir=gdir,
-        ori=ori,
         lamidx=lamidx,
     )
 
@@ -386,10 +361,8 @@ class FieldTriple:
         """Multiplier values seen from element t on its local edge, in the
         local edge parameter."""
         e = self.mesh.tri_edges[t, loc]
-        tri = self.mesh.triangles[t]
-        same = self.mesh.edges[e, 0] == tri[(loc + 1) % 3]
         s = np.asarray(s, dtype=float)
-        return self.lam_values(e, s if same else 1.0 - s)
+        return self.lam_values(e, s if self.mesh.tri_edge_aligned[t, loc] else 1.0 - s)
 
     def flux_trace(self, t, loc, s):
         """Normal flux on a local edge: q_h . n for RT/BDM, the numerical
@@ -397,39 +370,51 @@ class FieldTriple:
         s = np.asarray(s, dtype=float)
         vals = self.q_field(t).normal_trace(loc, s)
         if self.space.is_hdg:
-            em = self.mesh.element_map(t)
             uh = self.u_field(t).edge_values(loc, s)
             vals = vals + self.tau[t, loc] * (uh - self.lam_values_local(t, loc, s))
         return vals
 
 
 def _local_matrices(blocks: LocalBlocks):
-    """Stack [[A, -B^T], [B, D]] and the trace couplings per element."""
+    """Stacked element matrices over (flux, potential, multiplier) dofs,
+
+        [[A, -B^T,  C^T      ],
+         [B,  D,   -S        ],
+         [C,  S^T, -diag tau ]],
+
+    of shape (nt, n, n) with n = nq + nw + 3 nf.  The condensed, saddle and
+    Dirichlet-form systems are all Schur complements of their sum."""
     nt = blocks.layout.num_triangles
     nq, nw, nf = (
         blocks.space.flux_dim,
         blocks.space.scalar_dim,
         blocks.space.face_dim,
     )
-    M = np.zeros((nt, nq + nw, nq + nw))
-    M[:, :nq, :nq] = blocks.A
-    M[:, :nq, nq:] = -np.broadcast_to(blocks.Bdiv.T, (nt, nq, nw))
-    M[:, nq:, :nq] = np.broadcast_to(blocks.Bdiv, (nt, nw, nq))
-    M[:, nq:, nq:] = blocks.D
-    Cflat = blocks.C.reshape(nt, 3 * nf, nq)
-    Swl = blocks.Swl.reshape(nt, nw, 3 * nf)
-    E = np.concatenate([-Cflat.transpose(0, 2, 1), Swl], axis=1)  # (nt, nq+nw, 3nf)
-    G = np.concatenate([Cflat, Swl.transpose(0, 2, 1)], axis=2)   # (nt, 3nf, nq+nw)
-    return M, E, G
+    m = nq + nw
+    C = blocks.C.reshape(nt, 3 * nf, nq)
+    S = blocks.Swl.reshape(nt, nw, 3 * nf)
+    L = np.zeros((nt, m + 3 * nf, m + 3 * nf))
+    L[:, :nq, :nq] = blocks.A
+    L[:, :nq, nq:m] = -blocks.Bdiv.T
+    L[:, :nq, m:] = C.transpose(0, 2, 1)
+    L[:, nq:m, :nq] = blocks.Bdiv
+    L[:, nq:m, nq:m] = blocks.D
+    L[:, nq:m, m:] = -S
+    L[:, m:, :nq] = C
+    L[:, m:, nq:m] = S.transpose(0, 2, 1)
+    if blocks.tau is not None:
+        idx = np.arange(m, m + 3 * nf)
+        L[:, idx, idx] = -np.repeat(blocks.tau, nf, axis=1)
+    return L
 
 
-def _slam(blocks: LocalBlocks):
-    """Per-element diagonal of the multiplier-multiplier stabilization."""
-    nt = blocks.layout.num_triangles
-    nf = blocks.space.face_dim
-    if blocks.tau is None:
-        return np.zeros((nt, 3 * nf))
-    return np.repeat(blocks.tau, nf, axis=1)
+def _scatter(local, dofs, N):
+    """Sum the stacked element matrices ``local`` (nt, n, n) into an N x N
+    CSR matrix, element t at rows and columns ``dofs[t]``."""
+    n = dofs.shape[1]
+    rows = np.repeat(dofs, n, axis=1).ravel()
+    cols = np.tile(dofs, (1, n)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(N, N)).tocsr()
 
 
 def condensed_system(blocks: LocalBlocks):
@@ -441,36 +426,29 @@ def condensed_system(blocks: LocalBlocks):
     [q; u]_K = X_K lam_K + Y_K.
     """
     layout = blocks.layout
-    nf = blocks.space.face_dim
-    M, E, G = _local_matrices(blocks)
     nt = layout.num_triangles
+    m = blocks.space.flux_dim + blocks.space.scalar_dim
+    L = _local_matrices(blocks)
+    M = L[:, :m, :m]
+    G = L[:, m:, :m]
     try:
-        X = np.linalg.solve(M, E)
-        rhs_local = np.zeros((nt, M.shape[1]))
+        X = np.linalg.solve(M, -L[:, :m, m:])
+        rhs_local = np.zeros((nt, m))
         rhs_local[:, blocks.space.flux_dim :] = blocks.F
         Y = np.linalg.solve(M, rhs_local[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise SingularLocalSolver("element solver is singular") from exc
 
-    H = G @ X                     # (nt, 3nf, 3nf)
-    slam = _slam(blocks)
-    idx = np.arange(3 * nf)
-    H[:, idx, idx] -= slam
+    H = G @ X + L[:, m:, m:]      # (nt, 3nf, 3nf)
     g = np.einsum("eij,ej->ei", G, Y)
 
-    lamidx = blocks.lamidx.reshape(nt, 3 * nf)
-    n_face = layout.n_face
-    rows = np.repeat(lamidx, 3 * nf, axis=1).ravel()
-    cols = np.tile(lamidx, (1, 3 * nf)).ravel()
-    Hmat = sp.coo_matrix((H.reshape(nt, -1).ravel(), (rows, cols)), shape=(n_face, n_face)).tocsr()
-    gvec = np.zeros(n_face)
+    lamidx = blocks.lamidx.reshape(nt, -1)
+    Hmat = _scatter(H, lamidx, layout.n_face)
+    gvec = np.zeros(layout.n_face)
     np.add.at(gvec, lamidx.ravel(), g.ravel())
 
-    lam_full = np.zeros(n_face)
-    for e in layout.boundary_edges:
-        lam_full[layout.face_dofs(e)] = blocks.gdir[e]
-
-    interior = np.concatenate([layout.face_dofs(e) for e in layout.interior_edges]) if len(layout.interior_edges) else np.array([], dtype=int)
+    lam_full = blocks.gdir.ravel().copy()
+    interior = layout.interior_dofs
     K = -Hmat[interior][:, interior]
     rhs = Hmat[interior] @ lam_full + gvec[interior]
     return K.tocsc(), rhs, lam_full, interior, X, Y
@@ -490,6 +468,8 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
     nf = blocks.space.face_dim
     lam_loc = lam_full[blocks.lamidx.reshape(nt, 3 * nf)]
     qu = np.einsum("eij,ej->ei", X, lam_loc) + Y
+    if not (np.isfinite(qu).all() and np.isfinite(lam_full).all()):
+        raise SingularSystem("condensed system produced non-finite values")
     nq = blocks.space.flux_dim
     lam = lam_full.reshape(blocks.layout.num_edges, nf)
     return FieldTriple(
@@ -502,65 +482,47 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
     )
 
 
-def _saddle_matrix(blocks: LocalBlocks):
-    """Global sparse system over (Q, U, interior multiplier dofs)."""
+def _global_system(blocks: LocalBlocks):
+    """The element matrices summed over all (flux, potential, multiplier)
+    dofs, boundary multipliers included, and the vector of known values:
+    the Dirichlet data on the multiplier dofs, zero elsewhere."""
     layout = blocks.layout
-    space = blocks.space
-    nq, nw, nf = space.flux_dim, space.scalar_dim, space.face_dim
     nt = layout.num_triangles
-    nQ, nW = layout.n_flux, layout.n_scalar
-    interior = np.concatenate([layout.face_dofs(e) for e in layout.interior_edges]) if len(layout.interior_edges) else np.array([], dtype=int)
-    face_pos = -np.ones(layout.n_face, dtype=np.int64)
-    face_pos[interior] = np.arange(len(interior))
-    N = nQ + nW + len(interior)
+    nU = layout.n_flux + layout.n_scalar
+    dofs = np.hstack(
+        [
+            np.arange(layout.n_flux).reshape(nt, -1),
+            layout.n_flux + np.arange(layout.n_scalar).reshape(nt, -1),
+            nU + blocks.lamidx.reshape(nt, -1),
+        ]
+    )
+    known = np.concatenate([np.zeros(nU), blocks.gdir.ravel()])
+    S = _scatter(_local_matrices(blocks), dofs, len(known))
+    # Stored zeros (the empty blocks of RT/BDM, off-diagonal multiplier
+    # entries) steer the LU ordering and would double its fill.
+    S.eliminate_zeros()
+    return S, known
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(N)
 
-    def add_block(r0, c0, block):
-        r, c = np.meshgrid(r0, c0, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.asarray(block).ravel())
+def _saddle_matrix(blocks: LocalBlocks):
+    """Global sparse system over (Q, U, interior multiplier dofs) with the
+    boundary multipliers moved to the right-hand side.
 
-    slam = _slam(blocks).reshape(nt, 3, nf)
-    for t in range(nt):
-        qs = np.arange(t * nq, (t + 1) * nq)
-        us = nQ + np.arange(t * nw, (t + 1) * nw)
-        add_block(qs, qs, blocks.A[t])
-        add_block(qs, us, -blocks.Bdiv.T)
-        add_block(us, qs, blocks.Bdiv)
-        add_block(us, us, blocks.D[t])
-        rhs[us] += blocks.F[t]
-        for loc in range(3):
-            e = blocks.edge_ids[t, loc]
-            gdofs = layout.face_dofs(e)
-            pos = face_pos[gdofs]
-            Cl = blocks.C[t, loc]          # (nf, nq)
-            Sl = blocks.Swl[t, :, loc, :]  # (nw, nf)
-            if pos[0] >= 0:
-                ls = nQ + nW + pos
-                add_block(qs, ls, Cl.T)
-                add_block(us, ls, -Sl)
-                add_block(ls, qs, Cl)
-                add_block(ls, us, Sl.T)
-                if blocks.tau is not None:
-                    add_block(ls, ls, -np.diag(slam[t, loc]))
-            else:
-                gd = blocks.gdir[e]
-                rhs[qs] -= Cl.T @ gd
-                rhs[us] += Sl @ gd
-
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    ).tocsc()
-    return A, rhs, face_pos, interior
+    Returns (A, rhs, interior)."""
+    layout = blocks.layout
+    nQ, nU = layout.n_flux, layout.n_flux + layout.n_scalar
+    S, known = _global_system(blocks)
+    interior = layout.interior_dofs
+    keep = np.concatenate([np.arange(nU), nU + interior])
+    rows = S[keep]
+    rhs = -(rows @ known)
+    rhs[nQ:nU] += blocks.F.ravel()
+    return rows[:, keep].tocsc(), rhs, interior
 
 
 def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
     """Direct solve of the full three-field system (cross-check path)."""
-    A, rhs, face_pos, interior = _saddle_matrix(blocks)
+    A, rhs, interior = _saddle_matrix(blocks)
     try:
         sol = spla.spsolve(A, rhs)
     except RuntimeError as exc:
@@ -570,9 +532,7 @@ def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
     layout = blocks.layout
     nq, nw, nf = blocks.space.flux_dim, blocks.space.scalar_dim, blocks.space.face_dim
     nQ, nW = layout.n_flux, layout.n_scalar
-    lam_full = np.zeros(layout.n_face)
-    for e in layout.boundary_edges:
-        lam_full[layout.face_dofs(e)] = blocks.gdir[e]
+    lam_full = blocks.gdir.ravel().copy()
     lam_full[interior] = sol[nQ + nW :]
     return FieldTriple(
         mesh=blocks.mesh,
@@ -586,23 +546,16 @@ def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
 
 def system_residual(blocks: LocalBlocks, triple: FieldTriple) -> float:
     """Max-norm residual of all equation groups, relative to the load."""
-    A, rhs, face_pos, interior = _saddle_matrix(blocks)
-    layout = blocks.layout
-    nQ, nW = layout.n_flux, layout.n_scalar
+    A, rhs, interior = _saddle_matrix(blocks)
     sol = np.concatenate(
-        [
-            triple.q_coeffs.ravel(),
-            triple.u_coeffs.ravel(),
-            triple.lam.ravel()[interior] if len(interior) else np.array([]),
-        ]
+        [triple.q_coeffs.ravel(), triple.u_coeffs.ravel(), triple.lam.ravel()[interior]]
     )
     res = A @ sol - rhs
     scale = max(float(np.abs(rhs).max()), float(np.abs(blocks.gdir).max()), 1e-30)
     # Boundary group: multiplier equals the Dirichlet projection by
     # construction in both solvers; include it for completeness.
-    bres = 0.0
-    for e in layout.boundary_edges:
-        bres = max(bres, float(np.abs(triple.lam[e] - blocks.gdir[e]).max()))
+    bnd = blocks.layout.boundary_edges
+    bres = float(np.abs(triple.lam[bnd] - blocks.gdir[bnd]).max(initial=0.0))
     return max(float(np.abs(res).max()), bres) / scale
 
 
@@ -619,109 +572,35 @@ def dirichlet_form(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=No
     layout = blocks.layout
     if layout.n_scalar > 2000:
         raise TooLarge(f"dirichlet_form limited to 2000 dofs, got {layout.n_scalar}")
-    D, lg, solve_qlam = _dirichlet_pieces(blocks)
+    D, _ = _dirichlet_pieces(blocks)
     return D
 
 
+# Potential columns per dense multi-right-hand-side solve of the Dirichlet
+# form; bounds the dense work array at (flux + interior multiplier dofs) x 128.
+_COLUMN_BLOCK = 128
+
+
 def _dirichlet_pieces(blocks: LocalBlocks):
-    """Assemble the (Q, interior-multiplier) solve used by the Dirichlet form
-    and return (D matrix, Dirichlet load, solver closure)."""
+    """Schur complement of the three-field system onto the potential.
+
+    One LU of the (flux, interior multiplier) block lifts the potential
+    basis functions and the Dirichlet data; returns (D matrix, Dirichlet
+    load l_g)."""
     layout = blocks.layout
-    space = blocks.space
-    nq, nw, nf = space.flux_dim, space.scalar_dim, space.face_dim
-    nt = layout.num_triangles
-    nQ = layout.n_flux
-    interior = np.concatenate([layout.face_dofs(e) for e in layout.interior_edges]) if len(layout.interior_edges) else np.array([], dtype=int)
-    face_pos = -np.ones(layout.n_face, dtype=np.int64)
-    face_pos[interior] = np.arange(len(interior))
-    N = nQ + len(interior)
-
-    rows, cols, vals = [], [], []
-    slam = _slam(blocks).reshape(nt, 3, nf)
-
-    def add_block(r0, c0, block):
-        r, c = np.meshgrid(r0, c0, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.asarray(block).ravel())
-
-    for t in range(nt):
-        qs = np.arange(t * nq, (t + 1) * nq)
-        add_block(qs, qs, blocks.A[t])
-        for loc in range(3):
-            e = blocks.edge_ids[t, loc]
-            pos = face_pos[layout.face_dofs(e)]
-            if pos[0] < 0:
-                continue
-            ls = nQ + pos
-            Cl = blocks.C[t, loc]
-            add_block(qs, ls, Cl.T)
-            add_block(ls, qs, Cl)
-            if blocks.tau is not None:
-                add_block(ls, ls, -np.diag(slam[t, loc]))
-
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
-    ).tocsc()
-    lu = spla.splu(A)
-
-    def solve_qlam(rhs):
-        return lu.solve(rhs)
-
-    # Columns of the Dirichlet form: one solve per potential basis function.
-    nW = layout.n_scalar
-    D = np.zeros((nW, nW))
-    for t in range(nt):
-        for j in range(nw):
-            rhs = np.zeros(N)
-            qs = np.arange(t * nq, (t + 1) * nq)
-            rhs[qs] = blocks.Bdiv.T[:, j]  # (u_h, div r) moved to the right
-            if blocks.tau is not None:
-                for loc in range(3):
-                    e = blocks.edge_ids[t, loc]
-                    pos = face_pos[layout.face_dofs(e)]
-                    if pos[0] >= 0:
-                        rhs[nQ + pos] = -blocks.Swl[t, j, loc, :]
-            sol = solve_qlam(rhs)
-            col = np.zeros(nW)
-            for t2 in range(nt):
-                Q2 = sol[t2 * nq : (t2 + 1) * nq]
-                contrib = blocks.Bdiv @ Q2
-                if blocks.tau is not None:
-                    lam_loc = np.zeros((3, nf))
-                    for loc in range(3):
-                        pos = face_pos[layout.face_dofs(blocks.edge_ids[t2, loc])]
-                        if pos[0] >= 0:
-                            lam_loc[loc] = sol[nQ + pos]
-                    contrib = contrib - np.einsum("wlf,lf->w", blocks.Swl[t2], lam_loc)
-                    if t2 == t:
-                        # stabilization mass of the unit potential itself
-                        contrib = contrib + blocks.D[t2][:, j]
-                col[t2 * nw : (t2 + 1) * nw] = contrib
-            D[:, t * nw + j] = col
-
-    # Dirichlet load: lift g with zero potential, apply the same coupling.
-    rhs = np.zeros(N)
-    for t in range(nt):
-        qs = np.arange(t * nq, (t + 1) * nq)
-        for loc in range(3):
-            e = blocks.edge_ids[t, loc]
-            if face_pos[layout.face_dofs(e)][0] < 0:
-                rhs[qs] -= blocks.C[t, loc].T @ blocks.gdir[e]
-    sol = solve_qlam(rhs)
-    lg = np.zeros(nW)
-    for t in range(nt):
-        Q = sol[t * nq : (t + 1) * nq]
-        contrib = blocks.Bdiv @ Q
-        if blocks.tau is not None:
-            lam_loc = np.zeros((3, nf))
-            for loc in range(3):
-                e = blocks.edge_ids[t, loc]
-                pos = face_pos[layout.face_dofs(e)]
-                lam_loc[loc] = sol[nQ + pos] if pos[0] >= 0 else blocks.gdir[e]
-            contrib = contrib - np.einsum("wlf,lf->w", blocks.Swl[t], lam_loc)
-        lg[t * nw : (t + 1) * nw] = contrib
-    return D, lg, solve_qlam
+    nQ, nU = layout.n_flux, layout.n_flux + layout.n_scalar
+    S, known = _global_system(blocks)
+    rest = np.concatenate([np.arange(nQ), nU + layout.interior_dofs])
+    S_rest, S_pot = S[rest], S[nQ:nU]
+    lu = spla.splu(S_rest[:, rest].tocsc())
+    lift = S_rest[:, nQ:nU].tocsc()
+    back = S_pot[:, rest]
+    D = S_pot[:, nQ:nU].toarray()
+    for j in range(0, layout.n_scalar, _COLUMN_BLOCK):
+        cols = slice(j, j + _COLUMN_BLOCK)
+        D[:, cols] -= back @ lu.solve(lift[:, cols].toarray())
+    lg = S_pot @ known - back @ lu.solve(S_rest @ known)
+    return D, lg
 
 
 def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None):
@@ -731,7 +610,7 @@ def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None
     blocks = assemble(mesh, space, diffusion_only, tau=tau)
     if blocks.layout.n_scalar > 2000:
         raise TooLarge("solve_primal limited to 2000 dofs")
-    D, lg, _ = _dirichlet_pieces(blocks)
+    D, lg = _dirichlet_pieces(blocks)
     return np.linalg.solve(D, blocks.F.ravel() - lg).reshape(-1, space.scalar_dim)
 
 
@@ -745,12 +624,7 @@ def conservation_residuals(triple: FieldTriple, data: ProblemData, include_react
     of the solve; the balance is exact with respect to that rule."""
     mesh, space = triple.mesh, triple.space
     k = space.degree
-    if quad_exactness is None:
-        vol = ps.triangle_rule(2 * k + 4)
-        erule = ps.edge_rule(k + 3)
-    else:
-        vol = ps.triangle_rule(max(quad_exactness, 2 * k + 4))
-        erule = ps.edge_rule(max(k + 3, (quad_exactness + 2) // 2))
+    vol, erule = ps.quadrature_rules(k, max(quad_exactness or 0, 2 * k + 4))
     out = np.zeros(mesh.num_triangles)
     for t in range(mesh.num_triangles):
         em = mesh.element_map(t)
@@ -778,9 +652,7 @@ def flux_jump_norms(triple: FieldTriple):
         total = None
         for t in (tp, tm):
             loc = int(np.flatnonzero(mesh.tri_edges[t] == e)[0])
-            tri = mesh.triangles[t]
-            same = mesh.edges[e, 0] == tri[(loc + 1) % 3]
-            s = erule.points if same else 1.0 - erule.points
+            s = erule.points if mesh.tri_edge_aligned[t, loc] else 1.0 - erule.points
             vals = triple.flux_trace(t, loc, s)
             total = vals if total is None else total + vals
         L = mesh.edge_lengths[e]
@@ -807,7 +679,7 @@ def _project_triple(triple: FieldTriple, q_exact, u_exact, quad_exactness):
                 q_exact, u_exact, k, em, triple.tau[t], quad_exactness=quad_exactness
             )
             qc[t], uc[t] = Pq.coeffs, Pu.coeffs
-    npoints = None if quad_exactness is None else max(k + 3, (quad_exactness + 2) // 2)
+    npoints = len(ps.quadrature_rules(k, quad_exactness)[1].points)
     lamc = np.zeros_like(triple.lam)
     for e in range(mesh.num_edges):
         a, b = mesh.edges[e]
@@ -835,7 +707,7 @@ def energy_identity_residual(triple: FieldTriple, q_exact, u_exact, data: Proble
     eu = uc - triple.u_coeffs
     elam = lamc - triple.lam
 
-    vol = ps.triangle_rule(quad_exactness)
+    vol, erule = ps.quadrature_rules(k, quad_exactness)
     vb = ps.vector_basis(space.flux_space, k)
     Vhat = vb.eval(vol.points)
     lhs = 0.0
@@ -850,7 +722,6 @@ def energy_identity_residual(triple: FieldTriple, q_exact, u_exact, data: Proble
         diff = qproj(xq) - np.asarray(q_exact(xq), dtype=float)
         rhs += em.detJ * float(vol.weights @ (kinv * np.einsum("gc,gc->g", diff, vals)))
     if space.is_hdg:
-        erule = ps.edge_rule(max(k + 3, (quad_exactness + 2) // 2))
         for t in range(mesh.num_triangles):
             em = mesh.element_map(t)
             for loc in range(3):
@@ -859,9 +730,7 @@ def energy_identity_residual(triple: FieldTriple, q_exact, u_exact, data: Proble
                 eu_field = pj.LocalScalarField(em, k, eu[t])
                 vals = eu_field.edge_values(loc, erule.points)
                 e = mesh.tri_edges[t, loc]
-                tri = mesh.triangles[t]
-                same = mesh.edges[e, 0] == tri[(loc + 1) % 3]
-                s = erule.points if same else 1.0 - erule.points
+                s = erule.points if mesh.tri_edge_aligned[t, loc] else 1.0 - erule.points
                 vals = vals - pj.face_values(elam[e], mesh.edge_lengths[e], s)
                 lhs += triple.tau[t, loc] * em.edge_lengths[loc] * float(
                     erule.weights @ vals**2

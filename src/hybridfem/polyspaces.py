@@ -41,6 +41,7 @@ __all__ = [
     "QuadratureRule",
     "triangle_rule",
     "edge_rule",
+    "quadrature_rules",
     "compose_affine",
     "boundary_decomposition_check",
     "divergence_surjectivity_check",
@@ -377,6 +378,17 @@ def edge_rule(npoints: int) -> QuadratureRule:
     return QuadratureRule(points=t, weights=wt, exactness=2 * npoints - 1)
 
 
+def quadrature_rules(k: int, exactness=None):
+    """Triangle and edge rules for degree-k data integrals.
+
+    The triangle rule has the requested exactness (default 2k+4); the edge
+    rule has max(k+3, (exactness+2)//2) Gauss points, k+3 by default.
+    """
+    if exactness is None:
+        exactness = 2 * k + 4
+    return triangle_rule(exactness), edge_rule(max(k + 3, (exactness + 2) // 2))
+
+
 def _dense(exps, c, k):
     A = np.zeros((k + 1, k + 1))
     for m, (a, b) in enumerate(exps):
@@ -422,11 +434,6 @@ def compose_affine(exps, coeffs, B, b):
     return out
 
 
-def _trace_vector(values_by_edge, k):
-    """Stack edgewise coefficient blocks into one boundary-space vector."""
-    return np.concatenate(values_by_edge)
-
-
 def boundary_decomposition_check(k: int):
     """Numerical check of the orthogonal boundary-space decomposition.
 
@@ -448,7 +455,7 @@ def boundary_decomposition_check(k: int):
             vals = fn_on_edge(e, t)  # (npts,)
             mu = fb.eval_edge(e, t)  # (npts, k+1)
             blocks.append(mu.T @ (rule.weights * L * vals))
-        return _trace_vector(blocks, k)
+        return np.concatenate(blocks)
 
     cols = []
     for j in range(comp.dim):

@@ -180,14 +180,6 @@ def _moment_rows(vb, test_vb, rule):
     return np.einsum("g,gic,gjc->ij", rule.weights, tvals, vals)
 
 
-def _rules(k, exactness):
-    """Volume rule and edge rule for a requested exactness (default 2k+4
-    on the triangle and k+3 Gauss points on edges)."""
-    if exactness is None:
-        return ps.triangle_rule(2 * k + 4), ps.edge_rule(k + 3)
-    return ps.triangle_rule(exactness), ps.edge_rule(max(k + 3, (exactness + 2) // 2))
-
-
 class _HdivRef:
     """Cached reference data shared by the RT/BDM projection and lifting."""
 
@@ -201,7 +193,7 @@ class _HdivRef:
             self.vb = ps.vector_basis("P", k)
             self.test_vb = ps.vector_basis("N", k - 2)
         self.k = k
-        self.vol, self.edge = _rules(k, exactness)
+        self.vol, self.edge = ps.quadrature_rules(k, exactness)
         self.fb = ps.FaceBasis(k)
         self.test_vals = self.test_vb.eval(self.vol.points)
         self.mu_vals = [self.fb.eval_edge(e, self.edge.points) for e in range(3)]
@@ -275,7 +267,7 @@ class _HdgRef:
         self.vb = ps.vector_basis("P", k)
         self.sb = ps.scalar_basis(k)
         self.test_vb = ps.vector_basis("P", k - 1)
-        self.vol, self.edge = _rules(k, exactness)
+        self.vol, self.edge = ps.quadrature_rules(k, exactness)
         self.fb = ps.FaceBasis(k)
         self.q_moments = _moment_rows(self.vb, self.test_vb, self.vol)
         self.sdim_low = ps.scalar_dim(k - 1)

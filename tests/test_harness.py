@@ -278,3 +278,17 @@ def test_cli_tau_single_face():
         ["--method", "hdg", "--degree", "0", "--levels", "2", "--tau", "single-face"]
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--tau", "abc"], ["--mesh", "missing.msh"], ["--method", "hdg", "--tau", "nan"]],
+    ids=["tau-not-a-number", "missing-mesh", "tau-nan"],
+)
+def test_cli_bad_arguments_fail_fast(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = cli_main(args + ["--levels", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1

@@ -3,9 +3,16 @@ import pytest
 import scipy.linalg as la
 
 import hybridfem.polyspaces as ps
-from hybridfem.errors import InvalidStabilization, NonPositiveDiffusion, TooLarge, UnsupportedDegree
+from hybridfem.errors import (
+    InvalidProblemData,
+    InvalidStabilization,
+    NonPositiveDiffusion,
+    SingularSystem,
+    TooLarge,
+    UnsupportedDegree,
+)
 from hybridfem.harness import CASES, compute_error_norms
-from hybridfem.mesh import unit_square, uniform_refine
+from hybridfem.mesh import Mesh, unit_square, uniform_refine
 from hybridfem.methods import (
     FieldTriple,
     ProblemData,
@@ -24,6 +31,8 @@ from hybridfem.methods import (
     solve_saddle,
     system_residual,
 )
+
+from oracles import reference_dirichlet_pieces, reference_saddle_matrix
 
 SMOOTH = CASES["smooth"]
 LINEAR = CASES["linear"]
@@ -79,6 +88,12 @@ def test_assemble_requires_matching_stabilization():
         StabilizationFunction(-np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_stabilization_rejects_nonfinite_values(value):
+    with pytest.raises(InvalidStabilization):
+        StabilizationFunction(np.array([[1.0, value, 1.0]]))
+
+
 def test_assemble_rejects_nonpositive_diffusion():
     mesh = unit_square(1)
     bad = ProblemData(
@@ -86,6 +101,50 @@ def test_assemble_rejects_nonpositive_diffusion():
     )
     with pytest.raises(NonPositiveDiffusion):
         assemble(mesh, SpaceDescriptor("rt", 0), bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_assemble_rejects_nonfinite_diffusion(value):
+    data = ProblemData(
+        kappa=lambda x: np.where(x[:, 0] > 0.5, value, 1.0),
+        f=lambda x: np.zeros(len(x)),
+        g=lambda x: np.zeros(len(x)),
+    )
+    with pytest.raises(NonPositiveDiffusion):
+        assemble(unit_square(2), SpaceDescriptor("rt", 1), data)
+
+
+@pytest.mark.parametrize("name", ["f", "g", "c"])
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_assemble_rejects_nonfinite_data(name, value):
+    def bad(x):
+        return np.where(x[:, 1] > 0.5, value, 1.0)
+
+    def one(x):
+        return np.ones(len(x))
+
+    data = ProblemData(kappa=one, f=one, g=one, c=one)
+    setattr(data, name, bad)
+    mesh = unit_square(2)
+    with pytest.raises(InvalidProblemData):
+        assemble(mesh, SpaceDescriptor("hdg", 1), data, tau=make_tau(mesh))
+
+
+def test_assemble_rejects_negative_reaction():
+    data = REACTION.data()
+    data.c = lambda x: x[:, 0] - 0.5
+    with pytest.raises(InvalidProblemData):
+        assemble(unit_square(2), SpaceDescriptor("bdm", 1), data)
+
+
+@pytest.mark.parametrize("solve", [solve_hybridized, solve_saddle])
+def test_solvers_reject_nonfinite_blocks(solve):
+    # blocks edited after assembly bypass its data checks; both solvers
+    # still refuse to return a NaN field
+    blocks = assemble(uniform_refine(unit_square(2)), SpaceDescriptor("rt", 1), SMOOTH.data())
+    blocks.F[:] = np.nan
+    with pytest.raises(SingularSystem):
+        solve(blocks)
 
 
 def test_single_face_stabilization_picks_longest_edge():
@@ -121,7 +180,7 @@ def test_saddle_matrix_symmetry_after_sign_flip(method, k):
     space = SpaceDescriptor(method, k)
     tau = make_tau(mesh) if method == "hdg" else None
     blocks = assemble(mesh, space, SMOOTH.data(), tau=tau)
-    A, rhs, face_pos, interior = _saddle_matrix(blocks)
+    A, rhs, interior = _saddle_matrix(blocks)
     D = np.ones(A.shape[0])
     nQ = blocks.layout.n_flux
     D[nQ : nQ + blocks.layout.n_scalar] = -1.0
@@ -185,6 +244,35 @@ def test_boundary_multiplier_is_face_projection_of_g():
         assert np.abs(triple.lam[e] - blocks.gdir[e]).max() < 1e-13
 
 
+def perturbed_mesh(seed=3):
+    mesh = uniform_refine(unit_square(2))
+    v = mesh.vertices.copy()
+    inner = np.all((v > 1e-12) & (v < 1.0 - 1e-12), axis=1)
+    v[inner] += np.random.default_rng(seed).uniform(-0.04, 0.04, size=(inner.sum(), 2))
+    return Mesh(v, mesh.triangles)
+
+
+def rel_diff(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+GLOBAL_SYSTEM_CASES = [("rt", 0), ("rt", 1), ("bdm", 2), ("hdg", 1), ("hdg", 2)]
+
+
+@pytest.mark.parametrize("method,k", GLOBAL_SYSTEM_CASES)
+def test_saddle_matrix_matches_reference(method, k):
+    mesh = perturbed_mesh()
+    tau = StabilizationFunction.single_face(mesh, 2.0) if method == "hdg" else None
+    blocks = assemble(mesh, SpaceDescriptor(method, k), CASES["varkappa"].data(), tau=tau)
+    A, rhs, interior = _saddle_matrix(blocks)
+    A_ref, rhs_ref = reference_saddle_matrix(blocks)
+    assert rel_diff(A.toarray(), A_ref.toarray()) < 1e-13
+    assert rel_diff(rhs, rhs_ref) < 1e-13
+    triple = solve_saddle(blocks)
+    sol = np.concatenate([triple.q_coeffs.ravel(), triple.u_coeffs.ravel(), triple.lam.ravel()[interior]])
+    assert rel_diff(sol, np.linalg.solve(A_ref.toarray(), rhs_ref)) < 1e-13
+
+
 # ------------------------------------------------------------- condensation
 
 
@@ -222,6 +310,20 @@ def test_primal_solve_reproduces_potential(method, k):
     tau = make_tau(mesh) if method == "hdg" else None
     u = solve_primal(mesh, SpaceDescriptor(method, k), SMOOTH.data(), tau=tau)
     assert np.abs(u - triple.u_coeffs).max() < 1e-8
+
+
+@pytest.mark.parametrize("method,k", GLOBAL_SYSTEM_CASES)
+def test_dirichlet_form_and_primal_match_reference(method, k):
+    mesh = perturbed_mesh()
+    space = SpaceDescriptor(method, k)
+    tau = make_tau(mesh, 1.5) if method == "hdg" else None
+    data = CASES["varkappa"].data()
+    diffusion_only = ProblemData(kappa=data.kappa, f=data.f, g=data.g)
+    blocks = assemble(mesh, space, diffusion_only, tau=tau)
+    D_ref, lg_ref = reference_dirichlet_pieces(blocks)
+    assert rel_diff(dirichlet_form(mesh, space, data, tau=tau), D_ref) < 1e-13
+    u_ref = np.linalg.solve(D_ref, blocks.F.ravel() - lg_ref)
+    assert rel_diff(solve_primal(mesh, space, data, tau=tau).ravel(), u_ref) < 1e-13
 
 
 def test_dirichlet_form_too_large():
@@ -396,7 +498,7 @@ def test_conforming_formulation_equivalence(k):
         Aglob[t * nq : (t + 1) * nq, t * nq : (t + 1) * nq] = blocks.A[t]
         Bglob[t * nw : (t + 1) * nw, t * nq : (t + 1) * nq] = blocks.Bdiv
         for loc in range(3):
-            e = blocks.edge_ids[t, loc]
+            e = mesh.tri_edges[t, loc]
             if mesh.boundary[e]:
                 tg[t * nq : (t + 1) * nq] += blocks.C[t, loc].T @ blocks.gdir[e]
     nv = N.shape[1]
