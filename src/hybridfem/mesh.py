@@ -51,7 +51,6 @@ class ReferenceTriangle:
     edge_normals = np.array([[1.0 / _SQRT2, 1.0 / _SQRT2], [-1.0, 0.0], [0.0, -1.0]])
     edge_lengths = np.array([_SQRT2, 1.0, 1.0])
     area = 0.5
-    perimeter = 2.0 + _SQRT2
 
     @classmethod
     def edge_points(cls, local_edge, t):
@@ -64,7 +63,8 @@ class ReferenceTriangle:
 
 @dataclass(frozen=True)
 class ElementMap:
-    """Affine map F(xhat) = B xhat + b from the reference triangle.
+    """Affine map F(xhat) = B xhat + b from the reference triangle: the
+    view of one element of a mesh's stacked geometry.
 
     ``det`` is the signed determinant of B; ``detJ`` its absolute value.
     ``edge_jacobians[i]`` is |a| on local edge i, the ratio of physical to
@@ -97,10 +97,74 @@ class ElementMap:
 
     def edge_points(self, local_edge, t):
         """Physical points on local edge at parameters ``t`` in [0, 1]."""
-        a, b = ReferenceTriangle.edge_vertices[local_edge]
-        p0, p1 = self.vertices[a], self.vertices[b]
-        t = np.asarray(t, dtype=float)
-        return p0 + t[:, None] * (p1 - p0)
+        return self.forward(ReferenceTriangle.edge_points(local_edge, t))
+
+
+class _AffineMaps:
+    """Affine maps F(xhat) = B xhat + b of stacked triangles, as arrays over
+    the leading axis.  A mesh builds one for all its elements; an
+    :class:`ElementMap` is the view of one entry.
+
+    Attributes:
+        corners: (n, 3, 2) vertices.
+        B, invB: (n, 2, 2); det: (n,) signed determinants; detJ: (n,) |det|.
+        edge_lengths, edge_jacobians: (n, 3) per local edge; the Jacobian is
+            the ratio of physical to reference edge length.
+        edge_normals: (n, 3, 2) unit outward normals per local edge.
+
+    Raises DegenerateElement when a triangle is numerically collinear
+    (|det B| below 1e-14 times its squared bounding-box scale).
+    """
+
+    def __init__(self, corners):
+        self.corners = v = corners
+        self.B = B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        self.det = det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+        scale = np.maximum(
+            np.maximum(np.abs(v).max(axis=(1, 2)), np.ptp(v, axis=1).max(axis=1)), 1e-30
+        )
+        bad = np.abs(det) < 1e-14 * scale * scale
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise DegenerateElement(f"triangle with vertices {v[t].tolist()} is degenerate")
+        self.detJ = np.abs(det)
+        self.invB = np.stack(
+            [B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=-1
+        ).reshape(-1, 2, 2) / det[:, None, None]
+        ev = ReferenceTriangle.edge_vertices
+        tang = v[:, ev[:, 1]] - v[:, ev[:, 0]]
+        self.edge_lengths = lengths = np.linalg.norm(tang, axis=-1)
+        self.edge_jacobians = lengths / ReferenceTriangle.edge_lengths
+        # CCW traversal has the outward normal at -90 degrees from the tangent.
+        orient = np.where(det > 0, 1.0, -1.0)[:, None, None]
+        self.edge_normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) * orient / lengths[..., None]
+        for a in vars(self).values():
+            a.flags.writeable = False
+
+    def __len__(self):
+        return len(self.det)
+
+    def forward(self, xhat):
+        """Map reference points (m, 2) into every element, (n, m, 2)."""
+        return np.einsum("ecd,gd->egc", self.B, xhat) + self.corners[:, None, 0, :]
+
+    def edge_forward(self, t):
+        """Points at the parameters t (m,) of every local edge, (n, 3, m, 2)."""
+        xhat = np.vstack([ReferenceTriangle.edge_points(e, t) for e in range(3)])
+        return self.forward(xhat).reshape(len(self), 3, len(t), 2)
+
+    def __getitem__(self, t) -> ElementMap:
+        return ElementMap(
+            B=self.B[t],
+            b=self.corners[t, 0],
+            det=float(self.det[t]),
+            detJ=float(self.detJ[t]),
+            invB=self.invB[t],
+            vertices=self.corners[t],
+            edge_lengths=self.edge_lengths[t],
+            edge_jacobians=self.edge_jacobians[t],
+            edge_normals=self.edge_normals[t],
+        )
 
 
 def build_reference_map(triangle_vertices) -> ElementMap:
@@ -109,60 +173,36 @@ def build_reference_map(triangle_vertices) -> ElementMap:
     Raises DegenerateElement when the vertices are numerically collinear
     (|det B| below 1e-14 times the squared bounding-box scale).
     """
-    v = np.asarray(triangle_vertices, dtype=float)
+    v = np.array(triangle_vertices, dtype=float)
     if v.shape != (3, 2):
         raise ValueError("expected three 2D vertices")
-    B = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    det = float(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])
-    scale = max(float(np.abs(v).max()), float(np.ptp(v, axis=0).max()), 1e-30)
-    if abs(det) < 1e-14 * scale * scale:
-        raise DegenerateElement(f"triangle with vertices {v.tolist()} is degenerate")
-    invB = np.array([[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]]) / det
-    lengths = np.array(
-        [
-            float(np.linalg.norm(v[2] - v[1])),
-            float(np.linalg.norm(v[0] - v[2])),
-            float(np.linalg.norm(v[1] - v[0])),
-        ]
-    )
-    jac = lengths / ReferenceTriangle.edge_lengths
-    orient = 1.0 if det > 0 else -1.0
-    normals = np.empty((3, 2))
-    for i in range(3):
-        a, b = ReferenceTriangle.edge_vertices[i]
-        tang = v[b] - v[a]
-        # CCW traversal has the outward normal at -90 degrees from the tangent.
-        n = np.array([tang[1], -tang[0]]) * orient
-        normals[i] = n / np.linalg.norm(n)
-    return ElementMap(
-        B=B,
-        b=v[0].copy(),
-        det=det,
-        detJ=abs(det),
-        invB=invB,
-        vertices=v.copy(),
-        edge_lengths=lengths,
-        edge_jacobians=jac,
-        edge_normals=normals,
-    )
+    return _AffineMaps(v[None])[0]
 
 
 class Mesh:
-    """Conforming triangulation with derived edge connectivity.
+    """Conforming triangulation with derived edge connectivity and element
+    geometry.
 
     Triangles are re-oriented counter-clockwise on construction.  Edges are
     deduplicated; ``edge_tris[e] = (t_plus, t_minus)`` holds the owner
     triangle ids with ``t_plus < t_minus`` and ``t_minus = -1`` on the
-    boundary.  The stored edge direction (``edges[e] = (a, b)``) is chosen so
-    that the right-handed normal of a->b is the outward normal of ``t_plus``,
-    i.e. the global edge normal points from the lower- to the higher-id owner.
+    boundary.  Edges are numbered in lexicographic order of their sorted
+    vertex pairs.  The stored edge direction (``edges[e] = (a, b)``) is chosen
+    so that the right-handed normal of a->b is the outward normal of
+    ``t_plus``, i.e. the global edge normal points from the lower- to the
+    higher-id owner.
 
     Attributes:
         vertices: (nv, 2) float array.
         triangles: (nt, 3) int array, counter-clockwise.
+        geometry: affine maps of all elements as stacked arrays (``B``,
+            ``invB``, ``detJ``, and per local edge ``edge_lengths``,
+            ``edge_jacobians`` and ``edge_normals``), computed once; a
+            degenerate triangle raises DegenerateElement here.
         edges: (ne, 2) int array of directed vertex pairs.
         edge_tris: (ne, 2) int array of owner triangle ids.
         boundary: (ne,) bool array.
+        edge_lengths: (ne,) global edge lengths.
         tri_edges: (nt, 3) int array; column i is the global id of the edge
             opposite local vertex i.
         tri_edge_aligned: (nt, 3) bool array; True where local edge i runs
@@ -189,66 +229,42 @@ class Mesh:
 
         self.vertices = vertices
         self.triangles = triangles
+        self.geometry = _AffineMaps(vertices[triangles])
 
-        owners: dict[tuple[int, int], list[int]] = {}
-        for t, tri in enumerate(triangles):
-            for i in range(3):
-                a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
-                key = (min(a, b), max(a, b))
-                owners.setdefault(key, []).append(t)
-        for key, tris in owners.items():
-            if len(tris) > 2:
-                raise NonConformingMesh(
-                    f"edge {key} is owned by {len(tris)} triangles"
-                )
-
-        keys = sorted(owners)
-        ne = len(keys)
-        edges = np.empty((ne, 2), dtype=np.int64)
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        index = {}
-        for e, key in enumerate(keys):
-            index[key] = e
-            tris = sorted(owners[key])
-            edge_tris[e, 0] = tris[0]
-            if len(tris) == 2:
-                edge_tris[e, 1] = tris[1]
-            # Direct the edge so its right-handed normal is outward for the
-            # lower-id owner (CCW traversal of that triangle).
-            tri = triangles[tris[0]]
-            loc = [i for i in range(3) if key[0] in (tri[(i + 1) % 3], tri[(i + 2) % 3]) and key[1] in (tri[(i + 1) % 3], tri[(i + 2) % 3])][0]
-            edges[e] = (tri[(loc + 1) % 3], tri[(loc + 2) % 3])
-
-        self.edges = edges
-        self.edge_tris = edge_tris
-        self.boundary = edge_tris[:, 1] < 0
-
-        tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
-        for t, tri in enumerate(triangles):
-            for i in range(3):
-                a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
-                tri_edges[t, i] = index[(min(a, b), max(a, b))]
-        self.tri_edges = tri_edges
-        # local edge i runs from local vertex i+1 to i+2 (mod 3)
-        self.tri_edge_aligned = edges[tri_edges, 0] == triangles[:, [1, 2, 0]]
-
-        p = vertices[triangles]
-        sides = np.stack(
-            [
-                np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-                np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-                np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-            ],
-            axis=1,
+        # Local edge i runs from local vertex i+1 to i+2 (mod 3); key each
+        # by its sorted vertex pair.
+        nt, nv = len(triangles), len(vertices)
+        start, end = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
+        keys = np.minimum(start, end) * nv + np.maximum(start, end)
+        codes, tri_edges, owners = np.unique(
+            keys.ravel(), return_inverse=True, return_counts=True
         )
-        self.areas = 0.5 * np.abs(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
+        if owners.size and owners.max() > 2:
+            e = int(np.argmax(owners > 2))
+            raise NonConformingMesh(
+                f"edge {(int(codes[e] // nv), int(codes[e] % nv))} is owned by "
+                f"{owners[e]} triangles"
+            )
+        # Local edges grouped by global edge, in increasing triangle order.
+        order = np.argsort(tri_edges, kind="stable")
+        first = np.cumsum(owners) - owners
+        lead = order[first]
+        second = np.where(owners == 2, order[np.minimum(first + 1, len(order) - 1)] // 3, -1)
+        # Direct each edge along the lower-id owner's CCW traversal, so its
+        # right-handed normal is outward for that owner.
+        self.edges = np.stack([start.ravel()[lead], end.ravel()[lead]], axis=1)
+        self.edge_tris = np.stack([lead // 3, second], axis=1)
+        self.boundary = self.edge_tris[:, 1] < 0
+        self.tri_edges = tri_edges.reshape(nt, 3)
+        self.tri_edge_aligned = self.edges[self.tri_edges, 0] == start
+
+        sides = self.geometry.edge_lengths
+        self.areas = 0.5 * self.geometry.detJ
         self.h = sides.max(axis=1)
         self.rho = 2.0 * self.areas / (0.5 * sides.sum(axis=1))
         self.edge_lengths = np.linalg.norm(
-            vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1
+            vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]], axis=1
         )
-
-        self._maps: list[ElementMap] | None = None
 
     # -- derived quantities -------------------------------------------------
 
@@ -277,15 +293,11 @@ class Mesh:
         return float((self.h / self.rho).max())
 
     def element_maps(self):
-        """Affine maps of all elements (built once, cached)."""
-        if self._maps is None:
-            self._maps = [
-                build_reference_map(self.vertices[tri]) for tri in self.triangles
-            ]
-        return self._maps
+        """Per-element views of the affine maps."""
+        return [self.geometry[t] for t in range(self.num_triangles)]
 
     def element_map(self, t):
-        return self.element_maps()[t]
+        return self.geometry[t]
 
     def edge_unit_normal(self, e):
         """Global unit normal of edge e (outward for the lower-id owner)."""
@@ -304,42 +316,30 @@ def unit_square(n: int) -> Mesh:
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = np.linspace(0.0, 1.0, n + 1)
-    verts = np.array([[x, y] for y in xs for x in xs])
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            if (i + j) % 2 == 0:
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-            else:
-                tris.append((v00, v10, v01))
-                tris.append((v10, v11, v01))
-    return Mesh(verts, np.array(tris))
+    X, Y = np.meshgrid(xs, xs)
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = j * (n + 1) + i
+    v10, v01 = v00 + 1, v00 + (n + 1)
+    v11 = v01 + 1
+    even = ((i + j) % 2 == 0)[:, None]
+    first = np.where(even, np.stack([v00, v10, v11], axis=1), np.stack([v00, v10, v01], axis=1))
+    second = np.where(even, np.stack([v00, v11, v01], axis=1), np.stack([v10, v11, v01], axis=1))
+    return Mesh(verts, np.stack([first, second], axis=1).reshape(-1, 3))
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:
     """Red refinement: split every triangle into four by edge midpoints."""
-    nv = mesh.num_vertices
-    mid = nv + np.arange(mesh.num_edges)
     verts = np.vstack(
         [
             mesh.vertices,
             0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]]),
         ]
     )
-    tris = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
-    for t, tri in enumerate(mesh.triangles):
-        m = mid[mesh.tri_edges[t]]  # midpoint opposite each local vertex
-        a, b, c = tri
-        tris[4 * t + 0] = (a, m[2], m[1])
-        tris[4 * t + 1] = (m[2], b, m[0])
-        tris[4 * t + 2] = (m[1], m[0], c)
-        tris[4 * t + 3] = (m[0], m[1], m[2])
-    return Mesh(verts, tris)
+    a, b, c = mesh.triangles.T
+    m0, m1, m2 = (mesh.num_vertices + mesh.tri_edges).T  # midpoint opposite each vertex
+    tris = np.stack([a, m2, m1, m2, b, m0, m1, m0, c, m0, m1, m2], axis=1)
+    return Mesh(verts, tris.reshape(-1, 3))
 
 
 def loads_mesh(text: str) -> Mesh:
@@ -380,6 +380,8 @@ def loads_mesh(text: str) -> Mesh:
             verts[row] = (float(tok[0]), float(tok[1]))
         except ValueError:
             raise ParseError("vertex coordinates must be numbers", line=num) from None
+        if not np.isfinite(verts[row]).all():
+            raise ParseError("vertex coordinates must be finite", line=num)
     tris = np.empty((nt, 3), dtype=np.int64)
     for row, (num, tok) in enumerate(payload[1 + nv : 1 + nv + nt]):
         if len(tok) != 3:

@@ -146,9 +146,8 @@ class StabilizationFunction:
         """Positive on the longest local edge of each element only (ties go
         to the lowest local index), zero elsewhere."""
         vals = np.zeros((mesh.num_triangles, 3))
-        for t in range(mesh.num_triangles):
-            lengths = mesh.edge_lengths[mesh.tri_edges[t]]
-            vals[t, int(np.argmax(np.round(lengths, 12)))] = value
+        longest = np.argmax(np.round(mesh.edge_lengths[mesh.tri_edges], 12), axis=1)
+        vals[np.arange(mesh.num_triangles), longest] = value
         return cls(vals)
 
 
@@ -230,15 +229,12 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     sb = ps.scalar_basis(space.scalar_degree)
     vol, erule = ps.quadrature_rules(k, max(quad_exactness or 0, 2 * k + 4))
 
-    maps = mesh.element_maps()
+    geo = mesh.geometry
     nt = mesh.num_triangles
-    Bmat = np.stack([m.B for m in maps])
-    bvec = np.stack([m.b for m in maps])
-    detJ = np.array([m.detJ for m in maps])
+    Bmat, detJ = geo.B, geo.detJ
 
     # Volume data at all quadrature points of all elements.
-    xq = np.einsum("ecd,gd->egc", Bmat, vol.points) + bvec[:, None, :]
-    flat = xq.reshape(-1, 2)
+    flat = geo.forward(vol.points).reshape(-1, 2)
     kap = np.asarray(data.kappa(flat), dtype=float).reshape(nt, -1)
     if not np.all((kap > 0.0) & np.isfinite(kap)):
         raise NonPositiveDiffusion("kappa must be finite and strictly positive")
@@ -295,15 +291,19 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
                 "g,gi,gj->ij", erule.weights, w_ref[loc], w_ref[loc]
             )[None]
 
-    # Dirichlet data on boundary edges, in the global edge bases.
+    # Dirichlet data on boundary edges, in the global edge bases; g is
+    # checked at the quadrature points before it is projected.
+    def g_checked(x):
+        vals = np.asarray(data.g(x), dtype=float)
+        if not np.isfinite(vals).all():
+            raise InvalidProblemData("g must be finite on the boundary")
+        return vals
+
     gdir = np.zeros((mesh.num_edges, nf))
-    for e in np.flatnonzero(mesh.boundary):
-        a, b = mesh.edges[e]
-        gdir[e] = pj.project_face(
-            data.g, k, mesh.vertices[a], mesh.vertices[b], npoints=len(erule.points)
-        )
-    if not np.isfinite(gdir).all():
-        raise InvalidProblemData("g must be finite on the boundary")
+    ends = mesh.vertices[mesh.edges[mesh.boundary]]
+    gdir[mesh.boundary] = pj.project_face(
+        g_checked, k, ends[:, 0], ends[:, 1], npoints=len(erule.points)
+    )
 
     layout = DofLayout(
         space=space,
@@ -333,7 +333,14 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
 
 @dataclass
 class FieldTriple:
-    """Solution coefficients of the three-field system."""
+    """Solution coefficients of the three-field system, stacked over the
+    elements and edges.
+
+    Operators work on the stacked arrays over all elements at once;
+    :meth:`normal_flux` evaluates the (numerical) normal flux on every local
+    edge.  ``u_field(t)`` and ``lam_values(e, t)`` are per-element and
+    per-edge views.
+    """
 
     mesh: Mesh
     space: SpaceDescriptor
@@ -341,11 +348,6 @@ class FieldTriple:
     u_coeffs: np.ndarray   # (nt, nw)
     lam: np.ndarray        # (ne, nf)
     tau: np.ndarray | None = None
-
-    def q_field(self, t) -> pj.LocalVectorField:
-        return pj.LocalVectorField(
-            self.mesh.element_map(t), self.space.flux_space, self.space.degree, self.q_coeffs[t]
-        )
 
     def u_field(self, t) -> pj.LocalScalarField:
         return pj.LocalScalarField(
@@ -357,22 +359,30 @@ class FieldTriple:
         edge direction."""
         return pj.face_values(self.lam[e], self.mesh.edge_lengths[e], np.asarray(tpar, dtype=float))
 
-    def lam_values_local(self, t, loc, s):
-        """Multiplier values seen from element t on its local edge, in the
-        local edge parameter."""
-        e = self.mesh.tri_edges[t, loc]
+    def normal_flux(self, s):
+        """Normal flux on every local edge at the local edge parameters s,
+        (nt, 3, ns): q_h . n for RT/BDM, the numerical flux
+        q_h . n + tau (u_h - uhat_h) for HDG."""
         s = np.asarray(s, dtype=float)
-        return self.lam_values(e, s if self.mesh.tri_edge_aligned[t, loc] else 1.0 - s)
-
-    def flux_trace(self, t, loc, s):
-        """Normal flux on a local edge: q_h . n for RT/BDM, the numerical
-        flux q_h . n + tau (u_h - uhat_h) for HDG."""
-        s = np.asarray(s, dtype=float)
-        vals = self.q_field(t).normal_trace(loc, s)
-        if self.space.is_hdg:
-            uh = self.u_field(t).edge_values(loc, s)
-            vals = vals + self.tau[t, loc] * (uh - self.lam_values_local(t, loc, s))
+        space = self.space
+        vals = pj._normal_traces(self.mesh.geometry, space.flux_space, space.degree, self.q_coeffs, s)
+        if space.is_hdg:
+            W = pj._edge_table(ps.scalar_basis(space.scalar_degree), s)
+            uh = np.einsum("lgw,ew->elg", W, self.u_coeffs)
+            vals = vals + self.tau[:, :, None] * (uh - _local_face_values(self.mesh, self.lam, s))
         return vals
+
+
+def _local_face_values(mesh: Mesh, coeffs, s):
+    """Edge fields (coefficients (ne, k+1) in the global edge bases) seen
+    from every element on its local edges at the local edge parameters s,
+    (nt, 3, ns)."""
+    k = coeffs.shape[1] - 1
+    L = mesh.edge_lengths[mesh.tri_edges]
+    c = coeffs[mesh.tri_edges] / np.sqrt(L)[..., None]
+    along = np.einsum("gi,eli->elg", ps.legendre01(k, s), c)
+    against = np.einsum("gi,eli->elg", ps.legendre01(k, 1.0 - s), c)
+    return np.where(mesh.tri_edge_aligned[..., None], along, against)
 
 
 def _local_matrices(blocks: LocalBlocks):
@@ -625,67 +635,45 @@ def conservation_residuals(triple: FieldTriple, data: ProblemData, include_react
     mesh, space = triple.mesh, triple.space
     k = space.degree
     vol, erule = ps.quadrature_rules(k, max(quad_exactness or 0, 2 * k + 4))
-    out = np.zeros(mesh.num_triangles)
-    for t in range(mesh.num_triangles):
-        em = mesh.element_map(t)
-        xq = em.forward(vol.points)
-        fv = np.asarray(data.f(xq), dtype=float)
-        if include_reaction and data.c is not None:
-            fv = fv - np.asarray(data.c(xq), dtype=float) * triple.u_field(t)(xq)
-        lhs = em.detJ * float(vol.weights @ fv)
-        rhs = 0.0
-        for loc in range(3):
-            vals = triple.flux_trace(t, loc, erule.points)
-            rhs += em.edge_lengths[loc] * float(erule.weights @ vals)
-        out[t] = lhs - rhs
-    return out
+    xq = mesh.geometry.forward(vol.points)
+    fv = pj._at(data.f, xq)
+    if include_reaction and data.c is not None:
+        uh = triple.u_coeffs @ ps.scalar_basis(space.scalar_degree).eval(vol.points).T
+        fv = fv - pj._at(data.c, xq) * uh
+    lhs = mesh.geometry.detJ * (fv @ vol.weights)
+    flux = triple.normal_flux(erule.points) @ erule.weights
+    return lhs - np.sum(mesh.geometry.edge_lengths * flux, axis=1)
 
 
 def flux_jump_norms(triple: FieldTriple):
     """L2 norms of the normal-flux jump over the interior edges."""
     mesh = triple.mesh
-    k = triple.space.degree
-    erule = ps.edge_rule(k + 3)
-    norms = []
-    for e in np.flatnonzero(~mesh.boundary):
-        tp, tm = mesh.edge_tris[e]
-        total = None
-        for t in (tp, tm):
-            loc = int(np.flatnonzero(mesh.tri_edges[t] == e)[0])
-            s = erule.points if mesh.tri_edge_aligned[t, loc] else 1.0 - erule.points
-            vals = triple.flux_trace(t, loc, s)
-            total = vals if total is None else total + vals
-        L = mesh.edge_lengths[e]
-        norms.append(float(np.sqrt(L * np.sum(erule.weights * total**2))))
-    return np.array(norms)
+    erule = ps.edge_rule(triple.space.degree + 3)
+    # Both owners' fluxes at the same points, in the stored edge direction.
+    s = erule.points
+    flux = np.where(
+        mesh.tri_edge_aligned[..., None], triple.normal_flux(s), triple.normal_flux(1.0 - s)
+    )
+    jump = np.zeros((mesh.num_edges, len(s)))
+    np.add.at(jump, mesh.tri_edges.ravel(), flux.reshape(-1, len(s)))
+    inner = ~mesh.boundary
+    return np.sqrt(mesh.edge_lengths[inner] * (jump[inner] ** 2 @ erule.weights))
 
 
 def _project_triple(triple: FieldTriple, q_exact, u_exact, quad_exactness):
     """Method-specific projections (Pi q, Pi u, P u) of an exact solution."""
     mesh, space = triple.mesh, triple.space
     k = space.degree
-    qc = np.zeros_like(triple.q_coeffs)
-    uc = np.zeros_like(triple.u_coeffs)
-    for t in range(mesh.num_triangles):
-        em = mesh.element_map(t)
-        if space.method == "rt":
-            qc[t] = pj.rt_project(q_exact, k, em, quad_exactness=quad_exactness).coeffs
-            uc[t] = pj.project_scalar(u_exact, k, em).coeffs
-        elif space.method == "bdm":
-            qc[t] = pj.bdm_project(q_exact, k, em, quad_exactness=quad_exactness).coeffs
-            uc[t] = pj.project_scalar(u_exact, k - 1, em).coeffs
-        else:
-            Pq, Pu = pj.hdg_project(
-                q_exact, u_exact, k, em, triple.tau[t], quad_exactness=quad_exactness
-            )
-            qc[t], uc[t] = Pq.coeffs, Pu.coeffs
-    npoints = len(ps.quadrature_rules(k, quad_exactness)[1].points)
-    lamc = np.zeros_like(triple.lam)
-    for e in range(mesh.num_edges):
-        a, b = mesh.edges[e]
-        lamc[e] = pj.project_face(
-            u_exact, k, mesh.vertices[a], mesh.vertices[b], npoints=npoints
+    if space.is_hdg:
+        qc, uc = pj._hdg_coeffs(
+            q_exact, u_exact, k, mesh.geometry, triple.tau, exactness=quad_exactness
         )
+    else:
+        qc = pj._hdiv_coeffs(space.method, k, mesh.geometry, q_exact, quad_exactness)
+        uc = pj._scalar_coeffs(u_exact, space.scalar_degree, mesh.geometry)
+    npoints = len(ps.quadrature_rules(k, quad_exactness)[1].points)
+    ends = mesh.vertices[mesh.edges]
+    lamc = pj.project_face(u_exact, k, ends[:, 0], ends[:, 1], npoints=npoints)
     return qc, uc, lamc
 
 
@@ -702,37 +690,22 @@ def energy_identity_residual(triple: FieldTriple, q_exact, u_exact, data: Proble
     if quad_exactness is None:
         quad_exactness = max(2 * k + 10, 16)
     mesh = triple.mesh
+    geo = mesh.geometry
     qc, uc, lamc = _project_triple(triple, q_exact, u_exact, quad_exactness)
     eq = qc - triple.q_coeffs
     eu = uc - triple.u_coeffs
     elam = lamc - triple.lam
 
     vol, erule = ps.quadrature_rules(k, quad_exactness)
-    vb = ps.vector_basis(space.flux_space, k)
-    Vhat = vb.eval(vol.points)
-    lhs = 0.0
-    rhs = 0.0
-    for t in range(mesh.num_triangles):
-        em = mesh.element_map(t)
-        xq = em.forward(vol.points)
-        kinv = 1.0 / np.asarray(data.kappa(xq), dtype=float)
-        vals = np.einsum("gqc,q->gc", Vhat, eq[t]) @ em.B.T / em.detJ
-        lhs += em.detJ * float(vol.weights @ (kinv * np.einsum("gc,gc->g", vals, vals)))
-        qproj = pj.LocalVectorField(em, space.flux_space, k, qc[t])
-        diff = qproj(xq) - np.asarray(q_exact(xq), dtype=float)
-        rhs += em.detJ * float(vol.weights @ (kinv * np.einsum("gc,gc->g", diff, vals)))
+    xq = geo.forward(vol.points)
+    wk = geo.detJ[:, None] * vol.weights / pj._at(data.kappa, xq)
+    vals = pj._vector_values(geo, space.flux_space, k, eq, vol.points)
+    diff = pj._vector_values(geo, space.flux_space, k, qc, vol.points) - pj._at(q_exact, xq)
+    lhs = np.sum(wk * np.einsum("egc,egc->eg", vals, vals))
+    rhs = np.sum(wk * np.einsum("egc,egc->eg", diff, vals))
     if space.is_hdg:
-        for t in range(mesh.num_triangles):
-            em = mesh.element_map(t)
-            for loc in range(3):
-                if triple.tau[t, loc] == 0.0:
-                    continue
-                eu_field = pj.LocalScalarField(em, k, eu[t])
-                vals = eu_field.edge_values(loc, erule.points)
-                e = mesh.tri_edges[t, loc]
-                s = erule.points if mesh.tri_edge_aligned[t, loc] else 1.0 - erule.points
-                vals = vals - pj.face_values(elam[e], mesh.edge_lengths[e], s)
-                lhs += triple.tau[t, loc] * em.edge_lengths[loc] * float(
-                    erule.weights @ vals**2
-                )
+        s = erule.points
+        eu_edges = np.einsum("lgw,ew->elg", pj._edge_table(ps.scalar_basis(k), s), eu)
+        gap = eu_edges - _local_face_values(mesh, elam, s)
+        lhs += np.sum(triple.tau * geo.edge_lengths * (gap**2 @ erule.weights))
     return abs(lhs - rhs)

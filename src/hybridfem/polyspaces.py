@@ -280,10 +280,7 @@ class VectorBasis:
 
     def div(self, points):
         """Divergences (npts, dim)."""
-        k = max(a + b for a, b in self.exps)
-        V = monomial_eval(self.exps, points)
-        dc = _deriv_matrix(k, 0) @ self.coeffs[:, 0, :].T + _deriv_matrix(k, 1) @ self.coeffs[:, 1, :].T
-        return V @ dc
+        return monomial_eval(self.exps, points) @ self.div_coeffs()
 
     def div_coeffs(self):
         """Monomial coefficients of the divergences, shape (nmono, dim)."""

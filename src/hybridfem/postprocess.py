@@ -18,7 +18,6 @@ from . import polyspaces as ps
 from . import projections as pj
 from .errors import SingularLocalSystem
 from .methods import FieldTriple, ProblemData
-from .mesh import ReferenceTriangle
 
 __all__ = ["PostprocessedField", "stenberg", "gradient_postprocess"]
 
@@ -27,7 +26,8 @@ COMPATIBILITY_TOL = 1e-9
 
 @dataclass
 class PostprocessedField:
-    """Elementwise degree-(k+1) reconstruction of the potential."""
+    """Elementwise degree-(k+1) reconstruction of the potential, stacked
+    over the elements; ``field(t)`` is the view of one element."""
 
     mesh: object
     degree: int                  # k+1
@@ -40,25 +40,32 @@ class PostprocessedField:
         return pj.LocalScalarField(self.mesh.element_map(t), self.degree, self.coeffs[t])
 
     def element_means(self):
-        maps = self.mesh.element_maps()
-        return np.array(
-            [c[0] * np.sqrt(2.0) * 0.5 * m.detJ for c, m in zip(self.coeffs, maps)]
-        )
+        # The first basis function is the constant sqrt(2) on the reference
+        # triangle; all the others have zero mean.
+        return self.coeffs[:, 0] * np.sqrt(2.0) * 0.5 * self.mesh.geometry.detJ
 
 
-def _local_stiffness(emap, grads, weight, vol):
-    """Stiffness of the physical gradients with a pointwise weight."""
-    g_phys = np.einsum("gic,cd->gid", grads, emap.invB)
-    return emap.detJ * np.einsum("g,gic,gjc->ij", vol.weights * weight, g_phys, g_phys)
+def _stiffness(geo, sb, vol, weight):
+    """Stiffness matrices (nt, dim, dim) of the physical gradients with a
+    pointwise weight (nt, ng): the weights are contracted with the reference
+    gradient products before the metric invB invB^T is applied."""
+    G = sb.grad(vol.points)                                   # (ng, dim, 2)
+    metric = np.einsum("ead,ebd->eab", geo.invB, geo.invB)    # (nt, 2, 2)
+    wk = weight * vol.weights
+    S = np.zeros((len(wk), sb.dim, sb.dim))
+    for a in range(2):
+        for b in range(2):
+            S += metric[:, a, b, None, None] * np.einsum("eg,gi,gj->eij", wk, G[:, :, a], G[:, :, b])
+    return geo.detJ[:, None, None] * S
 
 
-def _solve_element(S, rhs, mean_coeff):
-    """Solve on the zero-mean block and append the constant coefficient."""
+def _solve_elements(S, rhs, mean_coeff):
+    """Solve on the zero-mean blocks and prepend the constant coefficients."""
     try:
-        inner = np.linalg.solve(S[1:, 1:], rhs[1:])
+        inner = np.linalg.solve(S[:, 1:, 1:], rhs[:, 1:, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise SingularLocalSystem("local postprocessing stiffness is singular") from exc
-    return np.concatenate([[mean_coeff], inner])
+    return np.hstack([mean_coeff[:, None], inner])
 
 
 def stenberg(triple: FieldTriple, data: ProblemData) -> PostprocessedField:
@@ -71,6 +78,7 @@ def stenberg(triple: FieldTriple, data: ProblemData) -> PostprocessedField:
     mean-free decomposition (the two formulations coincide otherwise).
     """
     mesh, space = triple.mesh, triple.space
+    geo = mesh.geometry
     k = space.degree
     kp = k + 1
     sb = ps.scalar_basis(kp)
@@ -80,32 +88,16 @@ def stenberg(triple: FieldTriple, data: ProblemData) -> PostprocessedField:
     # for the reconstruction integrals.
     vol_check = ps.triangle_rule(2 * k + 4)
     erule = ps.edge_rule(k + 4)
-    grads = sb.grad(vol.points)
-    vals_edge = [sb.eval(ReferenceTriangle.edge_points(loc, erule.points)) for loc in range(3)]
-    What = sb.eval(vol.points)
 
-    nt = mesh.num_triangles
-    coeffs = np.zeros((nt, sb.dim))
-    decomposed = np.zeros(nt, dtype=bool)
-    for t in range(nt):
-        em = mesh.element_map(t)
-        xq = em.forward(vol.points)
-        kap = np.asarray(data.kappa(xq), dtype=float)
-        S = _local_stiffness(em, grads, kap, vol)
-        fv = np.asarray(data.f(xq), dtype=float)
-        rhs = em.detJ * (What.T @ (vol.weights * fv))
-        fmean = em.detJ * float(
-            vol_check.weights @ np.asarray(data.f(em.forward(vol_check.points)), dtype=float)
-        )
-        balance = fmean
-        for loc in range(3):
-            flux = triple.flux_trace(t, loc, erule.points)
-            rhs -= em.edge_lengths[loc] * (vals_edge[loc].T @ (erule.weights * flux))
-            balance -= em.edge_lengths[loc] * float(erule.weights @ flux)
-        scale = max(1.0, abs(fmean))
-        if abs(balance) > COMPATIBILITY_TOL * scale:
-            decomposed[t] = True
-        coeffs[t] = _solve_element(S, rhs, triple.u_coeffs[t, 0])
+    xq = geo.forward(vol.points)
+    S = _stiffness(geo, sb, vol, pj._at(data.kappa, xq))
+    flux = geo.edge_lengths[:, :, None] * triple.normal_flux(erule.points) * erule.weights
+    rhs = geo.detJ[:, None] * ((vol.weights * pj._at(data.f, xq)) @ sb.eval(vol.points))
+    rhs -= np.einsum("elg,lgi->ei", flux, pj._edge_table(sb, erule.points))
+    fmean = geo.detJ * (pj._at(data.f, geo.forward(vol_check.points)) @ vol_check.weights)
+    balance = fmean - flux.sum(axis=(1, 2))
+    decomposed = np.abs(balance) > COMPATIBILITY_TOL * np.maximum(1.0, np.abs(fmean))
+    coeffs = _solve_elements(S, rhs, triple.u_coeffs[:, 0])
     return PostprocessedField(mesh=mesh, degree=kp, scheme="stenberg", coeffs=coeffs, decomposed=decomposed)
 
 
@@ -113,24 +105,19 @@ def gradient_postprocess(triple: FieldTriple, data: ProblemData) -> Postprocesse
     """Gradient-matching reconstruction: the plain gradient of the result
     matches the weighted discrete flux against zero-mean test functions."""
     mesh, space = triple.mesh, triple.space
+    geo = mesh.geometry
     kp = space.degree + 1
     sb = ps.scalar_basis(kp)
     vol = ps.triangle_rule(2 * kp + 4)
-    grads = sb.grad(vol.points)
 
     nt = mesh.num_triangles
-    coeffs = np.zeros((nt, sb.dim))
-    for t in range(nt):
-        em = mesh.element_map(t)
-        xq = em.forward(vol.points)
-        S = _local_stiffness(em, grads, np.ones(len(xq)), vol)
-        kap = np.asarray(data.kappa(xq), dtype=float)
-        qh = triple.q_field(t)(xq)
-        g_phys = np.einsum("gic,cd->gid", grads, em.invB)
-        rhs = -em.detJ * np.einsum(
-            "g,gc,gic->i", vol.weights, qh / kap[:, None], g_phys
-        )
-        coeffs[t] = _solve_element(S, rhs, triple.u_coeffs[t, 0])
+    xq = geo.forward(vol.points)
+    S = _stiffness(geo, sb, vol, np.ones((nt, len(vol.weights))))
+    qh = pj._vector_values(geo, space.flux_space, space.degree, triple.q_coeffs, vol.points)
+    # (grad w_i invB) . q/kappa = grad w_i . (invB q/kappa)
+    z = np.einsum("ecd,egd->egc", geo.invB, qh / pj._at(data.kappa, xq)[:, :, None])
+    rhs = -geo.detJ[:, None] * np.einsum("g,gic,egc->ei", vol.weights, sb.grad(vol.points), z)
+    coeffs = _solve_elements(S, rhs, triple.u_coeffs[:, 0])
     return PostprocessedField(
         mesh=mesh, degree=kp, scheme="gradient", coeffs=coeffs,
         decomposed=np.zeros(nt, dtype=bool),

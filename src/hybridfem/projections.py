@@ -13,7 +13,11 @@ conventions of :class:`LocalVectorField` / :class:`LocalScalarField`:
 The element L2 projection and the face L2 projection diagonalize in the
 orthonormal bases; RT/BDM systems are factorized once per degree; the HDG
 system depends on the element through the weighted stabilization and is
-assembled per call.
+assembled and factorized for all elements of a batch at once.
+
+Every projection is computed by one kernel over a stack of elements (the
+affine maps of a mesh, data evaluated at all their quadrature points at
+once); the per-element functions call it with a batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import scipy.linalg as la
 
 from . import polyspaces as ps
 from .errors import InvalidStabilization, SingularLocalSystem, UnsupportedDegree
-from .mesh import ElementMap, ReferenceTriangle
+from .mesh import ElementMap, ReferenceTriangle, _AffineMaps
 
 __all__ = [
     "LocalScalarField",
@@ -107,28 +111,65 @@ class LocalVectorField:
         return (nt @ self.coeffs) / self.emap.edge_jacobians[local_edge]
 
 
+def _batch(emap: ElementMap) -> _AffineMaps:
+    """The element of ``emap`` as a batch of one."""
+    return _AffineMaps(emap.vertices[None])
+
+
+def _at(fn, x):
+    """Values of a callable of (N, 2) point arrays at points x (..., 2)."""
+    vals = np.asarray(fn(x.reshape(-1, 2)), dtype=float)
+    return vals.reshape(x.shape[:-1] + vals.shape[1:])
+
+
+def _vector_values(geo: _AffineMaps, space: str, k: int, coeffs, xhat):
+    """Physical values (n, m, 2) of stacked vector fields (coefficients
+    (n, dim)) at the images of the reference points xhat (m, 2)."""
+    qhat = np.einsum("gqc,eq->egc", ps.vector_basis(space, k).eval(xhat), coeffs)
+    return np.einsum("ecd,egd->egc", geo.B, qhat) / geo.detJ[:, None, None]
+
+
+def _normal_traces(geo: _AffineMaps, space: str, k: int, coeffs, s):
+    """q . n of stacked vector fields on every local edge at the edge
+    parameters s, (n, 3, ns)."""
+    vb = ps.vector_basis(space, k)
+    N = np.stack([vb.normal_trace(e, s) for e in range(3)])
+    return np.einsum("lgq,eq->elg", N, coeffs) / geo.edge_jacobians[:, :, None]
+
+
+def _edge_table(basis: ps.PolyFamily, s):
+    """Scalar basis values on the three reference edges at the edge
+    parameters s, (3, ns, dim)."""
+    return np.stack([basis.eval(ReferenceTriangle.edge_points(e, s)) for e in range(3)])
+
+
+def _scalar_coeffs(u, k: int, geo: _AffineMaps):
+    """Element L2 projection coefficients (n, dim P_k) of u on every element."""
+    rule = ps.triangle_rule(2 * k + 4)
+    vals = _at(u, geo.forward(rule.points))
+    return (rule.weights * vals) @ ps.scalar_basis(k).eval(rule.points)
+
+
 def project_scalar(u, k: int, emap: ElementMap) -> LocalScalarField:
     """Element L2 projection onto the degree-k scalar space."""
-    rule = ps.triangle_rule(2 * k + 4)
-    vals = np.asarray(u(emap.forward(rule.points)), dtype=float)
-    W = ps.scalar_basis(k).eval(rule.points)
-    return LocalScalarField(emap, k, W.T @ (rule.weights * vals))
+    return LocalScalarField(emap, k, _scalar_coeffs(u, k, _batch(emap))[0])
 
 
 def project_face(mu, k: int, p0, p1, npoints=None) -> np.ndarray:
     """L2 projection onto P_k of the directed physical segment p0 -> p1.
 
     ``mu`` is a callable of physical points; the returned coefficients refer
-    to the Legendre basis orthonormalized in physical arc length.
+    to the Legendre basis orthonormalized in physical arc length.  With
+    stacks of segments (p0, p1 of shape (n, 2)) the result is (n, k+1).
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    L = float(np.linalg.norm(p1 - p0))
+    d = p1 - p0
+    L = np.sqrt(np.vecdot(d, d))[..., None]
     rule = ps.edge_rule(k + 3 if npoints is None else npoints)
-    pts = p0 + rule.points[:, None] * (p1 - p0)
-    vals = np.asarray(mu(pts), dtype=float)
-    P = ps.legendre01(k, rule.points) / np.sqrt(L)
-    return P.T @ (rule.weights * L * vals)
+    vals = _at(mu, p0[..., None, :] + rule.points[:, None] * d[..., None, :])
+    P = ps.legendre01(k, rule.points) / np.sqrt(L)[..., None]
+    return (np.swapaxes(P, -1, -2) @ (rule.weights * L * vals)[..., None])[..., 0]
 
 
 def face_values(coeffs, length, t):
@@ -155,9 +196,11 @@ class ProjectionProblem:
 
 
 def _factor(method, k, M, tau=None):
+    """Factorize one system (N, N) or a stack (n, N, N), rejecting any
+    element whose pivots are near zero."""
     lu, piv = la.lu_factor(M)
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= 1e-13 * max(diag.max(), 1.0):
+    diag = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
+    if (diag.min(axis=-1) <= 1e-13 * np.maximum(diag.max(axis=-1), 1.0)).any():
         raise SingularLocalSystem(f"{method} system at degree {k} is singular")
     return ProjectionProblem(method=method, degree=k, matrix=M, lu=(lu, piv), tau=tau)
 
@@ -180,23 +223,51 @@ def _moment_rows(vb, test_vb, rule):
     return np.einsum("g,gic,gjc->ij", rule.weights, tvals, vals)
 
 
-class _HdivRef:
+class _RefRules:
+    """Quadrature rules and edge test functions of a projection system;
+    ``mu_w`` folds the edge weights and reference lengths into the test
+    functions."""
+
+    def __init__(self, k, test_vb, exactness):
+        self.k = k
+        self.test_vb = test_vb
+        self.vol, self.edge = ps.quadrature_rules(k, exactness)
+        self.fb = ps.FaceBasis(k)
+        self.test_vals = test_vb.eval(self.vol.points)
+        self.mu_vals = [self.fb.eval_edge(e, self.edge.points) for e in range(3)]
+        weights = self.edge.weights * ReferenceTriangle.edge_lengths[:, None]
+        self.mu_w = np.stack(self.mu_vals) * weights[:, :, None]
+
+    def flux_moments(self, geo: _AffineMaps, q):
+        """Interior moments of the pulled-back flux |J| B^-1 q, (n, ntest)."""
+        x = geo.forward(self.vol.points)
+        qhat = geo.detJ[:, None, None] * np.einsum("egc,edc->egd", _at(q, x), geo.invB)
+        return np.einsum("g,gic,egc->ei", self.vol.weights, self.test_vals, qhat)
+
+    def edge_moments(self, vals):
+        """Edge moments (n, 3 (k+1)) of reference-edge values (n, 3, ns)."""
+        return np.einsum("lgi,elg->eli", self.mu_w, vals).reshape(len(vals), -1)
+
+
+def _dual_normal(geo: _AffineMaps, q, xe):
+    """The dual trace |a| q . n at edge points (n, 3, ns, 2)."""
+    qn = np.einsum("elgc,elc->elg", _at(q, xe), geo.edge_normals)
+    return geo.edge_jacobians[..., None] * qn
+
+
+class _HdivRef(_RefRules):
     """Cached reference data shared by the RT/BDM projection and lifting."""
 
     def __init__(self, method, k, exactness=None):
         if method == "rt":
             self.vb = ps.vector_basis("RT", k)
-            self.test_vb = ps.vector_basis("P", k - 1)
+            test_vb = ps.vector_basis("P", k - 1)
         else:
             if k < 1:
                 raise UnsupportedDegree("BDM requires degree k >= 1")
             self.vb = ps.vector_basis("P", k)
-            self.test_vb = ps.vector_basis("N", k - 2)
-        self.k = k
-        self.vol, self.edge = ps.quadrature_rules(k, exactness)
-        self.fb = ps.FaceBasis(k)
-        self.test_vals = self.test_vb.eval(self.vol.points)
-        self.mu_vals = [self.fb.eval_edge(e, self.edge.points) for e in range(3)]
+            test_vb = ps.vector_basis("N", k - 2)
+        super().__init__(k, test_vb, exactness)
         M = np.vstack(
             [
                 _moment_rows(self.vb, self.test_vb, self.vol),
@@ -218,33 +289,26 @@ def projection_problem(method: str, k: int) -> ProjectionProblem:
     return _hdiv_ref(method, k).problem
 
 
-def _hdiv_rhs(ref: _HdivRef, emap: ElementMap, q):
-    """Right-hand side of the RT/BDM system for physical data q."""
-    xq = emap.forward(ref.vol.points)
-    qhat = emap.detJ * np.asarray(q(xq), dtype=float) @ emap.invB.T
-    rhs = [np.einsum("g,gic,gc->i", ref.vol.weights, ref.test_vals, qhat)]
-    for e in range(3):
-        pts = emap.edge_points(e, ref.edge.points)
-        qn = np.asarray(q(pts), dtype=float) @ emap.edge_normals[e]
-        qn_hat = emap.edge_jacobians[e] * qn
-        L = ReferenceTriangle.edge_lengths[e]
-        rhs.append(ref.mu_vals[e].T @ (ref.edge.weights * L * qn_hat))
-    return np.concatenate(rhs)
+def _hdiv_coeffs(method: str, k: int, geo: _AffineMaps, q, exactness=None):
+    """RT/BDM projection coefficients (n, dim) of physical data q on every
+    element: one solve of the shared reference system."""
+    ref = _hdiv_ref(method, k, exactness)
+    xe = geo.edge_forward(ref.edge.points)
+    rhs = np.hstack([ref.flux_moments(geo, q), ref.edge_moments(_dual_normal(geo, q, xe))])
+    return ref.problem.solve(rhs.T).T
 
 
 def rt_project(q, k: int, emap: ElementMap, quad_exactness=None) -> LocalVectorField:
     """Raviart-Thomas projection: interior moments against full vector
     polynomials of degree k-1 plus edgewise normal-trace moments."""
-    ref = _hdiv_ref("rt", k, quad_exactness)
-    coeffs = ref.problem.solve(_hdiv_rhs(ref, emap, q))
+    coeffs = _hdiv_coeffs("rt", k, _batch(emap), q, quad_exactness)[0]
     return LocalVectorField(emap, "RT", k, coeffs)
 
 
 def bdm_project(q, k: int, emap: ElementMap, quad_exactness=None) -> LocalVectorField:
     """BDM projection: interior moments against the rotated space of degree
     k-2 (void for k = 1) plus edgewise normal-trace moments."""
-    ref = _hdiv_ref("bdm", k, quad_exactness)
-    coeffs = ref.problem.solve(_hdiv_rhs(ref, emap, q))
+    coeffs = _hdiv_coeffs("bdm", k, _batch(emap), q, quad_exactness)[0]
     return LocalVectorField(emap, "P", k, coeffs)
 
 
@@ -259,20 +323,16 @@ def check_stabilization(tau) -> np.ndarray:
     return np.maximum(tau, 0.0)
 
 
-class _HdgRef:
+class _HdgRef(_RefRules):
     """Degree-dependent reference data for the HDG projection."""
 
     def __init__(self, k, exactness=None):
-        self.k = k
         self.vb = ps.vector_basis("P", k)
         self.sb = ps.scalar_basis(k)
-        self.test_vb = ps.vector_basis("P", k - 1)
-        self.vol, self.edge = ps.quadrature_rules(k, exactness)
-        self.fb = ps.FaceBasis(k)
+        super().__init__(k, ps.vector_basis("P", k - 1), exactness)
         self.q_moments = _moment_rows(self.vb, self.test_vb, self.vol)
         self.sdim_low = ps.scalar_dim(k - 1)
         self.trace_q = _trace_rows(self.vb, k, self.edge)
-        self.mu_vals = [self.fb.eval_edge(e, self.edge.points) for e in range(3)]
         self.sb_edge = [
             self.sb.eval(ReferenceTriangle.edge_points(e, self.edge.points))
             for e in range(3)
@@ -297,6 +357,20 @@ def _hdg_ref(k: int, exactness=None) -> _HdgRef:
     return _HdgRef(k, exactness)
 
 
+def _hdg_matrices(ref: _HdgRef, geo: _AffineMaps, tau, sign):
+    """Coupled HDG systems (n, N, N) of stacked elements, tau (n, 3)."""
+    k, nq, nw, low = ref.k, ref.vb.dim, ref.sb.dim, ref.sdim_low
+    M = np.zeros((len(geo), nq + nw, nq + nw))
+    M[:, : 2 * low, :nq] = ref.q_moments
+    M[:, 2 * low : 3 * low, nq:] = np.eye(nw)[:low]
+    tau_check = sign * tau * geo.edge_jacobians
+    for e in range(3):
+        blk = slice(3 * low + e * (k + 1), 3 * low + (e + 1) * (k + 1))
+        M[:, blk, :nq] = ref.trace_q[e * (k + 1) : (e + 1) * (k + 1)]
+        M[:, blk, nq:] = tau_check[:, e, None, None] * ref.trace_u[e]
+    return M
+
+
 def hdg_projection_problem(k: int, tau, emap: ElementMap, sign: int = 1, quad_exactness=None) -> ProjectionProblem:
     """Assemble and factorize the coupled HDG system for one element.
 
@@ -305,40 +379,22 @@ def hdg_projection_problem(k: int, tau, emap: ElementMap, sign: int = 1, quad_ex
     physical one exactly.
     """
     tau = check_stabilization(tau)
-    ref = _hdg_ref(k, quad_exactness)
-    nq = ref.vb.dim
-    nw = ref.sb.dim
-    M = np.zeros((nq + nw, nq + nw))
-    M[: 2 * ref.sdim_low, :nq] = ref.q_moments
-    M[2 * ref.sdim_low : 3 * ref.sdim_low, nq:] = np.eye(nw)[: ref.sdim_low]
-    row = 3 * ref.sdim_low
-    for e in range(3):
-        tau_check = sign * tau[e] * emap.edge_jacobians[e]
-        blk = slice(row, row + k + 1)
-        M[blk, :nq] = ref.trace_q[e * (k + 1) : (e + 1) * (k + 1)]
-        M[blk, nq:] = tau_check * ref.trace_u[e]
-        row += k + 1
+    M = _hdg_matrices(_hdg_ref(k, quad_exactness), _batch(emap), tau[None], sign)[0]
     return _factor("hdg", k, M, tau=tuple(tau))
 
 
-def _hdg_rhs(ref: _HdgRef, emap: ElementMap, q, u, tau, sign):
-    xq = emap.forward(ref.vol.points)
-    qhat = emap.detJ * np.asarray(q(xq), dtype=float) @ emap.invB.T
-    uhat = np.asarray(u(xq), dtype=float)
-    rhs = [
-        np.einsum("g,gic,gc->i", ref.vol.weights, ref.test_vb.eval(ref.vol.points), qhat),
-        ref.test_sb_vals.T @ (ref.vol.weights * uhat),
-    ]
-    for e in range(3):
-        pts = emap.edge_points(e, ref.edge.points)
-        qn_hat = emap.edge_jacobians[e] * (
-            np.asarray(q(pts), dtype=float) @ emap.edge_normals[e]
-        )
-        tau_check = sign * tau[e] * emap.edge_jacobians[e]
-        trace = qn_hat + tau_check * np.asarray(u(pts), dtype=float)
-        L = ReferenceTriangle.edge_lengths[e]
-        rhs.append(ref.mu_vals[e].T @ (ref.edge.weights * L * trace))
-    return np.concatenate(rhs)
+def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=None):
+    """HDG projection coefficients, vector (n, nq) and scalar (n, nw), of
+    every element: interior moments of both components against degree k-1
+    plus edgewise moments of q . n + sign * tau * u."""
+    ref = _hdg_ref(k, exactness)
+    problem = _factor("hdg", k, _hdg_matrices(ref, geo, tau, sign))
+    xe = geo.edge_forward(ref.edge.points)
+    trace = _dual_normal(geo, q, xe) + (sign * tau * geo.edge_jacobians)[..., None] * _at(u, xe)
+    u_moments = (ref.vol.weights * _at(u, geo.forward(ref.vol.points))) @ ref.test_sb_vals
+    rhs = np.hstack([ref.flux_moments(geo, q), u_moments, ref.edge_moments(trace)])
+    sol = problem.solve(rhs[..., None])[..., 0]
+    return sol[:, : ref.vb.dim], sol[:, ref.vb.dim :]
 
 
 def hdg_project(q, u, k: int, emap: ElementMap, tau, sign: int = 1, quad_exactness=None):
@@ -347,14 +403,9 @@ def hdg_project(q, u, k: int, emap: ElementMap, tau, sign: int = 1, quad_exactne
     Interior moments of both components against degree k-1, plus edgewise
     moments of q . n + sign * tau * u.  Returns the vector and scalar parts.
     """
-    problem = hdg_projection_problem(k, tau, emap, sign, quad_exactness)
-    ref = _hdg_ref(k, quad_exactness)
-    sol = problem.solve(_hdg_rhs(ref, emap, q, u, np.asarray(problem.tau), sign))
-    nq = ref.vb.dim
-    return (
-        LocalVectorField(emap, "P", k, sol[:nq]),
-        LocalScalarField(emap, k, sol[nq:]),
-    )
+    tau = check_stabilization(tau)
+    qc, uc = _hdg_coeffs(q, u, k, _batch(emap), tau[None], sign, quad_exactness)
+    return LocalVectorField(emap, "P", k, qc[0]), LocalScalarField(emap, k, uc[0])
 
 
 def hdg_project_decoupled(q, div_q, u, k: int, emap: ElementMap, tau, sign: int = 1, quad_exactness=None):
@@ -410,7 +461,7 @@ def hdg_project_decoupled(q, div_q, u, k: int, emap: ElementMap, tau, sign: int 
     rhs = np.zeros(nq)
     qhat = emap.detJ * np.asarray(q(xq), dtype=float) @ emap.invB.T
     rhs[: 2 * ref.sdim_low] = np.einsum(
-        "g,gic,gc->i", ref.vol.weights, ref.test_vb.eval(ref.vol.points), qhat
+        "g,gic,gc->i", ref.vol.weights, ref.test_vals, qhat
     )
     row = 2 * ref.sdim_low
     for e in range(3):
@@ -456,12 +507,8 @@ def lift_normal_trace(mu, method: str, k: int, emap: ElementMap) -> LocalVectorF
             L = emap.edge_lengths[local_edge]
             return face_values(coeffs[local_edge], L, np.asarray(t, dtype=float))
 
-    rhs = [np.zeros(ref.test_vb.dim)]
-    for e in range(3):
-        vals = np.asarray(mu(e, ref.edge.points), dtype=float)
-        mu_check = emap.edge_jacobians[e] * vals
-        L = ReferenceTriangle.edge_lengths[e]
-        rhs.append(ref.mu_vals[e].T @ (ref.edge.weights * L * mu_check))
-    coeffs = ref.problem.solve(np.concatenate(rhs))
+    vals = np.stack([np.asarray(mu(e, ref.edge.points), dtype=float) for e in range(3)])
+    trace = ref.edge_moments((emap.edge_jacobians[:, None] * vals)[None])[0]
+    coeffs = ref.problem.solve(np.concatenate([np.zeros(ref.test_vb.dim), trace]))
     space = "RT" if method == "rt" else "P"
     return LocalVectorField(emap, space, k, coeffs)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hybridfem.errors import DegenerateElement, NonConformingMesh, ParseError
 from hybridfem.mesh import (
     Mesh,
@@ -16,7 +17,7 @@ from hybridfem.mesh import (
     unit_square,
 )
 
-RHO_HAT = 2.0 * ReferenceTriangle.area / (ReferenceTriangle.perimeter / 2.0)
+RHO_HAT = 2.0 * ReferenceTriangle.area / (ReferenceTriangle.edge_lengths.sum() / 2.0)
 
 
 def test_reference_triangle_geometry():
@@ -198,3 +199,76 @@ def test_load_mesh_from_file_object():
 def test_mesh_rejects_bad_indices():
     with pytest.raises(ParseError):
         loads_mesh("3 1\n0 0\n1 0\n0 1\n0 1 5\n")
+
+
+def _perturbed_square():
+    m = uniform_refine(unit_square(3))
+    rng = np.random.default_rng(11)
+    interior = np.ones(m.num_vertices, dtype=bool)
+    interior[m.edges[m.boundary].ravel()] = False
+    verts = m.vertices.copy()
+    verts[interior] += 0.03 * (rng.random((int(interior.sum()), 2)) - 0.5)
+    return Mesh(verts, m.triangles)
+
+
+def _connectivity_cases():
+    for n in range(1, 5):
+        m = unit_square(n)
+        for level in range(3):
+            yield pytest.param(m, id=f"unit_square({n})-refined-{level}")
+            m = uniform_refine(m)
+    yield pytest.param(_perturbed_square(), id="perturbed")
+    # the loaded square lists its second triangle clockwise
+    yield pytest.param(loads_mesh(SQUARE.replace("0 2 3", "0 3 2")), id="loaded")
+
+
+@pytest.mark.parametrize("mesh", list(_connectivity_cases()))
+def test_connectivity_matches_dict_builder(mesh):
+    want = oracles.reference_connectivity(mesh.vertices, mesh.triangles)
+    got = (mesh.triangles, mesh.edges, mesh.edge_tris, mesh.tri_edges, mesh.tri_edge_aligned)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_square_and_refinement_match_loop_builders(n):
+    verts, tris = oracles.reference_unit_square(n)
+    m = unit_square(n)
+    assert np.array_equal(m.vertices, verts) and np.array_equal(m.triangles, tris)
+    for _ in range(2):
+        verts, tris = oracles.reference_refine(m)
+        m = uniform_refine(m)
+        assert np.array_equal(m.vertices, verts) and np.array_equal(m.triangles, tris)
+
+
+def test_element_maps_are_views_of_the_mesh_geometry():
+    m = _perturbed_square()
+    for t in (0, 7, m.num_triangles - 1):
+        em, ref = m.element_map(t), build_reference_map(m.vertices[m.triangles[t]])
+        for name in ("B", "b", "det", "detJ", "invB", "vertices", "edge_lengths",
+                     "edge_jacobians", "edge_normals", "h"):
+            assert np.array_equal(getattr(em, name), getattr(ref, name)), name
+    assert np.array_equal(m.h, m.geometry.edge_lengths.max(axis=1))
+    assert np.array_equal(m.areas, 0.5 * m.geometry.detJ)
+
+
+def test_three_owners_of_an_edge_raise():
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.3, 2.0]]
+    with pytest.raises(NonConformingMesh):
+        Mesh(verts, [[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+
+
+def test_degenerate_triangle_rejected_on_construction():
+    verts = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(DegenerateElement):
+        Mesh(verts, [[0, 1, 3], [0, 1, 2]])
+    with pytest.raises(DegenerateElement):
+        loads_mesh("4 2\n0 0\n1 0\n2 0\n0 1\n0 1 3\n0 1 2\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_mesh_rejects_nonfinite_vertex(value):
+    with pytest.raises(ParseError) as err:
+        loads_mesh(SQUARE.replace("0 1\n0 1 2", f"{value} 1\n0 1 2"))
+    assert err.value.line == 5
+    assert "finite" in str(err.value)

@@ -138,10 +138,8 @@ def test_local_stiffness_spd():
     mesh = unit_square(2)
     sb = ps.scalar_basis(2)
     vol = ps.triangle_rule(8)
-    grads = sb.grad(vol.points)
-    for t in range(mesh.num_triangles):
-        em = mesh.element_map(t)
-        S = pp._local_stiffness(em, grads, np.ones(len(vol.points)), vol)
+    weight = np.ones((mesh.num_triangles, len(vol.points)))
+    for S in pp._stiffness(mesh.geometry, sb, vol, weight):
         inner = S[1:, 1:]
         assert np.abs(inner - inner.T).max() < 1e-12
         assert np.linalg.eigvalsh(inner).min() > 0.0
