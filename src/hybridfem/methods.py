@@ -251,9 +251,9 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     What = sb.eval(vol.points)        # (ng, nw)
     divhat = vb.div(vol.points)       # (ng, nq)
 
-    wk = vol.weights[None, :] / kap   # (nt, ng)
     T = np.einsum("edc,edb->ecb", Bmat, Bmat)  # B^T B, (nt, 2, 2)
-    A = np.einsum("eg,gqc,ecb,grb->eqr", wk, Vhat, T, Vhat) / detJ[:, None, None]
+    wk = vol.weights / (kap * detJ[:, None])
+    A = ps.weighted_gram(wk[:, :, None, None] * T[:, None], Vhat)
 
     Bdiv = np.einsum("g,gq,gi->iq", vol.weights, divhat, What)
 
@@ -261,7 +261,7 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
 
     D = np.zeros((nt, nw, nw))
     if cvals is not None:
-        D += np.einsum("eg,gi,gj->eij", vol.weights[None, :] * cvals, What, What) * detJ[:, None, None]
+        D += ps.weighted_gram((vol.weights * cvals * detJ[:, None])[:, :, None, None], What[:, :, None])
 
     # Edge machinery: reference traces per local edge, multiplier values in
     # both orientations of the shared edge parameter.
@@ -428,7 +428,9 @@ def _scatter(local, dofs, N):
 
 
 def condensed_system(blocks: LocalBlocks):
-    """Statically condensed SPD system on the interior multiplier dofs.
+    """Statically condensed SPD system on the interior multiplier dofs, with K
+    symmetrized as (K + K^T)/2: the element Schur complements are symmetric
+    only up to round-off.
 
     Returns (K, rhs, lam_full, interior, X, Y): ``lam_full`` holds the
     Dirichlet values on boundary dofs and zeros elsewhere, ``interior`` the
@@ -461,16 +463,18 @@ def condensed_system(blocks: LocalBlocks):
     interior = layout.interior_dofs
     K = -Hmat[interior][:, interior]
     rhs = Hmat[interior] @ lam_full + gvec[interior]
-    return K.tocsc(), rhs, lam_full, interior, X, Y
+    return ((K + K.T) * 0.5).tocsc(), rhs, lam_full, interior, X, Y
 
 
 def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
-    """Solve by static condensation onto the interior multiplier dofs and
-    element-by-element reconstruction of flux and potential."""
+    """Solve by static condensation onto the interior multiplier dofs, K
+    factored by SuperLU in symmetric mode with the minimum-degree ordering of
+    K^T + K, and element-by-element reconstruction of flux and potential."""
     K, rhs, lam_full, interior, X, Y = condensed_system(blocks)
     if len(interior):
         try:
-            lam_int = spla.splu(K).solve(rhs)
+            lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+            lam_int = lu.solve(rhs)
         except RuntimeError as exc:
             raise SingularSystem("condensed system is singular") from exc
         lam_full[interior] = lam_int

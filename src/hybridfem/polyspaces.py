@@ -42,6 +42,7 @@ __all__ = [
     "triangle_rule",
     "edge_rule",
     "quadrature_rules",
+    "weighted_gram",
     "compose_affine",
     "boundary_decomposition_check",
     "divergence_surjectivity_check",
@@ -384,6 +385,15 @@ def quadrature_rules(k: int, exactness=None):
     if exactness is None:
         exactness = 2 * k + 4
     return triangle_rule(exactness), edge_rule(max(k + 3, (exactness + 2) // 2))
+
+
+def weighted_gram(weights, basis):
+    """Element matrices sum_{g,c,d} weights[e, g, c, d] basis[g, i, c] basis[g, j, d]
+    as one GEMM of the weights (nt, ng nc^2), a pointwise weight times a
+    per-element metric, against the reference product table (ng nc^2, n^2)."""
+    nt, n = weights.shape[0], basis.shape[1]
+    table = np.einsum("gic,gjd->gcdij", basis, basis).reshape(-1, n * n)
+    return (weights.reshape(nt, -1) @ table).reshape(nt, n, n)
 
 
 def _dense(exps, c, k):

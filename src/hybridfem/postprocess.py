@@ -47,16 +47,11 @@ class PostprocessedField:
 
 def _stiffness(geo, sb, vol, weight):
     """Stiffness matrices (nt, dim, dim) of the physical gradients with a
-    pointwise weight (nt, ng): the weights are contracted with the reference
-    gradient products before the metric invB invB^T is applied."""
-    G = sb.grad(vol.points)                                   # (ng, dim, 2)
+    pointwise weight (nt, ng): the reference gradient products under the
+    metric invB invB^T."""
     metric = np.einsum("ead,ebd->eab", geo.invB, geo.invB)    # (nt, 2, 2)
-    wk = weight * vol.weights
-    S = np.zeros((len(wk), sb.dim, sb.dim))
-    for a in range(2):
-        for b in range(2):
-            S += metric[:, a, b, None, None] * np.einsum("eg,gi,gj->eij", wk, G[:, :, a], G[:, :, b])
-    return geo.detJ[:, None, None] * S
+    wk = geo.detJ[:, None] * weight * vol.weights
+    return ps.weighted_gram(wk[:, :, None, None] * metric[:, None], sb.grad(vol.points))
 
 
 def _solve_elements(S, rhs, mean_coeff):

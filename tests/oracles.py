@@ -403,6 +403,48 @@ def _local_stiffness(em, grads, weight, vol):
     return em.detJ * np.einsum("g,gic,gjc->ij", vol.weights * weight, g_phys, g_phys)
 
 
+def reference_element_masses(blocks, quad_exactness=None):
+    """Flux mass A and reaction-plus-stabilization block D of every element,
+    summed point by point over the physical quadrature points."""
+    mesh, space, data = blocks.mesh, blocks.space, blocks.data
+    k = space.degree
+    vol, erule = ps.quadrature_rules(k, max(quad_exactness or 0, 2 * k + 4))
+    Vhat = ps.vector_basis(space.flux_space, k).eval(vol.points)
+    sb = ps.scalar_basis(space.scalar_degree)
+    What = sb.eval(vol.points)
+    A = np.zeros((mesh.num_triangles, space.flux_dim, space.flux_dim))
+    D = np.zeros((mesh.num_triangles, space.scalar_dim, space.scalar_dim))
+    for t in range(mesh.num_triangles):
+        em = mesh.element_map(t)
+        xq = em.forward(vol.points)
+        kap = np.asarray(data.kappa(xq), dtype=float)
+        c = np.zeros(len(xq)) if data.c is None else np.asarray(data.c(xq), dtype=float)
+        V = Vhat @ em.B.T / em.detJ
+        for g in range(len(xq)):
+            wg = vol.weights[g] * em.detJ
+            A[t] += wg / kap[g] * (V[g] @ V[g].T)
+            D[t] += wg * c[g] * np.outer(What[g], What[g])
+        if blocks.tau is not None:
+            for loc in range(3):
+                We = sb.eval(ReferenceTriangle.edge_points(loc, erule.points))
+                for g in range(len(erule.points)):
+                    wg = erule.weights[g] * em.edge_lengths[loc] * blocks.tau[t, loc]
+                    D[t] += wg * np.outer(We[g], We[g])
+    return A, D
+
+
+def reference_stiffness(mesh, degree, kappa, vol):
+    """Gradient stiffness matrices of the degree-``degree`` scalar basis
+    weighted by ``kappa``, element by element."""
+    grads = ps.scalar_basis(degree).grad(vol.points)
+    return np.array(
+        [
+            _local_stiffness(em, grads, np.asarray(kappa(em.forward(vol.points)), dtype=float), vol)
+            for em in (mesh.element_map(t) for t in range(mesh.num_triangles))
+        ]
+    )
+
+
 def _solve_element(S, rhs, mean_coeff):
     return np.concatenate([[mean_coeff], np.linalg.solve(S[1:, 1:], rhs[1:])])
 

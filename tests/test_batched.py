@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hybridfem.polyspaces as ps
 import oracles
 from hybridfem.harness import CASES, SATURATION, StudyConfig, compute_error_norms, run_study
 from hybridfem.mesh import Mesh, uniform_refine, unit_square
@@ -28,7 +29,7 @@ from hybridfem.methods import (
     solve_hybridized,
     solve_saddle,
 )
-from hybridfem.postprocess import gradient_postprocess, stenberg
+from hybridfem.postprocess import _stiffness, gradient_postprocess, stenberg
 
 SPACES = (
     [("rt", k, None) for k in range(4)]
@@ -57,12 +58,17 @@ MESHES = {
 }
 
 
-def solve(mesh, method, k, tau, case):
+def assemble_case(mesh, method, k, tau, case, quad_exactness=None):
     if tau == "constant":
         tau = StabilizationFunction.constant(mesh)
     elif tau == "single-face":
         tau = StabilizationFunction.single_face(mesh)
-    return solve_hybridized(assemble(mesh, SpaceDescriptor(method, k), case.data(), tau=tau))
+    return assemble(mesh, SpaceDescriptor(method, k), case.data(), tau=tau,
+                    quad_exactness=quad_exactness)
+
+
+def solve(mesh, method, k, tau, case):
+    return solve_hybridized(assemble_case(mesh, method, k, tau, case))
 
 
 def assert_norms_match(got, want):
@@ -109,6 +115,25 @@ def check_against_oracles(triple, case):
 def test_batched_operators_match_oracles(method, k, tau, case_name, mesh_name):
     case = CASES[case_name]
     check_against_oracles(solve(MESHES[mesh_name], method, k, tau, case), case)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+@pytest.mark.parametrize("quad_exactness", [None, 20])
+@pytest.mark.parametrize("method,k,tau", SPACES)
+def test_element_matrices_match_quadrature_loop(method, k, tau, quad_exactness, mesh_name):
+    """The flux mass, the reaction (plus stabilization) block and the
+    postprocessing stiffness, each one GEMM against reference products,
+    against sums over the points of every element."""
+    mesh = MESHES[mesh_name]
+    case = CASES["varkappa"].with_reaction(CASES["reaction"].c)
+    blocks = assemble_case(mesh, method, k, tau, case, quad_exactness)
+    A, D = oracles.reference_element_masses(blocks, quad_exactness)
+    assert_close(blocks.A, A, rtol=1e-13)
+    assert_close(blocks.D, D, rtol=1e-13)
+    vol = ps.triangle_rule(quad_exactness or 2 * (k + 1) + 4)
+    kappa = case.kappa(mesh.geometry.forward(vol.points).reshape(-1, 2)).reshape(mesh.num_triangles, -1)
+    want = oracles.reference_stiffness(mesh, k + 1, case.kappa, vol)
+    assert_close(_stiffness(mesh.geometry, ps.scalar_basis(k + 1), vol, kappa), want, rtol=1e-13)
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
+import hybridfem.methods as methods
 import hybridfem.polyspaces as ps
 from hybridfem.errors import (
     InvalidProblemData,
@@ -288,6 +290,55 @@ def test_condensed_matrix_symmetric_positive_definite(method, k):
     assert np.abs(Kd - Kd.T).max() < 1e-12 * max(1.0, np.abs(Kd).max())
     eigs = np.linalg.eigvalsh(0.5 * (Kd + Kd.T))
     assert eigs.min() > 0.0
+
+
+CONDENSED_SPACES = (
+    [("rt", k, None) for k in range(4)]
+    + [("bdm", k, None) for k in range(1, 4)]
+    + [("hdg", k, tau) for k in range(4) for tau in ("constant", "single-face")]
+)
+
+
+def condensed_blocks(mesh, method, k, tau):
+    if tau is not None:
+        make = StabilizationFunction.constant if tau == "constant" else StabilizationFunction.single_face
+        tau = make(mesh)
+    return assemble(mesh, SpaceDescriptor(method, k), CASES["varkappa"].data(), tau=tau)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
+def test_condensed_asymmetry_is_roundoff(monkeypatch, method, k, tau, perturbed):
+    """Before it is symmetrized, K - K^T is round-off of the element Schur
+    complements, and the returned K is its symmetric part."""
+    mesh = perturbed_mesh() if perturbed else uniform_refine(unit_square(2))
+    scatter, scattered = methods._scatter, []
+
+    def spy(*args):
+        scattered.append(scatter(*args))
+        return scattered[-1]
+
+    monkeypatch.setattr(methods, "_scatter", spy)
+    K, _, _, interior, _, _ = condensed_system(condensed_blocks(mesh, method, k, tau))
+    (Hmat,) = scattered
+    raw = -Hmat[interior][:, interior].toarray()
+    assert np.abs(raw - raw.T).max() <= 1e-12 * np.abs(raw).max()
+    assert np.array_equal(K.toarray(), 0.5 * (raw + raw.T))
+
+
+@pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
+def test_condensed_matrix_exactly_symmetric(method, k, tau):
+    K = condensed_system(condensed_blocks(perturbed_mesh(), method, k, tau))[0]
+    assert (K != K.T).nnz == 0
+
+
+@pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
+def test_hybridized_solve_matches_default_lu(method, k, tau):
+    blocks = condensed_blocks(perturbed_mesh(), method, k, tau)
+    K, rhs, _, interior, _, _ = condensed_system(blocks)
+    want = spla.splu(K).solve(rhs)
+    got = solve_hybridized(blocks).lam.ravel()[interior]
+    assert rel_diff(got, want) <= 1e-12
 
 
 # ------------------------------------------------------------- Dirichlet form
