@@ -71,7 +71,6 @@ def main(argv=None) -> int:
         mesh_file=args.mesh,
         out=args.out,
         formats=tuple(args.format) if args.format else ("csv", "json"),
-        check=args.check,
     )
     try:
         report = run_study(config)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,30 +111,12 @@ class ManufacturedCase:
         return ProblemData(kappa=self.kappa, f=self.f, g=self.u, c=self.c)
 
     def with_reaction(self, c, suffix="+reaction"):
-        return ManufacturedCase(
-            name=self.name + suffix,
-            u=self.u,
-            grad_u=self.grad_u,
-            laplace_u=self.laplace_u,
-            kappa=self.kappa,
-            grad_kappa=self.grad_kappa,
-            c=c,
-            domain=self.domain,
-        )
+        return replace(self, name=self.name + suffix, c=c)
 
     def without_reaction(self):
         if self.c is None:
             return self
-        return ManufacturedCase(
-            name=self.name + "-reaction",
-            u=self.u,
-            grad_u=self.grad_u,
-            laplace_u=self.laplace_u,
-            kappa=self.kappa,
-            grad_kappa=self.grad_kappa,
-            c=None,
-            domain=self.domain,
-        )
+        return replace(self, name=self.name + "-reaction", c=None)
 
     def self_check(self, n=64, seed=0) -> float:
         """Largest strong-form residual at random interior points."""
@@ -325,7 +307,6 @@ class StudyConfig:
     base_n: int = 2
     out: str | None = None
     formats: tuple = ("csv", "json")
-    check: bool = False
 
     def resolved_case(self) -> ManufacturedCase:
         if self.case not in CASES:

@@ -82,10 +82,6 @@ class SpaceDescriptor:
         return self.degree - 1 if self.method == "bdm" else self.degree
 
     @property
-    def face_degree(self) -> int:
-        return self.degree
-
-    @property
     def flux_dim(self) -> int:
         return ps.vector_dim(self.flux_space, self.degree)
 
@@ -427,6 +423,36 @@ def _scatter(local, dofs, N):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(N, N)).tocsr()
 
 
+def _eliminate(L, m, F=None):
+    """Eliminate the leading m dofs of the stacked element matrices L
+    (nt, n, n), loaded by F (nt, m) if given, with one batched solve.
+
+    Returns (R, S): R = L11^{-1} [-L12 | F] reconstructs the eliminated dofs
+    from the others, and S = [L22 | 0] + L21 R holds the element Schur
+    complements, with the condensed load L21 L11^{-1} F as the last column
+    of both when F is given."""
+    rhs = -L[:, :m, m:]
+    if F is not None:
+        rhs = np.concatenate([rhs, F[:, :, None]], axis=2)
+    try:
+        R = np.linalg.solve(L[:, :m, :m], rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularLocalSolver("element solver is singular") from exc
+    S = L[:, m:, :m] @ R
+    S[:, :, : L.shape[2] - m] += L[:, m:, m:]
+    return R, S
+
+
+def _factor_spd(K, what):
+    """SuperLU factorization of a sparse SPD matrix in symmetric mode with
+    the minimum-degree ordering of K^T + K, which for HDG k=3 on 8,192
+    triangles makes less than half the fill of the default COLAMD."""
+    try:
+        return spla.splu(K, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SingularSystem(f"{what} is singular") from exc
+
+
 def condensed_system(blocks: LocalBlocks):
     """Statically condensed SPD system on the interior multiplier dofs, with K
     symmetrized as (K + K^T)/2: the element Schur complements are symmetric
@@ -439,31 +465,22 @@ def condensed_system(blocks: LocalBlocks):
     """
     layout = blocks.layout
     nt = layout.num_triangles
-    m = blocks.space.flux_dim + blocks.space.scalar_dim
-    L = _local_matrices(blocks)
-    M = L[:, :m, :m]
-    G = L[:, m:, :m]
-    try:
-        X = np.linalg.solve(M, -L[:, :m, m:])
-        rhs_local = np.zeros((nt, m))
-        rhs_local[:, blocks.space.flux_dim :] = blocks.F
-        Y = np.linalg.solve(M, rhs_local[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularLocalSolver("element solver is singular") from exc
-
-    H = G @ X + L[:, m:, m:]      # (nt, 3nf, 3nf)
-    g = np.einsum("eij,ej->ei", G, Y)
+    nq = blocks.space.flux_dim
+    m = nq + blocks.space.scalar_dim
+    F = np.zeros((nt, m))
+    F[:, nq:] = blocks.F
+    R, S = _eliminate(_local_matrices(blocks), m, F)
 
     lamidx = blocks.lamidx.reshape(nt, -1)
-    Hmat = _scatter(H, lamidx, layout.n_face)
+    Hmat = _scatter(S[:, :, :-1], lamidx, layout.n_face)
     gvec = np.zeros(layout.n_face)
-    np.add.at(gvec, lamidx.ravel(), g.ravel())
+    np.add.at(gvec, lamidx.ravel(), S[:, :, -1].ravel())
 
     lam_full = blocks.gdir.ravel().copy()
     interior = layout.interior_dofs
     K = -Hmat[interior][:, interior]
     rhs = Hmat[interior] @ lam_full + gvec[interior]
-    return ((K + K.T) * 0.5).tocsc(), rhs, lam_full, interior, X, Y
+    return ((K + K.T) * 0.5).tocsc(), rhs, lam_full, interior, R[:, :, :-1], R[:, :, -1]
 
 
 def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
@@ -472,12 +489,7 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
     K^T + K, and element-by-element reconstruction of flux and potential."""
     K, rhs, lam_full, interior, X, Y = condensed_system(blocks)
     if len(interior):
-        try:
-            lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
-            lam_int = lu.solve(rhs)
-        except RuntimeError as exc:
-            raise SingularSystem("condensed system is singular") from exc
-        lam_full[interior] = lam_int
+        lam_full[interior] = _factor_spd(K, "condensed system").solve(rhs)
     nt = blocks.layout.num_triangles
     nf = blocks.space.face_dim
     lam_loc = lam_full[blocks.lamidx.reshape(nt, 3 * nf)]
@@ -496,13 +508,16 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
     )
 
 
-def _global_system(blocks: LocalBlocks):
-    """The element matrices summed over all (flux, potential, multiplier)
-    dofs, boundary multipliers included, and the vector of known values:
-    the Dirichlet data on the multiplier dofs, zero elsewhere."""
+def _saddle_matrix(blocks: LocalBlocks):
+    """Global sparse system over (Q, U, interior multiplier dofs) with the
+    boundary multipliers moved to the right-hand side: the element matrices
+    summed over all dofs, then applied to the Dirichlet values on the
+    boundary multiplier dofs, whose rows and columns are dropped.
+
+    Returns (A, rhs, interior)."""
     layout = blocks.layout
     nt = layout.num_triangles
-    nU = layout.n_flux + layout.n_scalar
+    nQ, nU = layout.n_flux, layout.n_flux + layout.n_scalar
     dofs = np.hstack(
         [
             np.arange(layout.n_flux).reshape(nt, -1),
@@ -515,17 +530,6 @@ def _global_system(blocks: LocalBlocks):
     # Stored zeros (the empty blocks of RT/BDM, off-diagonal multiplier
     # entries) steer the LU ordering and would double its fill.
     S.eliminate_zeros()
-    return S, known
-
-
-def _saddle_matrix(blocks: LocalBlocks):
-    """Global sparse system over (Q, U, interior multiplier dofs) with the
-    boundary multipliers moved to the right-hand side.
-
-    Returns (A, rhs, interior)."""
-    layout = blocks.layout
-    nQ, nU = layout.n_flux, layout.n_flux + layout.n_scalar
-    S, known = _global_system(blocks)
     interior = layout.interior_dofs
     keep = np.concatenate([np.arange(nU), nU + interior])
     rows = S[keep]
@@ -576,56 +580,51 @@ def system_residual(blocks: LocalBlocks, triple: FieldTriple) -> float:
 def dirichlet_form(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None):
     """Dense matrix of the discrete Dirichlet form on the potential space.
 
-    Column j is obtained by lifting the j-th potential basis function
-    through the flux/multiplier solve with zero Dirichlet data and applying
-    the divergence (plus stabilization, for HDG) coupling.  Reaction terms
-    are not part of the form.  Limited to 2000 potential dofs.
+    The flux is eliminated element by element, and the summed (potential,
+    multiplier) element complements are reduced onto the potential through
+    the interior multiplier block, factored as SPD like the condensed
+    system: column j applies the divergence (plus stabilization, for HDG)
+    coupling to the flux and multiplier lifted from the j-th potential basis
+    function with zero Dirichlet data.  Reaction terms are not part of the
+    form.  Limited to 2000 potential dofs.
     """
-    diffusion_only = ProblemData(kappa=data.kappa, f=data.f, g=data.g, c=None)
-    blocks = assemble(mesh, space, diffusion_only, tau=tau)
+    return _dirichlet_pieces(mesh, space, data, tau)[0]
+
+
+def _dirichlet_pieces(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau):
+    """Schur complement of the diffusion-only three-field system onto the
+    potential, within the 2000-dof cap of its dense matrix.
+
+    ``_eliminate`` removes the flux of each element; the element complements
+    over (potential, multiplier) are summed, and one SPD factorization of
+    the negated interior-multiplier block lifts the potential basis
+    functions and the Dirichlet data.  Returns (D matrix, Dirichlet load
+    l_g, load (f, .))."""
+    n = mesh.num_triangles * space.scalar_dim
+    if n > 2000:
+        raise TooLarge(f"the Dirichlet form is limited to 2000 potential dofs, got {n}")
+    blocks = assemble(mesh, space, ProblemData(kappa=data.kappa, f=data.f, g=data.g), tau=tau)
     layout = blocks.layout
-    if layout.n_scalar > 2000:
-        raise TooLarge(f"dirichlet_form limited to 2000 dofs, got {layout.n_scalar}")
-    D, _ = _dirichlet_pieces(blocks)
-    return D
-
-
-# Potential columns per dense multi-right-hand-side solve of the Dirichlet
-# form; bounds the dense work array at (flux + interior multiplier dofs) x 128.
-_COLUMN_BLOCK = 128
-
-
-def _dirichlet_pieces(blocks: LocalBlocks):
-    """Schur complement of the three-field system onto the potential.
-
-    One LU of the (flux, interior multiplier) block lifts the potential
-    basis functions and the Dirichlet data; returns (D matrix, Dirichlet
-    load l_g)."""
-    layout = blocks.layout
-    nQ, nU = layout.n_flux, layout.n_flux + layout.n_scalar
-    S, known = _global_system(blocks)
-    rest = np.concatenate([np.arange(nQ), nU + layout.interior_dofs])
-    S_rest, S_pot = S[rest], S[nQ:nU]
-    lu = spla.splu(S_rest[:, rest].tocsc())
-    lift = S_rest[:, nQ:nU].tocsc()
-    back = S_pot[:, rest]
-    D = S_pot[:, nQ:nU].toarray()
-    for j in range(0, layout.n_scalar, _COLUMN_BLOCK):
-        cols = slice(j, j + _COLUMN_BLOCK)
-        D[:, cols] -= back @ lu.solve(lift[:, cols].toarray())
-    lg = S_pot @ known - back @ lu.solve(S_rest @ known)
-    return D, lg
+    nt, nW = layout.num_triangles, layout.n_scalar
+    _, S = _eliminate(_local_matrices(blocks), space.flux_dim)
+    dofs = np.hstack([np.arange(nW).reshape(nt, -1), nW + blocks.lamidx.reshape(nt, -1)])
+    T = _scatter(S, dofs, nW + layout.n_face)
+    # Columns: the potential basis functions, then the Dirichlet data.
+    W = sp.block_diag([sp.identity(nW), blocks.gdir.reshape(-1, 1)], format="csr")
+    inner = nW + layout.interior_dofs
+    T_pot, T_int = T[:nW], T[inner]
+    lu = _factor_spd(-T_int[:, inner].tocsc(), "interior multiplier block")
+    # SuperLU returns F order; a sparse product would copy it while holding it.
+    pieces = T_pot[:, inner] @ np.ascontiguousarray(lu.solve((T_int @ W).toarray()))
+    pieces += (T_pot @ W).toarray()
+    return pieces[:, :-1], pieces[:, -1], blocks.F.ravel()
 
 
 def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None):
     """Solve the potential-only (primal) form D_h u = (f, .) - l_g and return
     the potential coefficients (diagnostic cross-check of the Dirichlet form)."""
-    diffusion_only = ProblemData(kappa=data.kappa, f=data.f, g=data.g, c=None)
-    blocks = assemble(mesh, space, diffusion_only, tau=tau)
-    if blocks.layout.n_scalar > 2000:
-        raise TooLarge("solve_primal limited to 2000 dofs")
-    D, lg = _dirichlet_pieces(blocks)
-    return np.linalg.solve(D, blocks.F.ravel() - lg).reshape(-1, space.scalar_dim)
+    D, lg, F = _dirichlet_pieces(mesh, space, data, tau)
+    return np.linalg.solve(D, F - lg).reshape(-1, space.scalar_dim)
 
 
 def conservation_residuals(triple: FieldTriple, data: ProblemData, include_reaction=False,

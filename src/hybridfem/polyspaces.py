@@ -396,13 +396,6 @@ def weighted_gram(weights, basis):
     return (weights.reshape(nt, -1) @ table).reshape(nt, n, n)
 
 
-def _dense(exps, c, k):
-    A = np.zeros((k + 1, k + 1))
-    for m, (a, b) in enumerate(exps):
-        A[a, b] = c[m]
-    return A
-
-
 def _poly_mul(A, B):
     out = np.zeros((A.shape[0] + B.shape[0] - 1, A.shape[1] + B.shape[1] - 1))
     for a in range(A.shape[0]):

@@ -9,6 +9,7 @@ from hybridfem.errors import (
     InvalidProblemData,
     InvalidStabilization,
     NonPositiveDiffusion,
+    SingularLocalSolver,
     SingularSystem,
     TooLarge,
     UnsupportedDegree,
@@ -147,6 +148,14 @@ def test_solvers_reject_nonfinite_blocks(solve):
     blocks.F[:] = np.nan
     with pytest.raises(SingularSystem):
         solve(blocks)
+
+
+def test_condensed_system_rejects_singular_element():
+    # with A = 0 the RT k=0 local matrix [[0, -B^T], [B, 0]] has rank 2
+    blocks = assemble(uniform_refine(unit_square(1)), SpaceDescriptor("rt", 0), SMOOTH.data())
+    blocks.A[3] = 0.0
+    with pytest.raises(SingularLocalSolver):
+        condensed_system(blocks)
 
 
 def test_single_face_stabilization_picks_longest_edge():

@@ -3,7 +3,7 @@ import pytest
 
 import hybridfem.polyspaces as ps
 import hybridfem.projections as pj
-from hybridfem.errors import InvalidStabilization, UnsupportedDegree
+from hybridfem.errors import InvalidStabilization, SingularLocalSystem, UnsupportedDegree
 from hybridfem.mesh import build_reference_map
 
 from oracles import physical_hdg_projection, physical_hdiv_projection
@@ -298,6 +298,15 @@ def test_hdg_invalid_stabilization():
         pj.hdg_project(q, u, 1, EM, np.array([-1.0, 1.0, 0.0]))
     with pytest.raises(InvalidStabilization):
         pj.hdg_project(q, u, 1, EM, np.zeros(3))
+
+
+# scipy warns about the exact zero pivot before _factor rejects the element
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_factor_rejects_singular_element():
+    M = np.tile(np.eye(4), (3, 1, 1))
+    M[1, 2] = M[1, 0]
+    with pytest.raises(SingularLocalSystem):
+        pj._factor("rt", 1, M)
 
 
 def test_hdg_sign_flip_is_solvable_and_distinct():
