@@ -28,7 +28,7 @@ class UnsupportedDegree(HybridFEMError):
 
 
 class SingularLocalSystem(HybridFEMError):
-    """A local projection/lifting system failed to factorize (basis bug)."""
+    """A local projection/lifting system is singular or near-singular (basis bug)."""
 
 
 class SingularLocalSolver(HybridFEMError):

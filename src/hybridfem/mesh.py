@@ -146,7 +146,7 @@ class _AffineMaps:
 
     def forward(self, xhat):
         """Map reference points (m, 2) into every element, (n, m, 2)."""
-        return np.einsum("ecd,gd->egc", self.B, xhat) + self.corners[:, None, 0, :]
+        return xhat @ self.B.transpose(0, 2, 1) + self.corners[:, None, 0]
 
     def edge_forward(self, t):
         """Points at the parameters t (m,) of every local edge, (n, 3, m, 2)."""
@@ -347,7 +347,9 @@ def loads_mesh(text: str) -> Mesh:
 
     Format: first non-empty line ``nv nt``; then nv lines ``x y``; then nt
     lines ``i j k`` with 0-based vertex indices.  Edges and boundary flags are
-    always derived, never read.
+    always derived, never read.  Malformed lines, coordinates that are not
+    finite or exceed 1e150 in magnitude, and out-of-range or repeated
+    vertex indices raise ParseError with the line number.
     """
     lines = text.splitlines()
     # Pair each payload line with its 1-based line number, skipping blanks.
@@ -380,20 +382,23 @@ def loads_mesh(text: str) -> Mesh:
             verts[row] = (float(tok[0]), float(tok[1]))
         except ValueError:
             raise ParseError("vertex coordinates must be numbers", line=num) from None
-        if not np.isfinite(verts[row]).all():
-            raise ParseError("vertex coordinates must be finite", line=num)
+        # the element geometry multiplies coordinate differences pairwise
+        if not (np.abs(verts[row]) <= 1e150).all():
+            raise ParseError("vertex coordinates must be finite and at most 1e150", line=num)
     tris = np.empty((nt, 3), dtype=np.int64)
     for row, (num, tok) in enumerate(payload[1 + nv : 1 + nv + nt]):
         if len(tok) != 3:
             raise ParseError("expected 'i j k'", line=num)
         try:
-            tris[row] = (int(tok[0]), int(tok[1]), int(tok[2]))
+            idx = [int(t) for t in tok]
         except ValueError:
             raise ParseError("triangle entries must be integers", line=num) from None
-        if tris[row].min() < 0 or tris[row].max() >= nv:
+        # checked as Python ints, before they must fit the int64 array
+        if min(idx) < 0 or max(idx) >= nv:
             raise ParseError("vertex index out of range", line=num)
-        if len(set(tris[row])) != 3:
+        if len(set(idx)) != 3:
             raise ParseError("triangle repeats a vertex", line=num)
+        tris[row] = idx
     return Mesh(verts, tris)
 
 

@@ -108,10 +108,11 @@ def gradient_postprocess(triple: FieldTriple, data: ProblemData) -> Postprocesse
     nt = mesh.num_triangles
     xq = geo.forward(vol.points)
     S = _stiffness(geo, sb, vol, np.ones((nt, len(vol.weights))))
-    qh = pj._vector_values(geo, space.flux_space, space.degree, triple.q_coeffs, vol.points)
-    # (grad w_i invB) . q/kappa = grad w_i . (invB q/kappa)
-    z = np.einsum("ecd,egd->egc", geo.invB, qh / pj._at(data.kappa, xq)[:, :, None])
-    rhs = -geo.detJ[:, None] * np.einsum("g,gic,egc->ei", vol.weights, sb.grad(vol.points), z)
+    # With q = B qhat / |J|: (grad w_i invB) . q / kappa = grad w_i . qhat / (|J| kappa),
+    # and the |J| cancels against the quadrature weight.
+    qhat = pj._ref_vector_values(space.flux_space, space.degree, triple.q_coeffs, vol.points)
+    z = qhat / pj._at(data.kappa, xq)[:, :, None]
+    rhs = -(z.reshape(nt, -1) @ pj._flat_moments(vol.weights, sb.grad(vol.points)))
     coeffs = _solve_elements(S, rhs, triple.u_coeffs[:, 0])
     return PostprocessedField(
         mesh=mesh, degree=kp, scheme="gradient", coeffs=coeffs,

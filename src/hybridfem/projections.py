@@ -11,9 +11,9 @@ conventions of :class:`LocalVectorField` / :class:`LocalScalarField`:
 * scalar fields: u(x) = uhat(G(x)) (plain composition).
 
 The element L2 projection and the face L2 projection diagonalize in the
-orthonormal bases; RT/BDM systems are factorized once per degree; the HDG
-system depends on the element through the weighted stabilization and is
-assembled and factorized for all elements of a batch at once.
+orthonormal bases; RT/BDM systems are built and checked once per degree; the
+HDG system depends on the element through the weighted stabilization and is
+assembled, checked and solved for all elements of a batch at once.
 
 Every projection is computed by one kernel over a stack of elements (the
 affine maps of a mesh, data evaluated at all their quadrature points at
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as la
 
 from . import polyspaces as ps
 from .errors import InvalidStabilization, SingularLocalSystem, UnsupportedDegree
@@ -122,11 +121,26 @@ def _at(fn, x):
     return vals.reshape(x.shape[:-1] + vals.shape[1:])
 
 
+def _flat_moments(weights, vals):
+    """Table (ng * 2, n) that takes vector values at ng quadrature points,
+    flattened to (..., ng * 2), to their weighted moments against the
+    vector test values ``vals`` (ng, n, 2)."""
+    return (weights[:, None, None] * vals).transpose(0, 2, 1).reshape(2 * len(vals), -1)
+
+
+def _ref_vector_values(space: str, k: int, coeffs, xhat):
+    """Reference values (n, m, 2) of stacked vector fields (coefficients
+    (n, dim)) at the reference points xhat (m, 2): one GEMM against the
+    basis table."""
+    table = ps.vector_basis(space, k).eval(xhat).transpose(1, 0, 2)  # (dim, m, 2)
+    return (coeffs @ table.reshape(len(table), -1)).reshape(len(coeffs), len(xhat), 2)
+
+
 def _vector_values(geo: _AffineMaps, space: str, k: int, coeffs, xhat):
     """Physical values (n, m, 2) of stacked vector fields (coefficients
     (n, dim)) at the images of the reference points xhat (m, 2)."""
-    qhat = np.einsum("gqc,eq->egc", ps.vector_basis(space, k).eval(xhat), coeffs)
-    return np.einsum("ecd,egd->egc", geo.B, qhat) / geo.detJ[:, None, None]
+    qhat = _ref_vector_values(space, k, coeffs, xhat)
+    return qhat @ (geo.B / geo.detJ[:, None, None]).transpose(0, 2, 1)
 
 
 def _normal_traces(geo: _AffineMaps, space: str, k: int, coeffs, s):
@@ -180,29 +194,39 @@ def face_values(coeffs, length, t):
 
 @dataclass
 class ProjectionProblem:
-    """Factorized defining system of a projection on the reference element."""
+    """Defining system of a projection, checked by :func:`_factor`: one
+    matrix (N, N) on the reference element, or a stack (n, N, N) with one
+    per element.  ``solve`` takes right-hand sides (..., N, K), or (N,)
+    for one system."""
 
     method: str
     degree: int
     matrix: np.ndarray
-    lu: tuple
     tau: tuple | None = None
 
     def solve(self, rhs):
-        return la.lu_solve(self.lu, rhs)
+        return np.linalg.solve(self.matrix, rhs)
 
     def condition(self):
         return float(np.linalg.cond(self.matrix))
 
 
 def _factor(method, k, M, tau=None):
-    """Factorize one system (N, N) or a stack (n, N, N), rejecting any
-    element whose pivots are near zero."""
-    lu, piv = la.lu_factor(M)
-    diag = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
-    if (diag.min(axis=-1) <= 1e-13 * np.maximum(diag.max(axis=-1), 1.0)).any():
-        raise SingularLocalSystem(f"{method} system at degree {k} is singular")
-    return ProjectionProblem(method=method, degree=k, matrix=M, lu=(lu, piv), tau=tau)
+    """Check one system (N, N) or a stack (n, N, N) for solving.
+
+    Each element is checked on its own: it is rejected as singular when LU
+    meets an exactly zero pivot, when its inverse is not finite, or when its
+    1-norm condition number ||M||_1 ||M^-1||_1 reaches 1e13.
+    """
+    err = SingularLocalSystem(f"{method} system at degree {k} is singular")
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        raise err from None
+    cond = np.linalg.norm(M, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+    if not np.all(cond < 1e13):
+        raise err
+    return ProjectionProblem(method=method, degree=k, matrix=M, tau=tau)
 
 
 def _trace_rows(vb, k, erule):
@@ -224,25 +248,25 @@ def _moment_rows(vb, test_vb, rule):
 
 
 class _RefRules:
-    """Quadrature rules and edge test functions of a projection system;
-    ``mu_w`` folds the edge weights and reference lengths into the test
-    functions."""
+    """Quadrature rules and test functions of a projection system;
+    ``test_w`` folds the volume weights into the interior test functions
+    (see :func:`_flat_moments`), ``mu_w`` the edge weights and reference
+    lengths into the edge test functions."""
 
     def __init__(self, k, test_vb, exactness):
         self.k = k
         self.test_vb = test_vb
         self.vol, self.edge = ps.quadrature_rules(k, exactness)
         self.fb = ps.FaceBasis(k)
-        self.test_vals = test_vb.eval(self.vol.points)
+        self.test_w = _flat_moments(self.vol.weights, test_vb.eval(self.vol.points))
         self.mu_vals = [self.fb.eval_edge(e, self.edge.points) for e in range(3)]
         weights = self.edge.weights * ReferenceTriangle.edge_lengths[:, None]
         self.mu_w = np.stack(self.mu_vals) * weights[:, :, None]
 
     def flux_moments(self, geo: _AffineMaps, q):
         """Interior moments of the pulled-back flux |J| B^-1 q, (n, ntest)."""
-        x = geo.forward(self.vol.points)
-        qhat = geo.detJ[:, None, None] * np.einsum("egc,edc->egd", _at(q, x), geo.invB)
-        return np.einsum("g,gic,egc->ei", self.vol.weights, self.test_vals, qhat)
+        qhat = _at(q, geo.forward(self.vol.points)) @ geo.invB.transpose(0, 2, 1)
+        return geo.detJ[:, None] * (qhat.reshape(len(geo), -1) @ self.test_w)
 
     def edge_moments(self, vals):
         """Edge moments (n, 3 (k+1)) of reference-edge values (n, 3, ns)."""
@@ -251,8 +275,7 @@ class _RefRules:
 
 def _dual_normal(geo: _AffineMaps, q, xe):
     """The dual trace |a| q . n at edge points (n, 3, ns, 2)."""
-    qn = np.einsum("elgc,elc->elg", _at(q, xe), geo.edge_normals)
-    return geo.edge_jacobians[..., None] * qn
+    return geo.edge_jacobians[..., None] * np.vecdot(_at(q, xe), geo.edge_normals[:, :, None])
 
 
 class _HdivRef(_RefRules):
@@ -285,7 +308,7 @@ def _hdiv_ref(method: str, k: int, exactness=None) -> _HdivRef:
 
 
 def projection_problem(method: str, k: int) -> ProjectionProblem:
-    """Factorized reference system for the RT or BDM projection."""
+    """Checked reference system for the RT or BDM projection."""
     return _hdiv_ref(method, k).problem
 
 
@@ -372,7 +395,7 @@ def _hdg_matrices(ref: _HdgRef, geo: _AffineMaps, tau, sign):
 
 
 def hdg_projection_problem(k: int, tau, emap: ElementMap, sign: int = 1, quad_exactness=None) -> ProjectionProblem:
-    """Assemble and factorize the coupled HDG system for one element.
+    """Assemble and check the coupled HDG system for one element.
 
     The stabilization enters through its dual-trace transform
     tau_check = |a| tau, so the reference projection reproduces the
@@ -449,8 +472,8 @@ def hdg_project_decoupled(q, div_q, u, k: int, emap: ElementMap, tau, sign: int 
             w * np.asarray(u(pts), dtype=float)
         )
     try:
-        u_coeffs = la.solve(A, b)
-    except la.LinAlgError as exc:
+        u_coeffs = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
         raise SingularLocalSystem("decoupled HDG scalar system") from exc
 
     # Vector part: moments plus traces on the boundary minus the tau-max edge.
@@ -460,9 +483,7 @@ def hdg_project_decoupled(q, div_q, u, k: int, emap: ElementMap, tau, sign: int 
     B[: 2 * ref.sdim_low] = ref.q_moments
     rhs = np.zeros(nq)
     qhat = emap.detJ * np.asarray(q(xq), dtype=float) @ emap.invB.T
-    rhs[: 2 * ref.sdim_low] = np.einsum(
-        "g,gic,gc->i", ref.vol.weights, ref.test_vals, qhat
-    )
+    rhs[: 2 * ref.sdim_low] = qhat.ravel() @ ref.test_w
     row = 2 * ref.sdim_low
     for e in range(3):
         if e == skip:
@@ -480,8 +501,8 @@ def hdg_project_decoupled(q, div_q, u, k: int, emap: ElementMap, tau, sign: int 
         rhs[blk] = ref.mu_vals[e].T @ (ref.edge.weights * L * trace)
         row += k + 1
     try:
-        q_coeffs = la.solve(B, rhs)
-    except la.LinAlgError as exc:
+        q_coeffs = np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularLocalSystem("decoupled HDG vector system") from exc
     return (
         LocalVectorField(emap, "P", k, q_coeffs),

@@ -272,3 +272,76 @@ def test_load_mesh_rejects_nonfinite_vertex(value):
         loads_mesh(SQUARE.replace("0 1\n0 1 2", f"{value} 1\n0 1 2"))
     assert err.value.line == 5
     assert "finite" in str(err.value)
+
+
+def test_load_mesh_rejects_oversized_vertex_index():
+    with pytest.raises(ParseError) as err:
+        loads_mesh("3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999999\n")
+    assert err.value.line == 5
+
+
+def test_forward_maps_match_per_element_affine_maps():
+    m = _perturbed_square()
+    geo = m.geometry
+    xhat = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.3], [0.7, 0.1]])
+    t = np.array([0.0, 0.25, 0.9])
+    got, got_edges = geo.forward(xhat), geo.edge_forward(t)
+    for e in range(m.num_triangles):
+        B, b = geo.B[e], geo.corners[e, 0]
+        want = np.array([B @ x + b for x in xhat])
+        assert np.abs(got[e] - want).max() <= 1e-15 * np.abs(want).max()
+        for loc in range(3):
+            want = np.array([B @ x + b for x in ReferenceTriangle.edge_points(loc, t)])
+            assert np.abs(got_edges[e, loc] - want).max() <= 1e-15 * np.abs(want).max()
+
+
+_MESH_TEXT = "9 8\n" + "".join(
+    f"{x} {y}\n" for y in (0, 0.5, 1) for x in (0, 0.5, 1)
+) + "0 1 4\n0 4 3\n1 2 5\n1 5 4\n3 4 7\n3 7 6\n4 5 8\n4 8 7\n"
+
+_TOKENS = st.one_of(
+    st.integers(-(10**25), 10**25).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet="0123456789+-.eEinfa_ ", max_size=6),
+)
+
+
+@st.composite
+def _mutated_mesh_text(draw):
+    """The 3x3-vertex square file with a few tokens replaced and lines
+    dropped, repeated or swapped."""
+    lines = [line.split() for line in _MESH_TEXT.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("token", "token", "drop", "repeat", "swap")))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "token" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(_TOKENS)
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, list(lines[i]))
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(" ".join(tok) for tok in lines) + "\n"
+
+
+def test_mutation_base_file_is_valid():
+    assert loads_mesh(_MESH_TEXT).num_triangles == 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(max_size=80), _mutated_mesh_text()))
+def test_loads_mesh_fuzz_raises_only_mesh_errors(text):
+    try:
+        mesh = loads_mesh(text)
+    except (ParseError, NonConformingMesh, DegenerateElement):
+        return
+    assert np.isfinite(mesh.vertices).all()
+    assert (mesh.geometry.det > 0).all()
+
+
+def test_load_mesh_rejects_huge_vertex_coordinate():
+    with pytest.raises(ParseError) as err:
+        loads_mesh(SQUARE.replace("0 1\n0 1 2", "1e200 1\n0 1 2"))
+    assert err.value.line == 5

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 import hybridfem.polyspaces as ps
 import hybridfem.projections as pj
 from hybridfem.errors import InvalidStabilization, SingularLocalSystem, UnsupportedDegree
-from hybridfem.mesh import build_reference_map
+from hybridfem.mesh import Mesh, build_reference_map, uniform_refine, unit_square
 
 from oracles import physical_hdg_projection, physical_hdiv_projection
 
@@ -300,13 +301,41 @@ def test_hdg_invalid_stabilization():
         pj.hdg_project(q, u, 1, EM, np.zeros(3))
 
 
-# scipy warns about the exact zero pivot before _factor rejects the element
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_factor_rejects_singular_element():
     M = np.tile(np.eye(4), (3, 1, 1))
     M[1, 2] = M[1, 0]
     with pytest.raises(SingularLocalSystem):
         pj._factor("rt", 1, M)
+
+
+@pytest.mark.parametrize("shift", (0.0, 1e-14), ids=("scaled", "shifted"))
+def test_factor_rejects_near_singular_element(shift):
+    rng = np.random.default_rng(5)
+    M = np.eye(6) + 0.1 * rng.standard_normal((4, 6, 6))
+    pj._factor("hdg", 2, M)
+    # not exactly singular: row 2 is row 0 scaled by 1 + 1e-15, plus a
+    # random shift that keeps LU off an exact zero pivot (condition ~1e14)
+    M[2, 2] = M[2, 0] * (1.0 + 1e-15) + shift * rng.standard_normal(6)
+    assert not np.array_equal(M[2, 2], M[2, 0])
+    with pytest.raises(SingularLocalSystem):
+        pj._factor("hdg", 2, M)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("tau", ((1.5, 1.5, 1.5), (2.0, 0.0, 0.0)), ids=("constant", "single-face"))
+@pytest.mark.parametrize("k", range(4))
+def test_hdg_stack_solve_matches_per_element_solve(k, tau, sign):
+    mesh = uniform_refine(unit_square(2))
+    rng = np.random.default_rng(k)
+    verts = mesh.vertices + 0.02 * rng.standard_normal(mesh.vertices.shape) * ~np.isin(
+        mesh.vertices, (0.0, 1.0)
+    )
+    geo = Mesh(verts, mesh.triangles).geometry
+    M = pj._hdg_matrices(pj._hdg_ref(k), geo, np.tile(tau, (len(geo), 1)), sign)
+    rhs = rng.standard_normal(M.shape[:2] + (2,))
+    got = pj._factor("hdg", k, M).solve(rhs)
+    want = np.stack([la.solve(a, b) for a, b in zip(M, rhs)])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_hdg_sign_flip_is_solvable_and_distinct():
