@@ -190,7 +190,8 @@ class Mesh:
     vertex pairs.  The stored edge direction (``edges[e] = (a, b)``) is chosen
     so that the right-handed normal of a->b is the outward normal of
     ``t_plus``, i.e. the global edge normal points from the lower- to the
-    higher-id owner.
+    higher-id owner.  An edge with more than two owners, or a triangle
+    listed twice in any vertex order, raises NonConformingMesh.
 
     Attributes:
         vertices: (nv, 2) float array.
@@ -256,6 +257,16 @@ class Mesh:
         self.edge_tris = np.stack([lead // 3, second], axis=1)
         self.boundary = self.edge_tris[:, 1] < 0
         self.tri_edges = tri_edges.reshape(nt, 3)
+        # Two triangles sharing two edges share all three vertices: a
+        # triangle listed twice, whose copies own every edge together.
+        across = self.edge_tris[self.tri_edges[:, :2]].sum(axis=2) - np.arange(nt)[:, None]
+        twin = (across[:, 0] == across[:, 1]) & (across[:, 0] >= 0)
+        if twin.any():
+            t = int(np.argmax(twin))
+            raise NonConformingMesh(
+                f"triangles {t} and {int(across[t, 0])} have the same vertices "
+                f"{sorted(triangles[t].tolist())}"
+            )
         self.tri_edge_aligned = self.edges[self.tri_edges, 0] == start
 
         sides = self.geometry.edge_lengths

@@ -396,42 +396,37 @@ def weighted_gram(weights, basis):
     return (weights.reshape(nt, -1) @ table).reshape(nt, n, n)
 
 
-def _poly_mul(A, B):
-    out = np.zeros((A.shape[0] + B.shape[0] - 1, A.shape[1] + B.shape[1] - 1))
-    for a in range(A.shape[0]):
-        for b in range(A.shape[1]):
-            if A[a, b] != 0.0:
-                out[a : a + B.shape[0], b : b + B.shape[1]] += A[a, b] * B
-    return out
-
-
 def compose_affine(exps, coeffs, B, b):
     """Coefficients of p(B xhat + b) over the same exponent list.
 
-    Affine substitution preserves the total degree, so the result fits in
-    the source list.  Used to express pulled-back polynomial fields exactly.
+    Affine substitution preserves the total degree and is linear in the
+    coefficients, so it is one matrix C(B, b) over the graded degree-k list:
+    ``coeffs`` may be one coefficient row or a stack of rows (..., nm), and
+    the result is ``coeffs @ C.T``.  Column (a, b) of C holds the expansion
+    of (B_0 xhat + b_0)^a (B_1 xhat + b_1)^b, the product of row v of the map
+    with an earlier column; multiplication by row v is the matrix
+    b_v I + B_v0 Sx + B_v1 Sy with the shifts by x and y truncated to degree
+    k.  Rows and columns are read off at the positions of ``exps`` in that
+    list.  The result is exact polynomial algebra, used to express
+    pulled-back polynomial fields without the chain rule.
     """
-    k = max(a2 + b2 for a2, b2 in exps)
-    lin = [
-        np.array([[b[0], B[0, 1]], [B[0, 0], 0.0]]),
-        np.array([[b[1], B[1, 1]], [B[1, 0], 0.0]]),
-    ]
-    # powers[v][p] is the dense table of (row v of the affine map)^p
-    powers = []
-    for v in range(2):
-        pw = [np.ones((1, 1))]
-        for _ in range(k):
-            pw.append(_poly_mul(pw[-1], lin[v]))
-        powers.append(pw)
-    dense = np.zeros((k + 1, k + 1))
-    for m, (a2, b2) in enumerate(exps):
-        if coeffs[m] != 0.0:
-            term = _poly_mul(powers[0][a2], powers[1][b2])
-            dense[: term.shape[0], : term.shape[1]] += coeffs[m] * term
-    out = np.empty(len(exps))
-    for m, (a2, b2) in enumerate(exps):
-        out[m] = dense[a2, b2]
-    return out
+    k = max(px + py for px, py in exps)
+    nm = scalar_dim(k)
+    Sx, Sy = _shift_matrix(k, 0)[:nm], _shift_matrix(k, 1)[:nm]
+    rows = [b[v] * np.eye(nm) + B[v, 0] * Sx + B[v, 1] * Sy for v in range(2)]
+    C = np.zeros((nm, nm))
+    C[0, 0] = 1.0
+    lo = 0
+    for d in range(1, k + 1):
+        # C[:, lo:hi] is the degree-(d-1) block.  The degree-d block is the
+        # x-row times each of its columns, then the y-row times the last one,
+        # (0, d-1) -> (0, d).
+        hi = lo + d
+        C[:, hi : hi + d] = rows[0] @ C[:, lo:hi]
+        C[:, hi + d] = rows[1] @ C[:, hi - 1]
+        lo = hi
+    pos = [(px + py) * (px + py + 1) // 2 + py for px, py in exps]
+    return np.asarray(coeffs, dtype=float) @ C[np.ix_(pos, pos)].T
 
 
 def boundary_decomposition_check(k: int):

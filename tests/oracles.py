@@ -550,3 +550,42 @@ def reference_energy_identity_residual(triple, q_exact, u_exact, data, quad_exac
                 vals = vals - _lam_values_local(mesh, elam, t, loc, erule.points)
                 lhs += triple.tau[t, loc] * em.edge_lengths[loc] * float(erule.weights @ vals**2)
     return abs(lhs - rhs)
+
+
+# --------------------------------------------------------------------------
+# Term-by-term reference for the affine composition of polynomials: each
+# monomial expanded as a product of dense powers of the two map rows.
+
+
+def _poly_mul(A, B):
+    out = np.zeros((A.shape[0] + B.shape[0] - 1, A.shape[1] + B.shape[1] - 1))
+    for a in range(A.shape[0]):
+        for b in range(A.shape[1]):
+            if A[a, b] != 0.0:
+                out[a : a + B.shape[0], b : b + B.shape[1]] += A[a, b] * B
+    return out
+
+
+def reference_compose_affine(exps, coeffs, B, b):
+    """Coefficients of p(B xhat + b) for one coefficient vector."""
+    k = max(a2 + b2 for a2, b2 in exps)
+    lin = [
+        np.array([[b[0], B[0, 1]], [B[0, 0], 0.0]]),
+        np.array([[b[1], B[1, 1]], [B[1, 0], 0.0]]),
+    ]
+    # powers[v][p] is the dense table of (row v of the affine map)^p
+    powers = []
+    for v in range(2):
+        pw = [np.ones((1, 1))]
+        for _ in range(k):
+            pw.append(_poly_mul(pw[-1], lin[v]))
+        powers.append(pw)
+    dense = np.zeros((k + 1, k + 1))
+    for m, (a2, b2) in enumerate(exps):
+        if coeffs[m] != 0.0:
+            term = _poly_mul(powers[0][a2], powers[1][b2])
+            dense[: term.shape[0], : term.shape[1]] += coeffs[m] * term
+    out = np.empty(len(exps))
+    for m, (a2, b2) in enumerate(exps):
+        out[m] = dense[a2, b2]
+    return out

@@ -292,3 +292,14 @@ def test_cli_bad_arguments_fail_fast(args, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_mesh_with_a_triangle_listed_twice_fails_fast(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dup.msh").write_text("3 2\n0 0\n1 0\n0 1\n0 1 2\n0 2 1\n")
+    rc = cli_main(["--mesh", "dup.msh", "--levels", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "triangles 0 and 1" in err
+    assert len(err.strip().splitlines()) == 1

@@ -164,6 +164,18 @@ SQUARE = """4 2
 0 2 3
 """
 
+# triangles 1 and 2 are one triangle, listed twice, meeting triangle 0 at a vertex
+DUPLICATE_TRIANGLE = """5 3
+0 0
+1 0
+1 1
+2 1
+2 2
+0 1 2
+2 3 4
+4 3 2
+"""
+
 
 def test_load_mesh_square():
     m = loads_mesh(SQUARE)
@@ -178,6 +190,17 @@ def test_load_mesh_duplicate_triangle():
     text = SQUARE.replace("4 2", "4 3") + "0 1 2\n"
     with pytest.raises(NonConformingMesh):
         loads_mesh(text)
+
+
+def test_triangle_listed_twice_in_another_vertex_order_raises():
+    # the two copies own every edge together, so no edge has three owners
+    with pytest.raises(NonConformingMesh, match="triangles 0 and 1"):
+        Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 2, 1]])
+
+
+def test_load_mesh_triangle_listed_twice():
+    with pytest.raises(NonConformingMesh, match="triangles 1 and 2"):
+        loads_mesh(DUPLICATE_TRIANGLE)
 
 
 def test_load_mesh_empty_triangles():

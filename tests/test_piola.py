@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,22 @@ def test_operator_identities_random_cubics():
         em = random_map(100 + seed)
         worst = max(worst, verify_operator_identities(em, degree=3, rng=seed))
     assert worst < 1e-11
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda em: {"edge_normals": -em.edge_normals},
+        lambda em: {"invB": em.invB.T},
+        lambda em: {"detJ": 1.5 * em.detJ},
+    ],
+    ids=["negated-edge-normals", "transposed-invB", "scaled-detJ"],
+)
+def test_operator_identities_reject_corrupted_map(corrupt):
+    em = random_map(7)
+    assert verify_operator_identities(em, degree=3, rng=0) < 1e-11
+    wrong = dataclasses.replace(em, **corrupt(em))
+    assert verify_operator_identities(wrong, degree=3, rng=0) > 1e-6
 
 
 @pytest.mark.parametrize("tag,kind", [("RT", "primal"), ("P", "primal"), ("N", "dual")])

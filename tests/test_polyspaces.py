@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hybridfem.polyspaces as ps
+import oracles
 from hybridfem.mesh import ReferenceTriangle
 
 
@@ -206,3 +207,20 @@ def test_compose_affine_matches_pointwise():
     lhs = ps.monomial_eval(exps, pts) @ cc
     rhs = ps.monomial_eval(exps, pts @ B.T + b) @ c
     assert np.abs(lhs - rhs).max() < 1e-11
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_compose_affine_matches_term_by_term_reference(k):
+    rng = np.random.default_rng(40 + k)
+    exps = ps.monomial_exponents(k)
+    maps = [(rng.standard_normal((2, 2)), rng.standard_normal(2)) for _ in range(3)]
+    maps.append((np.array([[0.3, 1.2], [0.9, -0.4]]), rng.standard_normal(2)))  # det B < 0
+    for B, b in maps:
+        stack = rng.standard_normal((3, len(exps)))
+        ref = np.array([oracles.reference_compose_affine(exps, c, B, b) for c in stack])
+        got = ps.compose_affine(exps, stack, B, b)
+        assert got.shape == (3, len(exps))
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        row = ps.compose_affine(exps, stack[1], B, b)
+        assert row.shape == (len(exps),)
+        assert np.abs(row - ref[1]).max() <= 1e-14 * np.abs(ref[1]).max()
