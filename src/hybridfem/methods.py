@@ -381,66 +381,76 @@ def _local_face_values(mesh: Mesh, coeffs, s):
     return np.where(mesh.tri_edge_aligned[..., None], along, against)
 
 
-def _local_matrices(blocks: LocalBlocks):
+def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
     """Stacked element matrices over (flux, potential, multiplier) dofs,
 
         [[A, -B^T,  C^T      ],
          [B,  D,   -S        ],
          [C,  S^T, -diag tau ]],
 
-    of shape (nt, n, n) with n = nq + nw + 3 nf.  The condensed, saddle and
-    Dirichlet-form systems are all Schur complements of their sum."""
-    nt = blocks.layout.num_triangles
-    nq, nw, nf = (
-        blocks.space.flux_dim,
-        blocks.space.scalar_dim,
-        blocks.space.face_dim,
-    )
+    of shape (nb, n, n) with n = nq + nw + 3 nf, for the slice ``rows`` of
+    the elements.  The condensed, saddle and Dirichlet-form systems are all
+    Schur complements of their sum; condensation streams over blocks."""
+    C = blocks.C[rows]
+    nb, _, nf, nq = C.shape
+    nw = blocks.Bdiv.shape[0]
     m = nq + nw
-    C = blocks.C.reshape(nt, 3 * nf, nq)
-    S = blocks.Swl.reshape(nt, nw, 3 * nf)
-    L = np.zeros((nt, m + 3 * nf, m + 3 * nf))
-    L[:, :nq, :nq] = blocks.A
+    C = C.reshape(nb, 3 * nf, nq)
+    S = blocks.Swl[rows].reshape(nb, nw, 3 * nf)
+    L = np.zeros((nb, m + 3 * nf, m + 3 * nf))
+    L[:, :nq, :nq] = blocks.A[rows]
     L[:, :nq, nq:m] = -blocks.Bdiv.T
     L[:, :nq, m:] = C.transpose(0, 2, 1)
     L[:, nq:m, :nq] = blocks.Bdiv
-    L[:, nq:m, nq:m] = blocks.D
+    L[:, nq:m, nq:m] = blocks.D[rows]
     L[:, nq:m, m:] = -S
     L[:, m:, :nq] = C
     L[:, m:, nq:m] = S.transpose(0, 2, 1)
     if blocks.tau is not None:
         idx = np.arange(m, m + 3 * nf)
-        L[:, idx, idx] = -np.repeat(blocks.tau, nf, axis=1)
+        L[:, idx, idx] = -np.repeat(blocks.tau[rows], nf, axis=1)
     return L
 
 
 def _scatter(local, dofs, N):
     """Sum the stacked element matrices ``local`` (nt, n, n) into an N x N
     CSR matrix, element t at rows and columns ``dofs[t]``."""
-    n = dofs.shape[1]
-    rows = np.repeat(dofs, n, axis=1).ravel()
-    cols = np.tile(dofs, (1, n)).ravel()
+    nt, n = dofs.shape
+    dofs = dofs.astype(np.int32 if N < 2**31 else np.int64)
+    rows = np.broadcast_to(dofs[:, :, None], (nt, n, n)).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], (nt, n, n)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(N, N)).tocsr()
 
 
-def _eliminate(L, m, F=None):
-    """Eliminate the leading m dofs of the stacked element matrices L
-    (nt, n, n), loaded by F (nt, m) if given, with one batched solve.
+_BLOCK_BYTES = 4 << 20  # of element matrices that condensation builds at a time
 
-    Returns (R, S): R = L11^{-1} [-L12 | F] reconstructs the eliminated dofs
-    from the others, and S = [L22 | 0] + L21 R holds the element Schur
-    complements, with the condensed load L21 L11^{-1} F as the last column
-    of both when F is given."""
-    rhs = -L[:, :m, m:]
-    if F is not None:
-        rhs = np.concatenate([rhs, F[:, :, None]], axis=2)
-    try:
-        R = np.linalg.solve(L[:, :m, :m], rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLocalSolver("element solver is singular") from exc
-    S = L[:, m:, :m] @ R
-    S[:, :, : L.shape[2] - m] += L[:, m:, m:]
-    return R, S
+
+def _eliminate(blocks: LocalBlocks, F):
+    """Eliminate the leading m dofs of every element matrix, loaded by F
+    (nt, m), streaming over element blocks of ``_BLOCK_BYTES`` of local
+    matrices with one batched solve per block.
+
+    Returns (R, S, g): R = L11^{-1} [-L12 | F] reconstructs the eliminated
+    dofs from the others, S = L22 + L21 R[..., :-1] holds the element Schur
+    complements and g = L21 L11^{-1} F the condensed load."""
+    nt, m = F.shape
+    nw, nq = blocks.Bdiv.shape
+    n = nq + nw + 3 * blocks.lamidx.shape[2]
+    nl = n - m
+    step = max(1, _BLOCK_BYTES // (8 * n * n))
+    R, S, g = np.empty((nt, m, nl + 1)), np.empty((nt, nl, nl)), np.empty((nt, nl))
+    for start in range(0, nt, step):
+        rows = slice(start, start + step)
+        L = _local_matrices(blocks, rows)
+        rhs = np.concatenate([-L[:, :m, m:], F[rows, :, None]], axis=2)
+        try:
+            R[rows] = np.linalg.solve(L[:, :m, :m], rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularLocalSolver("element solver is singular") from exc
+        LR = L[:, m:, :m] @ R[rows]
+        np.add(LR[:, :, :nl], L[:, m:, m:], out=S[rows])
+        g[rows] = LR[:, :, -1]
+    return R, S, g
 
 
 def _factor_spd(K, what):
@@ -456,7 +466,8 @@ def _factor_spd(K, what):
 def condensed_system(blocks: LocalBlocks):
     """Statically condensed SPD system on the interior multiplier dofs, with K
     symmetrized as (K + K^T)/2: the element Schur complements are symmetric
-    only up to round-off.
+    only up to round-off.  Flux and potential are eliminated one element
+    block at a time, never holding all element matrices at once.
 
     Returns (K, rhs, lam_full, interior, X, Y): ``lam_full`` holds the
     Dirichlet values on boundary dofs and zeros elsewhere, ``interior`` the
@@ -469,17 +480,16 @@ def condensed_system(blocks: LocalBlocks):
     m = nq + blocks.space.scalar_dim
     F = np.zeros((nt, m))
     F[:, nq:] = blocks.F
-    R, S = _eliminate(_local_matrices(blocks), m, F)
+    R, S, g = _eliminate(blocks, F)
 
     lamidx = blocks.lamidx.reshape(nt, -1)
-    Hmat = _scatter(S[:, :, :-1], lamidx, layout.n_face)
-    gvec = np.zeros(layout.n_face)
-    np.add.at(gvec, lamidx.ravel(), S[:, :, -1].ravel())
-
-    lam_full = blocks.gdir.ravel().copy()
+    gvec = np.bincount(lamidx.ravel(), weights=g.ravel(), minlength=layout.n_face)
     interior = layout.interior_dofs
-    K = -Hmat[interior][:, interior]
-    rhs = Hmat[interior] @ lam_full + gvec[interior]
+    H_int = _scatter(S, lamidx, layout.n_face)[interior]
+    lam_full = blocks.gdir.ravel().copy()
+    rhs = H_int @ lam_full + gvec[interior]
+    K = -H_int[:, interior]
+    del S, g, H_int  # before the symmetrization copies K
     return ((K + K.T) * 0.5).tocsc(), rhs, lam_full, interior, R[:, :, :-1], R[:, :, -1]
 
 
@@ -598,15 +608,15 @@ def _dirichlet_pieces(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau
     ``_eliminate`` removes the flux of each element; the element complements
     over (potential, multiplier) are summed, and one SPD factorization of
     the negated interior-multiplier block lifts the potential basis
-    functions and the Dirichlet data.  Returns (D matrix, Dirichlet load
-    l_g, load (f, .))."""
+    functions and the Dirichlet data in blocks of columns.  Returns (D
+    matrix, Dirichlet load l_g, load (f, .))."""
     n = mesh.num_triangles * space.scalar_dim
     if n > 2000:
         raise TooLarge(f"the Dirichlet form is limited to 2000 potential dofs, got {n}")
     blocks = assemble(mesh, space, ProblemData(kappa=data.kappa, f=data.f, g=data.g), tau=tau)
     layout = blocks.layout
     nt, nW = layout.num_triangles, layout.n_scalar
-    _, S = _eliminate(_local_matrices(blocks), space.flux_dim)
+    _, S, _ = _eliminate(blocks, np.zeros((nt, space.flux_dim)))
     dofs = np.hstack([np.arange(nW).reshape(nt, -1), nW + blocks.lamidx.reshape(nt, -1)])
     T = _scatter(S, dofs, nW + layout.n_face)
     # Columns: the potential basis functions, then the Dirichlet data.
@@ -614,9 +624,12 @@ def _dirichlet_pieces(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau
     inner = nW + layout.interior_dofs
     T_pot, T_int = T[:nW], T[inner]
     lu = _factor_spd(-T_int[:, inner].tocsc(), "interior multiplier block")
-    # SuperLU returns F order; a sparse product would copy it while holding it.
-    pieces = T_pot[:, inner] @ np.ascontiguousarray(lu.solve((T_int @ W).toarray()))
-    pieces += (T_pot @ W).toarray()
+    coupling, lift = T_pot[:, inner], (T_int @ W).tocsc()
+    pieces = (T_pot @ W).toarray()
+    # 64 columns at a time: the whole dense lift is 26 MB at 512 BDM k=2
+    # triangles, and SuperLU solves it faster in column blocks.
+    for j in range(0, lift.shape[1], 64):
+        pieces[:, j : j + 64] += coupling @ lu.solve(lift[:, j : j + 64].toarray())
     return pieces[:, :-1], pieces[:, -1], blocks.F.ravel()
 
 

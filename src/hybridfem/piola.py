@@ -11,6 +11,7 @@ preimage, so only the |a| weight distinguishes the trace transforms.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,6 +95,21 @@ def push_forward(field, kind: TransformKind, emap: ElementMap):
     return phys_trace
 
 
+@lru_cache(maxsize=None)
+def _reference_tables(degree: int):
+    """Fixed reference-side tables of the identity checks at total degree
+    k: (monomials at the degree-2k triangle rule, Gauss points of the three
+    reference edges stacked, monomials at those edge points)."""
+    exps = ps.monomial_exponents(degree)
+    t = ps.edge_rule(degree + 2).points
+    pts_hat = np.vstack([ReferenceTriangle.edge_points(e, t) for e in range(3)])
+    tables = (ps.monomial_eval(exps, ps.triangle_rule(2 * degree).points), pts_hat,
+              ps.monomial_eval(exps, pts_hat))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
 def verify_operator_identities(emap: ElementMap, degree: int = 3, rng=None) -> float:
     """Largest residual of the three transform identities for random
     polynomial fields of the given total degree.
@@ -121,8 +137,7 @@ def verify_operator_identities(emap: ElementMap, degree: int = 3, rng=None) -> f
     qhat = emap.detJ * emap.invB @ composed[:2]
     uhat = composed[2]
 
-    rule = ps.triangle_rule(2 * degree)
-    V = ps.monomial_eval(exps, rule.points)
+    V, pts_hat, V_edges = _reference_tables(degree)
 
     div_qhat = Dx @ qhat[0] + Dy @ qhat[1]
     div_check = emap.detJ * composed[3]
@@ -132,10 +147,8 @@ def verify_operator_identities(emap: ElementMap, degree: int = 3, rng=None) -> f
     grad_check = emap.B.T @ composed[4:]
     res = max(res, float(np.abs(V @ (grad_uhat - grad_check).T).max()))
 
-    t = ps.edge_rule(degree + 2).points
-    pts_hat = np.vstack([ReferenceTriangle.edge_points(e, t) for e in range(3)])
-    qhat_vals = (ps.monomial_eval(exps, pts_hat) @ qhat.T).reshape(3, len(t), 2)
-    q_vals = (ps.monomial_eval(exps, emap.forward(pts_hat)) @ q.T).reshape(3, len(t), 2)
+    qhat_vals = (V_edges @ qhat.T).reshape(3, -1, 2)
+    q_vals = (ps.monomial_eval(exps, emap.forward(pts_hat)) @ q.T).reshape(3, -1, 2)
     lhs = np.einsum("epc,ec->ep", qhat_vals, ReferenceTriangle.edge_normals)
     rhs = emap.edge_jacobians[:, None] * np.einsum("epc,ec->ep", q_vals, emap.edge_normals)
     return max(res, float(np.abs(lhs - rhs).max()))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -255,8 +257,10 @@ def test_boundary_multiplier_is_face_projection_of_g():
         assert np.abs(triple.lam[e] - blocks.gdir[e]).max() < 1e-13
 
 
-def perturbed_mesh(seed=3):
-    mesh = uniform_refine(unit_square(2))
+def perturbed_mesh(seed=3, levels=1):
+    mesh = unit_square(2)
+    for _ in range(levels):
+        mesh = uniform_refine(mesh)
     v = mesh.vertices.copy()
     inner = np.all((v > 1e-12) & (v < 1.0 - 1e-12), axis=1)
     v[inner] += np.random.default_rng(seed).uniform(-0.04, 0.04, size=(inner.sum(), 2))
@@ -348,6 +352,61 @@ def test_hybridized_solve_matches_default_lu(method, k, tau):
     want = spla.splu(K).solve(rhs)
     got = solve_hybridized(blocks).lam.ravel()[interior]
     assert rel_diff(got, want) <= 1e-12
+
+
+def block_bytes(space, elements):
+    """Value of ``methods._BLOCK_BYTES`` that streams ``elements`` element
+    matrices of this space at a time."""
+    n = space.flux_dim + space.scalar_dim + 3 * space.face_dim
+    return elements * 8 * n * n
+
+
+@pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
+def test_condensation_independent_of_element_blocks(monkeypatch, method, k, tau):
+    """128 elements streamed 7 at a time (the last block holds 2) give the
+    one-block condensed system and Dirichlet form bit for bit."""
+    mesh = perturbed_mesh(levels=2)
+    blocks = condensed_blocks(mesh, method, k, tau)
+    data = CASES["varkappa"].data()
+
+    def run():
+        return condensed_system(blocks), dirichlet_form(mesh, blocks.space, data, tau=blocks.tau)
+
+    monkeypatch.setattr(methods, "_BLOCK_BYTES", block_bytes(blocks.space, mesh.num_triangles))
+    (K1, *rest1), D1 = run()
+    monkeypatch.setattr(methods, "_BLOCK_BYTES", block_bytes(blocks.space, 7))
+    (K7, *rest7), D7 = run()
+    for a, b in [(K1.indptr, K7.indptr), (K1.indices, K7.indices), (K1.data, K7.data), (D1, D7)]:
+        assert np.array_equal(a, b)
+    for a, b in zip(rest1, rest7):
+        assert np.array_equal(a, b)
+
+
+def test_singular_element_in_last_block_rejected(monkeypatch):
+    blocks = assemble(perturbed_mesh(levels=2), SpaceDescriptor("rt", 0), SMOOTH.data())
+    monkeypatch.setattr(methods, "_BLOCK_BYTES", block_bytes(blocks.space, 7))
+    blocks.A[-1] = 0.0
+    with pytest.raises(SingularLocalSolver):
+        condensed_system(blocks)
+
+
+def test_condensation_peak_memory_below_element_stack():
+    """Condensation never holds all element matrices at once: its traced
+    peak above the inputs stays below one (nt, n, n) float64 stack."""
+    mesh = unit_square(2)
+    for _ in range(4):
+        mesh = uniform_refine(mesh)
+    blocks = assemble(mesh, SpaceDescriptor("hdg", 3), SMOOTH.data(), tau=make_tau(mesh))
+    stack = block_bytes(blocks.space, mesh.num_triangles)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        condensed_system(blocks)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < stack
 
 
 # ------------------------------------------------------------- Dirichlet form
