@@ -446,7 +446,6 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
                 stenberg(triple, data) if scheme == "stenberg" else gradient_postprocess(triple, data)
             )
         norms = compute_error_norms(triple, case, postprocessed=posts)
-        interior = int((~mesh.boundary).sum())
         rows.append(
             {
                 "level": level,
@@ -455,7 +454,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
                     "flux": blocks.layout.n_flux,
                     "scalar": blocks.layout.n_scalar,
                     "face": blocks.layout.n_face,
-                    "condensed": interior * space.face_dim,
+                    "condensed": len(blocks.layout.interior_dofs),
                 },
                 "norms": norms,
                 "time_ms": elapsed,

@@ -170,12 +170,15 @@ class _AffineMaps:
 def build_reference_map(triangle_vertices) -> ElementMap:
     """Build the affine map sending the reference vertices onto a triangle.
 
-    Raises DegenerateElement when the vertices are numerically collinear
-    (|det B| below 1e-14 times the squared bounding-box scale).
+    Raises DegenerateElement when a vertex is not finite or the vertices are
+    numerically collinear (|det B| below 1e-14 times the squared
+    bounding-box scale).
     """
     v = np.array(triangle_vertices, dtype=float)
     if v.shape != (3, 2):
         raise ValueError("expected three 2D vertices")
+    if not np.isfinite(v).all():
+        raise DegenerateElement(f"triangle with vertices {v.tolist()} is not finite")
     return _AffineMaps(v[None])[0]
 
 
@@ -199,7 +202,8 @@ class Mesh:
         geometry: affine maps of all elements as stacked arrays (``B``,
             ``invB``, ``detJ``, and per local edge ``edge_lengths``,
             ``edge_jacobians`` and ``edge_normals``), computed once; a
-            degenerate triangle raises DegenerateElement here.
+            degenerate triangle raises DegenerateElement here, as does a
+            non-finite vertex.
         edges: (ne, 2) int array of directed vertex pairs.
         edge_tris: (ne, 2) int array of owner triangle ids.
         boundary: (ne,) bool array.
@@ -220,6 +224,9 @@ class Mesh:
             raise ValueError("triangles must be an (nt, 3) index array")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise ValueError("triangle vertex index out of range")
+        # before the orientation test: a NaN determinant passes every size test
+        if not np.isfinite(vertices).all():
+            raise DegenerateElement("vertex coordinates must be finite")
 
         # Normalize orientation: swap the last two vertices of clockwise cells.
         p = vertices[triangles]

@@ -10,6 +10,10 @@ Conventions
   orthonormal scalar basis, multipliers in the Legendre basis of each global
   edge orthonormalized in physical arc length and oriented along the stored
   edge direction.
+* Edge orientation is a parity sign: P_i(1 - s) = (-1)^i P_i(s), so a local
+  edge that runs against its global edge sees multiplier dof i with the
+  sign (-1)^i.  Every edge block is a reference edge table, computed once
+  per space and degree, times per-element scalars and these signs.
 * The multiplier equation on interior edges enforces continuity of the
   normal flux (plus the stabilization term for HDG); on boundary edges the
   multiplier is the edgewise L2 projection of the Dirichlet datum.
@@ -125,13 +129,7 @@ class StabilizationFunction:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[1] != 3:
             raise InvalidStabilization("expected an (n_elements, 3) array")
-        if not np.isfinite(values).all():
-            raise InvalidStabilization("stabilization must be finite")
-        if values.min() < -1e-14:
-            raise InvalidStabilization("stabilization must be nonnegative")
-        if (values.max(axis=1) <= 0.0).any():
-            raise InvalidStabilization("stabilization vanishes on some element")
-        self.values = np.maximum(values, 0.0)
+        self.values = pj._checked_tau(values)
 
     @classmethod
     def constant(cls, mesh: Mesh, value: float = 1.0):
@@ -220,7 +218,7 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
         tau_vals = None
 
     k = space.degree
-    nq, nw, nf = space.flux_dim, space.scalar_dim, space.face_dim
+    nw, nf = space.scalar_dim, space.face_dim
     vb = ps.vector_basis(space.flux_space, k)
     sb = ps.scalar_basis(space.scalar_degree)
     vol, erule = ps.quadrature_rules(k, max(quad_exactness or 0, 2 * k + 4))
@@ -259,33 +257,16 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     if cvals is not None:
         D += ps.weighted_gram((vol.weights * cvals * detJ[:, None])[:, :, None, None], What[:, :, None])
 
-    # Edge machinery: reference traces per local edge, multiplier values in
-    # both orientations of the shared edge parameter.
-    s = erule.points
-    mu_both = np.stack([ps.legendre01(k, s), ps.legendre01(k, 1.0 - s)])  # (2, ng, nf)
-    nt_ref = [vb.normal_trace(loc, s) for loc in range(3)]                # (ng, nq)
-    w_ref = [sb.eval(ReferenceTriangle.edge_points(loc, s)) for loc in range(3)]
-    Lhat = ReferenceTriangle.edge_lengths
-
+    # Edge blocks: the reference edge tables scaled per element, signed by
+    # the orientation of each local edge against its global edge.
+    Cref, Sref, Tref = pj._edge_tables(space.method, k)
+    sign = _edge_signs(mesh, nf)
     edge_len = mesh.edge_lengths[mesh.tri_edges]  # (nt, 3)
-
-    C = np.zeros((nt, 3, nf, nq))
-    Swl = np.zeros((nt, nw, 3, nf))
-    for loc in range(3):
-        mu_sel = mu_both[np.where(mesh.tri_edge_aligned[:, loc], 0, 1)]  # (nt, ng, nf)
-        scale = Lhat[loc] / np.sqrt(edge_len[:, loc])
-        C[:, loc] = scale[:, None, None] * np.einsum(
-            "g,egi,gq->eiq", erule.weights, mu_sel, nt_ref[loc]
-        )
-        if space.is_hdg:
-            tl = tau_vals[:, loc] * np.sqrt(edge_len[:, loc])
-            Swl[:, :, loc, :] = tl[:, None, None] * np.einsum(
-                "g,gj,egi->eji", erule.weights, w_ref[loc], mu_sel
-            )
-            tL = tau_vals[:, loc] * edge_len[:, loc]
-            D += tL[:, None, None] * np.einsum(
-                "g,gi,gj->ij", erule.weights, w_ref[loc], w_ref[loc]
-            )[None]
+    scale = ReferenceTriangle.edge_lengths / np.sqrt(edge_len)
+    C = scale[..., None, None] * sign[..., None] * Cref
+    tau_e = tau_vals if space.is_hdg else np.zeros((nt, 3))  # RT/BDM: tau = 0
+    Swl = (tau_e * np.sqrt(edge_len))[:, None, :, None] * sign[:, None] * Sref.transpose(1, 0, 2)
+    D += ((tau_e * edge_len) @ Tref.reshape(3, -1)).reshape(nt, nw, nw)
 
     # Dirichlet data on boundary edges, in the global edge bases; g is
     # checked at the quadrature points before it is projected.
@@ -369,16 +350,21 @@ class FieldTriple:
         return vals
 
 
+def _edge_signs(mesh: Mesh, nf: int):
+    """Orientation signs (nt, 3, nf) of the nf Legendre face dofs seen from
+    every local edge.  The basis has parity, P_i(1 - s) = (-1)^i P_i(s), so
+    a local edge that runs against its global edge flips the odd dofs."""
+    return np.where(mesh.tri_edge_aligned[..., None], 1.0, (-1.0) ** np.arange(nf))
+
+
 def _local_face_values(mesh: Mesh, coeffs, s):
     """Edge fields (coefficients (ne, k+1) in the global edge bases) seen
     from every element on its local edges at the local edge parameters s,
     (nt, 3, ns)."""
     k = coeffs.shape[1] - 1
     L = mesh.edge_lengths[mesh.tri_edges]
-    c = coeffs[mesh.tri_edges] / np.sqrt(L)[..., None]
-    along = np.einsum("gi,eli->elg", ps.legendre01(k, s), c)
-    against = np.einsum("gi,eli->elg", ps.legendre01(k, 1.0 - s), c)
-    return np.where(mesh.tri_edge_aligned[..., None], along, against)
+    c = _edge_signs(mesh, k + 1) * coeffs[mesh.tri_edges] / np.sqrt(L)[..., None]
+    return c @ ps.legendre01(k, s).T
 
 
 def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
@@ -662,18 +648,19 @@ def conservation_residuals(triple: FieldTriple, data: ProblemData, include_react
 
 
 def flux_jump_norms(triple: FieldTriple):
-    """L2 norms of the normal-flux jump over the interior edges."""
-    mesh = triple.mesh
-    erule = ps.edge_rule(triple.space.degree + 3)
-    # Both owners' fluxes at the same points, in the stored edge direction.
-    s = erule.points
-    flux = np.where(
-        mesh.tri_edge_aligned[..., None], triple.normal_flux(s), triple.normal_flux(1.0 - s)
-    )
-    jump = np.zeros((mesh.num_edges, len(s)))
-    np.add.at(jump, mesh.tri_edges.ravel(), flux.reshape(-1, len(s)))
+    """L2 norms of the normal-flux jump over the interior edges.
+
+    The normal flux lies in P_k on every edge, so its Legendre moments,
+    signed into the global edge orientation and summed over both owners,
+    are the moments of the jump."""
+    mesh, k = triple.mesh, triple.space.degree
+    rule = ps.edge_rule(k + 1)  # exact to degree 2k+1
+    P = rule.weights[:, None] * ps.legendre01(k, rule.points)
+    moments = _edge_signs(mesh, k + 1) * (triple.normal_flux(rule.points) @ P)
+    jump = np.zeros((mesh.num_edges, k + 1))
+    np.add.at(jump, mesh.tri_edges.ravel(), moments.reshape(-1, k + 1))
     inner = ~mesh.boundary
-    return np.sqrt(mesh.edge_lengths[inner] * (jump[inner] ** 2 @ erule.weights))
+    return np.sqrt(mesh.edge_lengths[inner] * np.sum(jump[inner] ** 2, axis=1))
 
 
 def _project_triple(triple: FieldTriple, q_exact, u_exact, quad_exactness):

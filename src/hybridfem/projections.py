@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 MAX_DEGREE = 3
+_ROOT_LHAT = np.sqrt(ReferenceTriangle.edge_lengths)[:, None, None]
 
 
 @dataclass
@@ -229,16 +230,33 @@ def _factor(method, k, M, tau=None):
     return ProjectionProblem(method=method, degree=k, matrix=M, tau=tau)
 
 
-def _trace_rows(vb, k, erule):
-    """Rows <v . nhat, mu>_edge for all edges and face-basis functions."""
-    fb = ps.FaceBasis(k)
-    rows = []
-    for e in range(3):
-        nt = vb.normal_trace(e, erule.points)  # (ng, dim)
-        mu = fb.eval_edge(e, erule.points)  # (ng, k+1)
-        L = ReferenceTriangle.edge_lengths[e]
-        rows.append(np.einsum("g,gi,gj->ij", erule.weights * L, mu, nt))
-    return np.vstack(rows)
+@lru_cache(maxsize=None)
+def _edge_tables(method: str, k: int):
+    """Read-only reference edge tables (C, S, T) of the spaces of ``method``
+    at degree k: with P the Legendre basis of degree k on [0, 1], v the flux
+    basis and W_l the scalar basis on reference edge l,
+
+        C[l] = sum_g w_g P_i (v . nhat_l)_q    (3, k+1, nq)
+        S[l] = sum_g w_g W_l,j P_i             (3, nw, k+1)
+        T[l] = sum_g w_g W_l,i W_l,j           (3, nw, nw)
+
+    The integrands have degree at most 2k, which the (k+1)-point Gauss rule
+    integrates exactly.  Every physical edge block is one of these tables
+    times per-element scalars and the orientation signs of its edges."""
+    vb = ps.vector_basis("RT" if method == "rt" else "P", k)
+    sb = ps.scalar_basis(k - 1 if method == "bdm" else k)
+    rule = ps.edge_rule(k + 1)
+    wP = rule.weights[:, None] * ps.legendre01(k, rule.points)
+    N = np.stack([vb.normal_trace(e, rule.points) for e in range(3)])
+    W = _edge_table(sb, rule.points)
+    tables = (
+        np.einsum("gi,lgq->liq", wP, N),
+        np.einsum("lgj,gi->lji", W, wP),
+        np.einsum("lgi,g,lgj->lij", W, rule.weights, W),
+    )
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _moment_rows(vb, test_vb, rule):
@@ -254,14 +272,11 @@ class _RefRules:
     lengths into the edge test functions."""
 
     def __init__(self, k, test_vb, exactness):
-        self.k = k
         self.test_vb = test_vb
         self.vol, self.edge = ps.quadrature_rules(k, exactness)
-        self.fb = ps.FaceBasis(k)
         self.test_w = _flat_moments(self.vol.weights, test_vb.eval(self.vol.points))
-        self.mu_vals = [self.fb.eval_edge(e, self.edge.points) for e in range(3)]
-        weights = self.edge.weights * ReferenceTriangle.edge_lengths[:, None]
-        self.mu_w = np.stack(self.mu_vals) * weights[:, :, None]
+        # the face basis, orthonormal in reference arc length, is P / sqrt(Lhat)
+        self.mu_w = _ROOT_LHAT * (self.edge.weights[:, None] * ps.legendre01(k, self.edge.points))
 
     def flux_moments(self, geo: _AffineMaps, q):
         """Interior moments of the pulled-back flux |J| B^-1 q, (n, ntest)."""
@@ -294,7 +309,7 @@ class _HdivRef(_RefRules):
         M = np.vstack(
             [
                 _moment_rows(self.vb, self.test_vb, self.vol),
-                _trace_rows(self.vb, k, self.edge),
+                (_ROOT_LHAT * _edge_tables(method, k)[0]).reshape(-1, self.vb.dim),
             ]
         )
         self.problem = _factor(method, k, M)
@@ -335,15 +350,24 @@ def bdm_project(q, k: int, emap: ElementMap, quad_exactness=None) -> LocalVector
     return LocalVectorField(emap, "P", k, coeffs)
 
 
+def _checked_tau(tau) -> np.ndarray:
+    """Stabilization values (..., 3), one per local edge of an element:
+    finite, nonnegative up to round-off (clipped to zero) and positive on
+    some edge of every element."""
+    if not np.isfinite(tau).all():
+        raise InvalidStabilization("stabilization must be finite")
+    if tau.min() < -1e-14:
+        raise InvalidStabilization("stabilization must be nonnegative")
+    if (tau.max(axis=-1) <= 0.0).any():
+        raise InvalidStabilization("stabilization vanishes on some element")
+    return np.maximum(tau, 0.0)
+
+
 def check_stabilization(tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (3,):
         raise InvalidStabilization("expected one stabilization value per edge")
-    if tau.min() < -1e-14:
-        raise InvalidStabilization("stabilization must be nonnegative")
-    if tau.max() <= 0.0:
-        raise InvalidStabilization("stabilization must be nonzero on some edge")
-    return np.maximum(tau, 0.0)
+    return _checked_tau(tau)
 
 
 class _HdgRef(_RefRules):
@@ -355,21 +379,10 @@ class _HdgRef(_RefRules):
         super().__init__(k, ps.vector_basis("P", k - 1), exactness)
         self.q_moments = _moment_rows(self.vb, self.test_vb, self.vol)
         self.sdim_low = ps.scalar_dim(k - 1)
-        self.trace_q = _trace_rows(self.vb, k, self.edge)
-        self.sb_edge = [
-            self.sb.eval(ReferenceTriangle.edge_points(e, self.edge.points))
-            for e in range(3)
-        ]
-        # <w_j, mu_i> per edge, without the stabilization weight
-        self.trace_u = [
-            np.einsum(
-                "g,gi,gj->ij",
-                self.edge.weights * ReferenceTriangle.edge_lengths[e],
-                self.mu_vals[e],
-                self.sb_edge[e],
-            )
-            for e in range(3)
-        ]
+        C, S, _ = _edge_tables("hdg", k)
+        self.trace_q = _ROOT_LHAT * C  # <v . nhat, mu>_e, (3, k+1, nq)
+        self.trace_u = _ROOT_LHAT * S.transpose(0, 2, 1)  # <w, mu>_e without tau
+        self.sb_edge = _edge_table(self.sb, self.edge.points)
         self.test_sb_vals = self.sb.eval(self.vol.points)[:, : self.sdim_low]
 
 
@@ -382,15 +395,13 @@ def _hdg_ref(k: int, exactness=None) -> _HdgRef:
 
 def _hdg_matrices(ref: _HdgRef, geo: _AffineMaps, tau, sign):
     """Coupled HDG systems (n, N, N) of stacked elements, tau (n, 3)."""
-    k, nq, nw, low = ref.k, ref.vb.dim, ref.sb.dim, ref.sdim_low
+    nq, nw, low = ref.vb.dim, ref.sb.dim, ref.sdim_low
     M = np.zeros((len(geo), nq + nw, nq + nw))
     M[:, : 2 * low, :nq] = ref.q_moments
     M[:, 2 * low : 3 * low, nq:] = np.eye(nw)[:low]
     tau_check = sign * tau * geo.edge_jacobians
-    for e in range(3):
-        blk = slice(3 * low + e * (k + 1), 3 * low + (e + 1) * (k + 1))
-        M[:, blk, :nq] = ref.trace_q[e * (k + 1) : (e + 1) * (k + 1)]
-        M[:, blk, nq:] = tau_check[:, e, None, None] * ref.trace_u[e]
+    M[:, 3 * low :, :nq] = ref.trace_q.reshape(-1, nq)
+    M[:, 3 * low :, nq:] = (tau_check[:, :, None, None] * ref.trace_u).reshape(len(geo), -1, nw)
     return M
 
 
@@ -462,14 +473,10 @@ def hdg_project_decoupled(q, div_q, u, k: int, emap: ElementMap, tau, sign: int 
         if tau_check == 0.0:
             continue
         L = ReferenceTriangle.edge_lengths[e]
-        w = ref.edge.weights * L
-        comp_edge = ref.sb_edge[e][:, comp_cols]
-        A[ref.sdim_low :, :] += tau_check * np.einsum(
-            "g,gi,gj->ij", w, comp_edge, ref.sb_edge[e]
-        )
+        A[ref.sdim_low :, :] += tau_check * L * _edge_tables("hdg", k)[2][e, comp_cols]
         pts = emap.edge_points(e, ref.edge.points)
-        b[ref.sdim_low :] += tau_check * comp_edge.T @ (
-            w * np.asarray(u(pts), dtype=float)
+        b[ref.sdim_low :] += tau_check * ref.sb_edge[e][:, comp_cols].T @ (
+            ref.edge.weights * L * np.asarray(u(pts), dtype=float)
         )
     try:
         u_coeffs = np.linalg.solve(A, b)
@@ -489,7 +496,7 @@ def hdg_project_decoupled(q, div_q, u, k: int, emap: ElementMap, tau, sign: int 
         if e == skip:
             continue
         blk = slice(row, row + k + 1)
-        B[blk] = ref.trace_q[e * (k + 1) : (e + 1) * (k + 1)]
+        B[blk] = ref.trace_q[e]
         pts = emap.edge_points(e, ref.edge.points)
         qn_hat = emap.edge_jacobians[e] * (
             np.asarray(q(pts), dtype=float) @ emap.edge_normals[e]
@@ -497,8 +504,7 @@ def hdg_project_decoupled(q, div_q, u, k: int, emap: ElementMap, tau, sign: int 
         tau_check = sign * tau[e] * emap.edge_jacobians[e]
         u_proj_edge = ref.sb_edge[e] @ u_coeffs
         trace = qn_hat + tau_check * (np.asarray(u(pts), dtype=float) - u_proj_edge)
-        L = ReferenceTriangle.edge_lengths[e]
-        rhs[blk] = ref.mu_vals[e].T @ (ref.edge.weights * L * trace)
+        rhs[blk] = ref.mu_w[e].T @ trace
         row += k + 1
     try:
         q_coeffs = np.linalg.solve(B, rhs)

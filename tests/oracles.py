@@ -433,6 +433,33 @@ def reference_element_masses(blocks, quad_exactness=None):
     return A, D
 
 
+def reference_edge_blocks(blocks, quad_exactness=None):
+    """Trace coupling C and stabilization coupling Swl of every element,
+    summed point by point over each local edge, with the multiplier basis
+    evaluated at the parameter of its global edge."""
+    mesh, space = blocks.mesh, blocks.space
+    k, nf = space.degree, space.face_dim
+    erule = ps.quadrature_rules(k, max(quad_exactness or 0, 2 * k + 4))[1]
+    s, w = erule.points, erule.weights
+    vb = ps.vector_basis(space.flux_space, k)
+    sb = ps.scalar_basis(space.scalar_degree)
+    C, Swl = np.zeros_like(blocks.C), np.zeros_like(blocks.Swl)
+    for t in range(mesh.num_triangles):
+        em = mesh.element_map(t)
+        for loc in range(3):
+            e = mesh.tri_edges[t, loc]
+            s_edge = s if mesh.tri_edge_aligned[t, loc] else 1.0 - s
+            mu = pj.face_values(np.eye(nf), mesh.edge_lengths[e], s_edge)
+            qn = vb.normal_trace(loc, s) / em.edge_jacobians[loc]
+            We = sb.eval(ReferenceTriangle.edge_points(loc, s))
+            tau = 0.0 if blocks.tau is None else blocks.tau[t, loc]
+            for g in range(len(s)):
+                wg = w[g] * em.edge_lengths[loc]
+                C[t, loc] += wg * np.outer(mu[g], qn[g])
+                Swl[t, :, loc] += wg * tau * np.outer(We[g], mu[g])
+    return C, Swl
+
+
 def reference_stiffness(mesh, degree, kappa, vol):
     """Gradient stiffness matrices of the degree-``degree`` scalar basis
     weighted by ``kappa``, element by element."""

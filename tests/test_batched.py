@@ -121,15 +121,18 @@ def test_batched_operators_match_oracles(method, k, tau, case_name, mesh_name):
 @pytest.mark.parametrize("quad_exactness", [None, 20])
 @pytest.mark.parametrize("method,k,tau", SPACES)
 def test_element_matrices_match_quadrature_loop(method, k, tau, quad_exactness, mesh_name):
-    """The flux mass, the reaction (plus stabilization) block and the
-    postprocessing stiffness, each one GEMM against reference products,
-    against sums over the points of every element."""
+    """The flux mass, the reaction (plus stabilization) block, the edge
+    blocks and the postprocessing stiffness, each built from reference
+    tables, against sums over the points of every element."""
     mesh = MESHES[mesh_name]
     case = CASES["varkappa"].with_reaction(CASES["reaction"].c)
     blocks = assemble_case(mesh, method, k, tau, case, quad_exactness)
     A, D = oracles.reference_element_masses(blocks, quad_exactness)
     assert_close(blocks.A, A, rtol=1e-13)
     assert_close(blocks.D, D, rtol=1e-13)
+    C, Swl = oracles.reference_edge_blocks(blocks, quad_exactness)
+    assert_close(blocks.C, C, rtol=1e-13)
+    assert_close(blocks.Swl, Swl, rtol=1e-13)
     vol = ps.triangle_rule(quad_exactness or 2 * (k + 1) + 4)
     kappa = case.kappa(mesh.geometry.forward(vol.points).reshape(-1, 2)).reshape(mesh.num_triangles, -1)
     want = oracles.reference_stiffness(mesh, k + 1, case.kappa, vol)
@@ -153,6 +156,10 @@ def test_perturbed_meshes_batched_and_saddle_agree(seed, amplitude, space, case_
     saddle = solve_saddle(assemble(mesh, SpaceDescriptor(method, k), case.data(), tau=tau))
     for name in ("q_coeffs", "u_coeffs", "lam"):
         assert_close(getattr(saddle, name), getattr(triple, name), rtol=1e-9)
+    # One owner of every interior edge runs along it and the other against
+    # it; the element balance and the flux continuity hold to round-off.
+    assert np.abs(conservation_residuals(triple, case.data(), include_reaction=True)).max() <= 1e-12
+    assert flux_jump_norms(triple).max() <= 1e-12
 
 
 def test_study_and_diagnostics_use_no_element_maps(monkeypatch):

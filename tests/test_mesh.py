@@ -287,6 +287,13 @@ def test_degenerate_triangle_rejected_on_construction():
         Mesh(verts, [[0, 1, 3], [0, 1, 2]])
     with pytest.raises(DegenerateElement):
         loads_mesh("4 2\n0 0\n1 0\n2 0\n0 1\n0 1 3\n0 1 2\n")
+    # a non-finite vertex, rejected before the orientation test multiplies it
+    for value in (np.nan, np.inf, -np.inf):
+        bad = [[0.0, 0.0], [1.0, 0.0], [1.0, value], [0.0, 1.0]]
+        with pytest.raises(DegenerateElement):
+            Mesh(bad, [[0, 1, 2], [0, 2, 3]])
+        with pytest.raises(DegenerateElement):
+            build_reference_map(bad[:3])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -295,10 +295,9 @@ def test_hdg_u_part_rate():
 
 def test_hdg_invalid_stabilization():
     q, divq, u = smooth_pair()
-    with pytest.raises(InvalidStabilization):
-        pj.hdg_project(q, u, 1, EM, np.array([-1.0, 1.0, 0.0]))
-    with pytest.raises(InvalidStabilization):
-        pj.hdg_project(q, u, 1, EM, np.zeros(3))
+    for tau in ([-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [np.nan, 1, 1], [np.inf, 1, 1], [1, -np.inf, 1]):
+        with pytest.raises(InvalidStabilization):
+            pj.hdg_project(q, u, 1, EM, np.array(tau))
 
 
 def test_factor_rejects_singular_element():
