@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -421,7 +421,8 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     """Run the refinement study described by the config.
 
     Levels are solved through the hybridized path.  The report carries one
-    row per level, slope sequences for every norm, and pass/fail verdicts
+    row per level (with the condensed solve's ``solver`` facts in the JSON
+    only), slope sequences for every norm, and pass/fail verdicts
     for the method's asserted orders (evaluated on the finest level pair).
     With a user-supplied mesh the verdicts are reported but not asserted
     (no convexity guarantee for the duality rates).
@@ -457,6 +458,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
                     "condensed": len(blocks.layout.interior_dofs),
                 },
                 "norms": norms,
+                "solver": asdict(triple.solve_info),
                 "time_ms": elapsed,
             }
         )

@@ -47,6 +47,7 @@ __all__ = [
     "DofLayout",
     "LocalBlocks",
     "FieldTriple",
+    "SolveInfo",
     "assemble",
     "solve_saddle",
     "solve_hybridized",
@@ -325,6 +326,7 @@ class FieldTriple:
     u_coeffs: np.ndarray   # (nt, nw)
     lam: np.ndarray        # (ne, nf)
     tau: np.ndarray | None = None
+    solve_info: SolveInfo | None = None  # set by solve_hybridized
 
     def u_field(self, t) -> pj.LocalScalarField:
         return pj.LocalScalarField(
@@ -441,8 +443,9 @@ def _eliminate(blocks: LocalBlocks, F):
 
 def _factor_spd(K, what):
     """SuperLU factorization of a sparse SPD matrix in symmetric mode with
-    the minimum-degree ordering of K^T + K, which for HDG k=3 on 8,192
-    triangles makes less than half the fill of the default COLAMD."""
+    the minimum-degree ordering of K^T + K, which on the P1 coarse matrix
+    of 8,192 triangles (3,969 interior vertices) makes 211k fill against
+    256k for the default COLAMD."""
     try:
         return spla.splu(K, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
     except RuntimeError as exc:
@@ -479,15 +482,136 @@ def condensed_system(blocks: LocalBlocks):
     return ((K + K.T) * 0.5).tocsc(), rhs, lam_full, interior, R[:, :, :-1], R[:, :, -1]
 
 
+_OMEGA = 0.6        # < 2/3 keeps M SPD: three edges per element give lambda_max(D^-1 K) <= 3
+_PCG_RTOL = 1e-15   # stop once ||rhs - K lam|| <= _PCG_RTOL ||rhs||
+_PCG_MAXITER = 200  # shape-regular meshes take 19-42 iterations, 10:1 stretched ones ~150
+
+
+def _edge_blocks(K, nf):
+    """The nf x nf diagonal blocks of the CSC matrix K, one per interior
+    edge, (m, nf, nf)."""
+    cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
+    rows = K.indices
+    same = rows // nf == cols // nf
+    D = np.zeros((K.shape[0] // nf, nf, nf))
+    D[cols[same] // nf, rows[same] % nf, cols[same] % nf] = K.data[same]
+    return D
+
+
+def _coarse_space(mesh: Mesh, interior_edges, nf):
+    """Prolongation (n, nc) from the P1 hats of the interior vertices to the
+    interior multiplier dofs.  On an edge of length L the hat of the start
+    vertex has the coefficients (1/2, -sqrt(3)/6) sqrt(L) on face dofs 0
+    and 1, the end vertex (1/2, sqrt(3)/6) sqrt(L), and none above."""
+    inner = np.ones(mesh.num_vertices, dtype=bool)
+    inner[mesh.edges[mesh.boundary]] = False
+    vid = np.cumsum(inner) - 1
+    ends = mesh.edges[interior_edges]                  # (m, 2)
+    root = np.sqrt(mesh.edge_lengths[interior_edges])  # (m,)
+    coef = np.array([[0.5, -np.sqrt(3.0) / 6.0], [0.5, np.sqrt(3.0) / 6.0]])[:, : min(nf, 2)]
+    vals = root[:, None, None] * coef                  # (m, 2 ends, dofs)
+    rows, cols, keep = np.broadcast_arrays(
+        nf * np.arange(len(ends))[:, None, None] + np.arange(coef.shape[1]),
+        vid[ends][..., None],
+        inner[ends][..., None],
+    )
+    return sp.csr_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(len(ends) * nf, int(inner.sum()))
+    )
+
+
+def _two_level(K, mesh: Mesh, interior_edges, nf):
+    """Symmetric two-level preconditioner of K: a damped edge-block Jacobi
+    sweep, the Galerkin correction in the P1 hats of the interior vertices
+    (P^T K P factored by :func:`_factor_spd`), and a second sweep."""
+    try:
+        Dinv = _OMEGA * np.linalg.inv(_edge_blocks(K, nf))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("condensed system has a singular edge block") from exc
+    m = len(Dinv)
+    Dinv = sp.bsr_matrix((Dinv, np.arange(m), np.arange(m + 1)), shape=K.shape).tocsr()
+    P = _coarse_space(mesh, interior_edges, nf)
+    PT, KP = P.T.tocsr(), (K @ P).tocsr()
+    coarse = _factor_spd((PT @ KP).tocsc(), "coarse system") if P.shape[1] else None
+
+    def apply(r):
+        x = Dinv @ r
+        r = r - K @ x
+        if coarse is not None:
+            y = coarse.solve(PT @ r)
+            x += P @ y
+            r -= KP @ y
+        return x + Dinv @ r
+
+    return spla.LinearOperator(K.shape, matvec=apply, dtype=float)
+
+
+def _dot(x, y):
+    # numpy's pairwise sum, not the BLAS dot: a multithreaded BLAS wakes its
+    # worker threads on every call, milliseconds each after an idle pause,
+    # and its bits depend on the thread count
+    return float(np.sum(x * y))
+
+
+def _pcg(K, rhs, M):
+    """Conjugate gradients for K x = rhs from zero with the preconditioner
+    M until ||rhs - K x|| <= _PCG_RTOL ||rhs||.  Returns x (None if
+    _PCG_MAXITER iterations do not get there) and the iteration count."""
+    x, r = np.zeros_like(rhs), rhs.copy()
+    p, rz = np.zeros_like(rhs), 1.0
+    stop = _PCG_RTOL**2 * _dot(rhs, rhs)
+    it = 0
+    while _dot(r, r) > stop:
+        if it == _PCG_MAXITER:
+            return None, it
+        it += 1
+        z = M @ r
+        rz, rz_old = _dot(r, z), rz
+        p = z + (rz / rz_old) * p
+        Kp = K @ p
+        alpha = rz / _dot(p, Kp)
+        x += alpha * p
+        r -= alpha * Kp
+    return x, it
+
+
+@dataclass(frozen=True)
+class SolveInfo:
+    """Facts of one condensed solve: the size n and nonzeros of K, the PCG
+    iteration count, the final relative residual ||K lam - rhs|| / ||rhs||,
+    and whether PCG passed its cap and K was factored instead."""
+
+    n: int
+    nnz: int
+    iterations: int
+    residual: float
+    lu_fallback: bool = False
+
+
 def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
-    """Solve by static condensation onto the interior multiplier dofs, K
-    factored by SuperLU in symmetric mode with the minimum-degree ordering of
-    K^T + K, and element-by-element reconstruction of flux and potential."""
+    """Solve by static condensation onto the interior multiplier dofs and
+    element-by-element reconstruction of flux and potential.
+
+    K is solved by conjugate gradients with the symmetric two-level
+    preconditioner of :func:`_two_level`, from zero, until the residual is
+    below 1e-15 of the right-hand side.  A solve that does not get there
+    within ``_PCG_MAXITER`` iterations (elements stretched far from
+    shape-regular) factors K by :func:`_factor_spd` instead.  The triple's
+    ``solve_info`` records the solve."""
     K, rhs, lam_full, interior, X, Y = condensed_system(blocks)
-    if len(interior):
-        lam_full[interior] = _factor_spd(K, "condensed system").solve(rhs)
-    nt = blocks.layout.num_triangles
     nf = blocks.space.face_dim
+    if not (np.isfinite(K.data).all() and np.isfinite(rhs).all()):
+        raise SingularSystem("condensed system is not finite")
+    iterations, residual, lu_fallback = 0, 0.0, False
+    if len(interior):
+        M = _two_level(K, blocks.mesh, blocks.layout.interior_edges, nf)
+        lam, iterations = _pcg(K, rhs, M)
+        if lam is None:
+            lam, lu_fallback = _factor_spd(K, "condensed system").solve(rhs), True
+        res, scale = K @ lam - rhs, _dot(rhs, rhs)
+        residual = float(np.sqrt(_dot(res, res) / scale)) if scale else 0.0
+        lam_full[interior] = lam
+    nt = blocks.layout.num_triangles
     lam_loc = lam_full[blocks.lamidx.reshape(nt, 3 * nf)]
     qu = np.einsum("eij,ej->ei", X, lam_loc) + Y
     if not (np.isfinite(qu).all() and np.isfinite(lam_full).all()):
@@ -501,6 +625,7 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
         u_coeffs=qu[:, nq:],
         lam=lam,
         tau=blocks.tau,
+        solve_info=SolveInfo(len(interior), K.nnz, iterations, residual, lu_fallback),
     )
 
 
@@ -578,8 +703,8 @@ def dirichlet_form(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=No
 
     The flux is eliminated element by element, and the summed (potential,
     multiplier) element complements are reduced onto the potential through
-    the interior multiplier block, factored as SPD like the condensed
-    system: column j applies the divergence (plus stabilization, for HDG)
+    the interior multiplier block, factored as SPD by :func:`_factor_spd`:
+    column j applies the divergence (plus stabilization, for HDG)
     coupling to the flux and multiplier lifted from the j-th potential basis
     function with zero Dirichlet data.  Reaction terms are not part of the
     form.  Limited to 2000 potential dofs.

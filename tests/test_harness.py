@@ -158,6 +158,21 @@ def test_report_files_and_schema(small_report):
     assert len(csv) == 4
 
 
+def test_report_solver_blocks(small_report):
+    # every JSON level row carries the condensed solve's facts; the CSV none
+    cfg, report, out = small_report
+    data = json.loads((out / "rt_k0_smooth.json").read_text())
+    for row in data["levels"]:
+        solver = row["solver"]
+        assert set(solver) == {"n", "nnz", "iterations", "residual", "lu_fallback"}
+        assert solver["lu_fallback"] is False
+        assert solver["n"] == row["dofs"]["condensed"]
+        assert solver["nnz"] > solver["n"]
+        assert 0 < solver["iterations"] <= 35
+        assert 0.0 <= solver["residual"] < 1e-13
+    assert "iterations" not in (out / "rt_k0_smooth.csv").read_text()
+
+
 def test_report_determinism_across_processes(tmp_path):
     # the stronger form: two separate interpreter runs write identical bytes
     import subprocess
