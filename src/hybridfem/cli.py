@@ -60,6 +60,10 @@ def main(argv=None) -> int:
         print(f"error: --tau must be a number or 'single-face', got {args.tau!r}",
               file=sys.stderr)
         return 2
+    if args.format and args.out is None:
+        print("error: --format needs --out, the directory to write the report to",
+              file=sys.stderr)
+        return 2
     config = StudyConfig(
         method=args.method,
         degree=args.degree,

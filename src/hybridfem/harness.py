@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -417,12 +418,23 @@ def _study_tau(config: StudyConfig, mesh: Mesh):
     return StabilizationFunction.constant(mesh, float(config.tau))
 
 
+@contextmanager
+def _timed(timings: dict, phase: str):
+    """Store the wall time of the block, in seconds, as ``timings[phase]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[phase] = time.perf_counter() - start
+
+
 def run_study(config: StudyConfig) -> ConvergenceReport:
     """Run the refinement study described by the config.
 
     Levels are solved through the hybridized path.  The report carries one
-    row per level (with the condensed solve's ``solver`` facts in the JSON
-    only), slope sequences for every norm, and pass/fail verdicts
+    row per level (with the condensed solve's ``solver`` facts and the
+    ``timings`` of its phases in the JSON only), slope sequences for every
+    norm, and pass/fail verdicts
     for the method's asserted orders (evaluated on the finest level pair).
     With a user-supplied mesh the verdicts are reported but not asserted
     (no convexity guarantee for the duality rates).
@@ -436,17 +448,18 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     mesh = load_mesh(config.mesh_file) if config.mesh_file else unit_square(config.base_n)
     rows = []
     for level in range(config.levels):
-        t0 = time.perf_counter()
-        tau = _study_tau(config, mesh)
-        blocks = assemble(mesh, space, data, tau=tau)
-        triple = solve_hybridized(blocks)
-        elapsed = 1000.0 * (time.perf_counter() - t0)
-        posts = []
-        for scheme in schemes:
-            posts.append(
+        timings = {}
+        with _timed(timings, "assemble"):
+            blocks = assemble(mesh, space, data, tau=_study_tau(config, mesh))
+        with _timed(timings, "solve"):
+            triple = solve_hybridized(blocks)
+        with _timed(timings, "postprocess"):
+            posts = [
                 stenberg(triple, data) if scheme == "stenberg" else gradient_postprocess(triple, data)
-            )
-        norms = compute_error_norms(triple, case, postprocessed=posts)
+                for scheme in schemes
+            ]
+        with _timed(timings, "norms"):
+            norms = compute_error_norms(triple, case, postprocessed=posts)
         rows.append(
             {
                 "level": level,
@@ -459,7 +472,8 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
                 },
                 "norms": norms,
                 "solver": asdict(triple.solve_info),
-                "time_ms": elapsed,
+                "timings": timings,
+                "time_ms": 1000.0 * (timings["assemble"] + timings["solve"]),
             }
         )
         if level < config.levels - 1:

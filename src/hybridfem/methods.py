@@ -659,13 +659,51 @@ def _saddle_matrix(blocks: LocalBlocks):
     return rows[:, keep].tocsc(), rhs, interior
 
 
+def _saddle_order(blocks: LocalBlocks):
+    """Elimination order of the saddle system: element by element its flux
+    dofs, then its potential dofs; then the interior multipliers, the nf
+    dofs of an edge together, edges in the minimum-degree order of the
+    graph in which two interior edges are adjacent when they share an
+    element."""
+    layout, nf = blocks.layout, blocks.space.face_dim
+    nt, nQ, nW = layout.num_triangles, layout.n_flux, layout.n_scalar
+    elements = np.hstack([np.arange(nQ).reshape(nt, -1), nQ + np.arange(nW).reshape(nt, -1)])
+    m = len(layout.interior_edges)
+    edges = np.arange(m)
+    if m:
+        incidence = (np.ones(3 * nt), (np.repeat(np.arange(nt), 3), blocks.mesh.tri_edges.ravel()))
+        E = sp.csr_matrix(incidence, shape=(nt, layout.num_edges))[:, layout.interior_edges]
+        # E^T E + I is SPD with the pattern of the edge graph; the factor's
+        # perm_c gives each edge its position, so the order is its argsort
+        edges = np.argsort(_factor_spd((E.T @ E + sp.identity(m)).tocsc(), "edge graph").perm_c)
+    return np.concatenate([elements.ravel(), nQ + nW + (edges[:, None] * nf + np.arange(nf)).ravel()])
+
+
 def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
-    """Direct solve of the full three-field system (cross-check path)."""
+    """Direct solve of the full three-field system (cross-check path).
+
+    One SuperLU factorization of the system in the order of
+    :func:`_saddle_order` with diagonal pivots only: each element's flux,
+    then its potential, then the interior multipliers.  Every pivot block
+    in that order is definite.  The flux mass A is SPD; what the flux
+    leaves on the potential, D + B A^{-1} B^T, is SPD for every supported
+    space (BDM has D = 0, HDG with single-face tau a semidefinite D); and
+    the multiplier block that remains is -K, with K the SPD condensed
+    matrix.  So the factorization is as stable as static condensation.
+    A zero pivot, which SuperLU would trade for an off-diagonal one,
+    raises :class:`SingularSystem`, as condensation rejects a singular
+    element."""
     A, rhs, interior = _saddle_matrix(blocks)
+    p = _saddle_order(blocks)
     try:
-        sol = spla.spsolve(A, rhs)
+        lu = spla.splu(A[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystem("saddle system is singular") from exc
+    if not np.array_equal(lu.perm_r, np.arange(len(p))):
+        raise SingularSystem("saddle system has a zero pivot")
+    sol = np.empty_like(rhs)
+    sol[p] = lu.solve(rhs[p])
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("saddle system produced non-finite values")
     layout = blocks.layout

@@ -163,6 +163,12 @@ def reference_saddle_matrix(blocks):
     return trip.matrix(N), rhs
 
 
+def reference_saddle_solve(A, rhs):
+    """Solution of the saddle system by SuperLU with its default COLAMD
+    column order and partial pivoting (the library's former solve)."""
+    return spla.spsolve(A, rhs)
+
+
 def reference_dirichlet_pieces(blocks):
     """Dirichlet-form matrix and Dirichlet load: one (flux, interior
     multiplier) solve per potential basis function, then the divergence and

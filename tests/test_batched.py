@@ -143,13 +143,23 @@ def test_element_matrices_match_quadrature_loop(method, k, tau, quad_exactness, 
 @given(
     seed=st.integers(0, 2**16),
     amplitude=st.floats(0.0, 0.25),
-    space=st.sampled_from([s for s in SPACES if s[1] <= 2]),
+    space=st.sampled_from([s for s in SPACES if s[1] <= 2] + [("hdg", k, "drawn") for k in range(3)]),
     case_name=st.sampled_from(["smooth", "varkappa", "reaction"]),
+    # "drawn" HDG stabilization: tau in [0.1, 10] on every face of the 8
+    # triangles, except one face with tau = 0 in the elements drawn for it
+    tau_faces=st.lists(st.floats(0.1, 10.0), min_size=24, max_size=24),
+    zero_face=st.lists(st.sampled_from([None, 0, 1, 2]), min_size=8, max_size=8),
 )
-def test_perturbed_meshes_batched_and_saddle_agree(seed, amplitude, space, case_name):
+def test_perturbed_meshes_batched_and_saddle_agree(seed, amplitude, space, case_name, tau_faces, zero_face):
     mesh = perturbed(uniform_refine(unit_square(1)), seed, amplitude)
     case = CASES[case_name]
     method, k, tau = space
+    if tau == "drawn":
+        values = np.reshape(tau_faces, (8, 3))
+        for t, face in enumerate(zero_face):
+            if face is not None:
+                values[t, face] = 0.0
+        tau = StabilizationFunction(values)
     triple = solve(mesh, method, k, tau, case)
     check_against_oracles(triple, case)
     tau = None if tau is None else triple.tau

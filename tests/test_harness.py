@@ -173,6 +173,19 @@ def test_report_solver_blocks(small_report):
     assert "iterations" not in (out / "rt_k0_smooth.csv").read_text()
 
 
+def test_report_timings_blocks(small_report):
+    # every JSON level row times its four phases, in seconds; time_ms keeps
+    # covering assembly and solve, and the CSV carries no timing
+    cfg, report, out = small_report
+    data = json.loads((out / "rt_k0_smooth.json").read_text())
+    for row in data["levels"]:
+        timings = row["timings"]
+        assert set(timings) == {"assemble", "solve", "postprocess", "norms"}
+        assert all(value >= 0.0 for value in timings.values())
+        assert row["time_ms"] == pytest.approx(1000.0 * (timings["assemble"] + timings["solve"]))
+    assert "assemble" not in (out / "rt_k0_smooth.csv").read_text()
+
+
 def test_report_determinism_across_processes(tmp_path):
     # the stronger form: two separate interpreter runs write identical bytes
     import subprocess
@@ -297,8 +310,9 @@ def test_cli_tau_single_face():
 
 @pytest.mark.parametrize(
     "args",
-    [["--tau", "abc"], ["--mesh", "missing.msh"], ["--method", "hdg", "--tau", "nan"]],
-    ids=["tau-not-a-number", "missing-mesh", "tau-nan"],
+    [["--tau", "abc"], ["--mesh", "missing.msh"], ["--method", "hdg", "--tau", "nan"],
+     ["--format", "csv"]],
+    ids=["tau-not-a-number", "missing-mesh", "tau-nan", "format-without-out"],
 )
 def test_cli_bad_arguments_fail_fast(args, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
