@@ -34,7 +34,8 @@ for k in (1, 2):
     Pd = pj.project_scalar(divq, k - 1, em)
     print(f"BDM commutativity defect, k={k}:", np.abs(P.div(pts) - Pd(pts)).max())
 
-# The coupled HDG projection and its decoupled form give the same answer.
+# The HDG projection, with the complement part of u fixed by the flux
+# terms integrated by parts or by div q, gives the same answer either way.
 tau = np.array([1.0, 2.0, 0.5])
 Pq, Pu = pj.hdg_project(q, u, 1, em, tau, quad_exactness=16)
 Dq, Du = pj.hdg_project_decoupled(q, divq, u, 1, em, tau, quad_exactness=16)

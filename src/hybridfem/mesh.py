@@ -365,9 +365,10 @@ def loads_mesh(text: str) -> Mesh:
 
     Format: first non-empty line ``nv nt``; then nv lines ``x y``; then nt
     lines ``i j k`` with 0-based vertex indices.  Edges and boundary flags are
-    always derived, never read.  Malformed lines, coordinates that are not
-    finite or exceed 1e150 in magnitude, and out-of-range or repeated
-    vertex indices raise ParseError with the line number.
+    always derived, never read.  Malformed, missing or surplus lines,
+    coordinates that are not finite or exceed 1e150 in magnitude, and
+    out-of-range or repeated vertex indices raise ParseError with the line
+    number.
     """
     lines = text.splitlines()
     # Pair each payload line with its 1-based line number, skipping blanks.
@@ -387,10 +388,12 @@ def loads_mesh(text: str) -> Mesh:
         raise ParseError("need at least three vertices", line=num)
     if nt < 1:
         raise ParseError("empty triangle list", line=num)
-    if len(payload) - 1 < nv + nt:
+    found = len(payload) - 1
+    if found != nv + nt:
+        # the last line when lines are missing, the first surplus line else
         raise ParseError(
-            f"expected {nv + nt} data lines, found {len(payload) - 1}",
-            line=payload[-1][0],
+            f"expected {nv + nt} data lines, found {found}",
+            line=payload[min(found, nv + nt + 1)][0],
         )
     verts = np.empty((nv, 2))
     for row, (num, tok) in enumerate(payload[1 : 1 + nv]):

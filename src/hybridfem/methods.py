@@ -499,11 +499,14 @@ def _edge_blocks(K, nf):
 
 
 def _coarse_space(mesh: Mesh, interior_edges, nf):
-    """Prolongation (n, nc) from the P1 hats of the interior vertices to the
-    interior multiplier dofs.  On an edge of length L the hat of the start
-    vertex has the coefficients (1/2, -sqrt(3)/6) sqrt(L) on face dofs 0
-    and 1, the end vertex (1/2, sqrt(3)/6) sqrt(L), and none above."""
-    inner = np.ones(mesh.num_vertices, dtype=bool)
+    """Prolongation (n, nc) from the P1 hats of the interior vertices (the
+    ends of interior edges off the boundary; a vertex no triangle uses is
+    none) to the interior multiplier dofs.  On an edge of length L the hat
+    of the start vertex has the coefficients (1/2, -sqrt(3)/6) sqrt(L) on
+    face dofs 0 and 1, the end vertex (1/2, sqrt(3)/6) sqrt(L), and none
+    above."""
+    inner = np.zeros(mesh.num_vertices, dtype=bool)
+    inner[mesh.edges[interior_edges]] = True
     inner[mesh.edges[mesh.boundary]] = False
     vid = np.cumsum(inner) - 1
     ends = mesh.edges[interior_edges]                  # (m, 2)

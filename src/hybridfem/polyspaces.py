@@ -433,44 +433,22 @@ def boundary_decomposition_check(k: int):
     """Numerical check of the orthogonal boundary-space decomposition.
 
     Expands the traces of the scalar complement space and the normal traces
-    of the vector complement space in the edgewise orthonormal basis and
-    returns (smallest singular value of the combined square matrix,
-    largest cross-Gram entry between the two blocks).
+    of the vector complement space (the componentwise scalar complement) in
+    the edgewise orthonormal basis and returns (smallest singular value of
+    the combined square matrix, largest cross-Gram entry between the two
+    blocks).
     """
-    fb = FaceBasis(k)
     rule = edge_rule(k + 2)
-    comp = orthocomplement_basis(k)
-    vcomp_scal = comp  # vector complement = componentwise scalar complement
-
-    def edge_expand(fn_on_edge):
-        blocks = []
-        for e in range(3):
-            t = rule.points
-            L = ReferenceTriangle.edge_lengths[e]
-            vals = fn_on_edge(e, t)  # (npts,)
-            mu = fb.eval_edge(e, t)  # (npts, k+1)
-            blocks.append(mu.T @ (rule.weights * L * vals))
-        return np.concatenate(blocks)
-
-    cols = []
-    for j in range(comp.dim):
-        cols.append(
-            edge_expand(
-                lambda e, t, j=j: comp.eval(ReferenceTriangle.edge_points(e, t))[:, j]
-            )
-        )
-    scalar_block = np.column_stack(cols)
-
-    cols = []
-    for j in range(vcomp_scal.dim):
-        for c in range(2):
-            def qdotn(e, t, j=j, c=c):
-                vals = vcomp_scal.eval(ReferenceTriangle.edge_points(e, t))[:, j]
-                return vals * ReferenceTriangle.edge_normals[e][c]
-
-            cols.append(edge_expand(qdotn))
-    vector_block = np.column_stack(cols)
-
+    ref = ReferenceTriangle
+    start, end = ref.vertices[ref.edge_vertices].transpose(1, 0, 2)
+    pts = start[:, None] + rule.points[:, None] * (end - start)[:, None]  # (3, ng, 2)
+    vals = orthocomplement_basis(k).eval(pts.reshape(-1, 2)).reshape(3, len(rule.points), -1)
+    # moments against FaceBasis(k) in reference arc length, (3, k+1, ng)
+    moments = np.sqrt(ref.edge_lengths)[:, None, None] * (rule.weights[:, None] * legendre01(k, rule.points)).T
+    scalar = moments @ vals  # (3, k+1, ncomp)
+    vector = scalar[..., None] * ref.edge_normals[:, None, None]  # (3, k+1, ncomp, 2)
+    scalar_block = scalar.reshape(face_space_dim(k), -1)
+    vector_block = vector.reshape(face_space_dim(k), -1)
     M = np.hstack([scalar_block, vector_block])
     sigma_min = float(np.linalg.svd(M, compute_uv=False).min())
     cross = float(np.abs(scalar_block.T @ vector_block).max())
@@ -479,20 +457,9 @@ def boundary_decomposition_check(k: int):
 
 def divergence_surjectivity_check(k: int) -> float:
     """Largest least-squares defect of div: RT_k -> P_k, measured in L2."""
-    rt = vector_basis("RT", k)
-    scal = scalar_basis(k)
     exps = monomial_exponents(k)
-    G = np.array(
-        [
-            [float(_reference_moment(ea[0] + eb[0], ea[1] + eb[1])) for eb in exps]
-            for ea in exps
-        ]
-    )
-    D = rt.div_coeffs()[: len(exps), :]  # div RT_k lives in P_k
-    worst = 0.0
-    for j in range(scal.dim):
-        target = scal.coeffs[:, j]
-        alpha, *_ = np.linalg.lstsq(D, target, rcond=None)
-        r = D @ alpha - target
-        worst = max(worst, float(np.sqrt(abs(r @ G @ r))))
-    return worst
+    G = np.array([[float(_reference_moment(a + c, b + d)) for c, d in exps] for a, b in exps])
+    D = vector_basis("RT", k).div_coeffs()[: len(exps), :]  # div RT_k lives in P_k
+    target = scalar_basis(k).coeffs
+    R = D @ np.linalg.lstsq(D, target, rcond=None)[0] - target
+    return float(np.sqrt(np.abs(np.einsum("ij,ik,kj->j", R, G, R))).max())

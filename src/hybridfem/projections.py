@@ -11,9 +11,11 @@ conventions of :class:`LocalVectorField` / :class:`LocalScalarField`:
 * scalar fields: u(x) = uhat(G(x)) (plain composition).
 
 The element L2 projection and the face L2 projection diagonalize in the
-orthonormal bases; RT/BDM systems are built and checked once per degree; the
-HDG system depends on the element through the weighted stabilization and is
-assembled, checked and solved for all elements of a batch at once.
+orthonormal bases; RT/BDM systems are built and checked once per degree.
+The coupled HDG system depends on the element through the weighted
+stabilization, but it decouples: the complement part of the potential
+solves a (k+1) x (k+1) system per element, and the flux one of three
+reference systems checked once per degree (:func:`_hdg_coeffs`).
 
 Every projection is computed by one kernel over a stack of elements (the
 affine maps of a mesh, data evaluated at all their quadrature points at
@@ -127,6 +129,12 @@ def _flat_moments(weights, vals):
     flattened to (..., ng * 2), to their weighted moments against the
     vector test values ``vals`` (ng, n, 2)."""
     return (weights[:, None, None] * vals).transpose(0, 2, 1).reshape(2 * len(vals), -1)
+
+
+def _times(x, M):
+    """Rows x (n, m) times M.T, one stacked product per element: unlike one
+    GEMM over the batch, its bits do not depend on the batch size."""
+    return (x[:, None, :] @ M.T)[:, 0]
 
 
 def _ref_vector_values(space: str, k: int, coeffs, xhat):
@@ -281,7 +289,7 @@ class _RefRules:
     def flux_moments(self, geo: _AffineMaps, q):
         """Interior moments of the pulled-back flux |J| B^-1 q, (n, ntest)."""
         qhat = _at(q, geo.forward(self.vol.points)) @ geo.invB.transpose(0, 2, 1)
-        return geo.detJ[:, None] * (qhat.reshape(len(geo), -1) @ self.test_w)
+        return geo.detJ[:, None] * _times(qhat.reshape(len(geo), -1), self.test_w.T)
 
     def edge_moments(self, vals):
         """Edge moments (n, 3 (k+1)) of reference-edge values (n, 3, ns)."""
@@ -371,19 +379,44 @@ def check_stabilization(tau) -> np.ndarray:
 
 
 class _HdgRef(_RefRules):
-    """Degree-dependent reference data for the HDG projection."""
+    """Degree-dependent reference data for the HDG projection: the rows of
+    the coupled system (:func:`_hdg_matrices`) and, with w_c the k+1
+    complement functions (the trailing scalar basis functions, orthogonal
+    to P_{k-1}), what its decoupled form needs:
+
+    * ``edge_mass`` (3, k+1, nw): Lhat_e T_e[c, :], the edge mass between
+      the w_c and the scalar basis;
+    * ``null_rows`` (k+1, 2 dim P_{k-1} + 3 (k+1)): for each w_c the
+      combination -(., grad w_c) + sum_e <., w_c>_e of the flux-moment and
+      edge rows; it cancels the flux columns, as (div qhat, w_c) = 0;
+    * ``flux_inverses`` (3, nq, nq): the inverses of the flux systems
+      [q_moments; trace_q on the edges other than s], checked by _factor.
+    """
 
     def __init__(self, k, exactness=None):
         self.vb = ps.vector_basis("P", k)
         self.sb = ps.scalar_basis(k)
         super().__init__(k, ps.vector_basis("P", k - 1), exactness)
         self.q_moments = _moment_rows(self.vb, self.test_vb, self.vol)
-        self.sdim_low = ps.scalar_dim(k - 1)
-        C, S, _ = _edge_tables("hdg", k)
+        low = self.sdim_low = ps.scalar_dim(k - 1)
+        C, S, T = _edge_tables("hdg", k)
         self.trace_q = _ROOT_LHAT * C  # <v . nhat, mu>_e, (3, k+1, nq)
         self.trace_u = _ROOT_LHAT * S.transpose(0, 2, 1)  # <w, mu>_e without tau
-        self.sb_edge = _edge_table(self.sb, self.edge.points)
-        self.test_sb_vals = self.sb.eval(self.vol.points)[:, : self.sdim_low]
+        self.edge_mass = ReferenceTriangle.edge_lengths[:, None, None] * T[:, low:]
+        sb_vals = self.sb.eval(self.vol.points)
+        self.test_sb_vals, self.comp_vals = sb_vals[:, :low], sb_vals[:, low:]
+        # grad w_c lies in P_{k-1}^2: its coefficients in the test basis,
+        # and the face-basis coefficients of w_c on every edge.  Rounded,
+        # these rows leave 4e-14 of the flux columns at k=3, which the
+        # complement solve divides by tau_check; projected onto the left
+        # null space of the flux columns, they leave 2e-15.
+        rule = ps.triangle_rule(2 * k)
+        grad = np.einsum("g,gic,gjc->ji", rule.weights, self.test_vb.eval(rule.points), self.sb.grad(rule.points))
+        Y = np.hstack([-grad[low:], self.trace_u[:, :, low:].transpose(2, 0, 1).reshape(k + 1, -1)])
+        flux_cols = np.vstack([self.q_moments, self.trace_q.reshape(-1, self.vb.dim)])
+        self.null_rows = Y - (Y @ flux_cols) @ np.linalg.pinv(flux_cols)
+        flux = [np.vstack([self.q_moments, *np.delete(self.trace_q, s, axis=0)]) for s in range(3)]
+        self.flux_inverses = np.linalg.inv(_factor("hdg", k, np.stack(flux)).matrix)
 
 
 @lru_cache(maxsize=None)
@@ -406,7 +439,9 @@ def _hdg_matrices(ref: _HdgRef, geo: _AffineMaps, tau, sign):
 
 
 def hdg_projection_problem(k: int, tau, emap: ElementMap, sign: int = 1, quad_exactness=None) -> ProjectionProblem:
-    """Assemble and check the coupled HDG system for one element.
+    """Assemble and check the coupled HDG system for one element, the
+    defining system whose ``condition()`` measures unisolvence; the
+    projections themselves solve its decoupled form (:func:`_hdg_coeffs`).
 
     The stabilization enters through its dual-trace transform
     tau_check = |a| tau, so the reference projection reproduces the
@@ -417,103 +452,66 @@ def hdg_projection_problem(k: int, tau, emap: ElementMap, sign: int = 1, quad_ex
     return _factor("hdg", k, M, tau=tuple(tau))
 
 
-def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=None):
+def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=None, div_q=None):
     """HDG projection coefficients, vector (n, nq) and scalar (n, nw), of
     every element: interior moments of both components against degree k-1
-    plus edgewise moments of q . n + sign * tau * u."""
-    ref = _hdg_ref(k, exactness)
-    problem = _factor("hdg", k, _hdg_matrices(ref, geo, tau, sign))
-    xe = geo.edge_forward(ref.edge.points)
-    trace = _dual_normal(geo, q, xe) + (sign * tau * geo.edge_jacobians)[..., None] * _at(u, xe)
-    u_moments = (ref.vol.weights * _at(u, geo.forward(ref.vol.points))) @ ref.test_sb_vals
-    rhs = np.hstack([ref.flux_moments(geo, q), u_moments, ref.edge_moments(trace)])
-    sol = problem.solve(rhs[..., None])[..., 0]
-    return sol[:, : ref.vb.dim], sol[:, ref.vb.dim :]
+    plus edgewise moments of q . n + sign * tau * u, solved in decoupled
+    form.
 
-
-def hdg_project(q, u, k: int, emap: ElementMap, tau, sign: int = 1, quad_exactness=None):
-    """Coupled HDG projection of the pair (q, u).
-
-    Interior moments of both components against degree k-1, plus edgewise
-    moments of q . n + sign * tau * u.  Returns the vector and scalar parts.
+    1. The P_{k-1} part of u is its P_{k-1} moments.
+    2. The complement part solves, per element, the (k+1) x (k+1) system
+       sum_e tau_check_e <u, w_c>_e = b_c.  Without ``div_q``, b_c is
+       -(q, grad w_c) + sum_e <q . n + tau_check u, w_c>_e, the null rows
+       of :class:`_HdgRef` applied to the coupled right-hand side; with it,
+       b_c is (div q, w_c) + sum_e tau_check_e <u, w_c>_e.
+    3. The flux solves its moments and its trace equations on the two
+       edges other than the one of largest tau (ties to the lowest index).
     """
+    ref = _hdg_ref(k, exactness)
+    n, low = len(geo), ref.sdim_low
+    tau_check = sign * tau * geo.edge_jacobians
+    xq = geo.forward(ref.vol.points)
+    xe = geo.edge_forward(ref.edge.points)
+    u_edge = tau_check[..., None] * _at(u, xe)
+    r_q = ref.flux_moments(geo, q)
+    r_e = ref.edge_moments(_dual_normal(geo, q, xe) + u_edge)
+    u_low = _times(ref.vol.weights * _at(u, xq), ref.test_sb_vals.T)
+    if div_q is None:
+        b = _times(np.hstack([r_q, r_e]), ref.null_rows)
+    else:
+        div_moments = _times(ref.vol.weights * geo.detJ[:, None] * _at(div_q, xq), ref.comp_vals.T)
+        b = div_moments + _times(ref.edge_moments(u_edge), ref.null_rows[:, 2 * low :])
+    A = np.sum(tau_check[:, :, None, None] * ref.edge_mass, axis=1)
+    b -= (A[:, :, :low] @ u_low[..., None])[..., 0]
+    u_c = _factor("hdg", k, A[:, :, low:]).solve(b[..., None])[..., 0]
+    uc = np.hstack([u_low, u_c])
+    r_e = r_e.reshape(n, 3, -1) - tau_check[..., None] * (ref.trace_u @ uc[:, None, :, None])[..., 0]
+    skip = np.argmax(tau, axis=1)
+    qc = np.empty((n, ref.vb.dim))
+    for s, inv in enumerate(ref.flux_inverses):
+        rows = skip == s
+        rhs = np.hstack([r_q[rows], np.delete(r_e[rows], s, axis=1).reshape(-1, 2 * k + 2)])
+        qc[rows] = _times(rhs, inv)
+    return qc, uc
+
+
+def _hdg_fields(q, u, k, emap, tau, sign, exactness, div_q=None):
     tau = check_stabilization(tau)
-    qc, uc = _hdg_coeffs(q, u, k, _batch(emap), tau[None], sign, quad_exactness)
+    qc, uc = _hdg_coeffs(q, u, k, _batch(emap), tau[None], sign, exactness, div_q)
     return LocalVectorField(emap, "P", k, qc[0]), LocalScalarField(emap, k, uc[0])
 
 
+def hdg_project(q, u, k: int, emap: ElementMap, tau, sign: int = 1, quad_exactness=None):
+    """HDG projection of the pair (q, u): :func:`_hdg_coeffs` with a batch
+    of one.  Returns the vector and scalar parts."""
+    return _hdg_fields(q, u, k, emap, tau, sign, quad_exactness)
+
+
 def hdg_project_decoupled(q, div_q, u, k: int, emap: ElementMap, tau, sign: int = 1, quad_exactness=None):
-    """HDG projection through its decoupled form (cross-check path).
-
-    The scalar part is solved first from interior moments plus complement
-    moments of the stabilized trace driven by div q; the vector part then
-    solves normal-trace equations on the boundary minus the edge carrying
-    the largest stabilization (ties to the lowest local index), which is the
-    excluded-edge construction with the reference hypotenuse mapped there.
-    """
-    tau = check_stabilization(tau)
-    ref = _hdg_ref(k, quad_exactness)
-    nw = ref.sb.dim
-
-    # Scalar part: rows are P_{k-1} moments (identity in the orthonormal
-    # basis) and complement-tested boundary terms.
-    A = np.zeros((nw, nw))
-    A[: ref.sdim_low] = np.eye(nw)[: ref.sdim_low]
-    b = np.zeros(nw)
-    xq = emap.forward(ref.vol.points)
-    b[: ref.sdim_low] = ref.test_sb_vals.T @ (
-        ref.vol.weights * np.asarray(u(xq), dtype=float)
-    )
-    comp_cols = slice(ref.sdim_low, nw)
-    div_hat = emap.detJ * np.asarray(div_q(xq), dtype=float)
-    comp_vals = ref.sb.eval(ref.vol.points)[:, comp_cols]
-    b[ref.sdim_low :] = comp_vals.T @ (ref.vol.weights * div_hat)
-    for e in range(3):
-        tau_check = sign * tau[e] * emap.edge_jacobians[e]
-        if tau_check == 0.0:
-            continue
-        L = ReferenceTriangle.edge_lengths[e]
-        A[ref.sdim_low :, :] += tau_check * L * _edge_tables("hdg", k)[2][e, comp_cols]
-        pts = emap.edge_points(e, ref.edge.points)
-        b[ref.sdim_low :] += tau_check * ref.sb_edge[e][:, comp_cols].T @ (
-            ref.edge.weights * L * np.asarray(u(pts), dtype=float)
-        )
-    try:
-        u_coeffs = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLocalSystem("decoupled HDG scalar system") from exc
-
-    # Vector part: moments plus traces on the boundary minus the tau-max edge.
-    skip = int(np.argmax(tau))
-    nq = ref.vb.dim
-    B = np.zeros((nq, nq))
-    B[: 2 * ref.sdim_low] = ref.q_moments
-    rhs = np.zeros(nq)
-    qhat = emap.detJ * np.asarray(q(xq), dtype=float) @ emap.invB.T
-    rhs[: 2 * ref.sdim_low] = qhat.ravel() @ ref.test_w
-    row = 2 * ref.sdim_low
-    for e in range(3):
-        if e == skip:
-            continue
-        blk = slice(row, row + k + 1)
-        B[blk] = ref.trace_q[e]
-        pts = emap.edge_points(e, ref.edge.points)
-        qn_hat = emap.edge_jacobians[e] * (
-            np.asarray(q(pts), dtype=float) @ emap.edge_normals[e]
-        )
-        tau_check = sign * tau[e] * emap.edge_jacobians[e]
-        u_proj_edge = ref.sb_edge[e] @ u_coeffs
-        trace = qn_hat + tau_check * (np.asarray(u(pts), dtype=float) - u_proj_edge)
-        rhs[blk] = ref.mu_w[e].T @ trace
-        row += k + 1
-    try:
-        q_coeffs = np.linalg.solve(B, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLocalSystem("decoupled HDG vector system") from exc
-    return (
-        LocalVectorField(emap, "P", k, q_coeffs),
-        LocalScalarField(emap, k, u_coeffs),
-    )
+    """HDG projection with the complement part of u driven by div q
+    (cross-check path): :func:`hdg_project` with (div q, w_c) in place of
+    the flux terms integrated by parts."""
+    return _hdg_fields(q, u, k, emap, tau, sign, quad_exactness, div_q)
 
 
 def lift_normal_trace(mu, method: str, k: int, emap: ElementMap) -> LocalVectorField:

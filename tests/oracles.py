@@ -349,6 +349,19 @@ def reference_project_triple(triple, q_exact, u_exact, quad_exactness):
     return qc, uc, lamc
 
 
+def reference_hdg_coeffs(q, u, k, geo, tau, sign=1, exactness=None):
+    """HDG projection coefficients of stacked elements from the coupled
+    (n, N, N) systems, each checked and solved as a whole."""
+    ref = pj._hdg_ref(k, exactness)
+    problem = pj._factor("hdg", k, pj._hdg_matrices(ref, geo, tau, sign))
+    xe = geo.edge_forward(ref.edge.points)
+    trace = pj._dual_normal(geo, q, xe) + (sign * tau * geo.edge_jacobians)[..., None] * pj._at(u, xe)
+    u_moments = (ref.vol.weights * pj._at(u, geo.forward(ref.vol.points))) @ ref.test_sb_vals
+    rhs = np.hstack([ref.flux_moments(geo, q), u_moments, ref.edge_moments(trace)])
+    sol = problem.solve(rhs[..., None])[..., 0]
+    return sol[:, : ref.vb.dim], sol[:, ref.vb.dim :]
+
+
 def reference_error_norms(triple, case, postprocessed=()):
     mesh, space = triple.mesh, triple.space
     k = space.degree

@@ -323,6 +323,12 @@ def test_cli_bad_arguments_fail_fast(args, tmp_path, capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_cli_mesh_with_an_unused_vertex_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.msh").write_text("5 2\n0 0\n1 0\n0 1\n1 1\n5 5\n0 1 2\n1 3 2\n")
+    assert cli_main(["--mesh", "f.msh", "--levels", "2"]) == 0
+
+
 def test_cli_mesh_with_a_triangle_listed_twice_fails_fast(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dup.msh").write_text("3 2\n0 0\n1 0\n0 1\n0 1 2\n0 2 1\n")

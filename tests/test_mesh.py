@@ -214,6 +214,13 @@ def test_load_mesh_reports_line_numbers():
     assert err.value.line == 4
 
 
+def test_load_mesh_rejects_surplus_lines():
+    # header "4 1" with two triangle lines: the second must not be dropped
+    with pytest.raises(ParseError, match="expected 5 data lines, found 6") as err:
+        loads_mesh("4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2\n\n0 2 3\n")
+    assert err.value.line == 8
+
+
 def test_load_mesh_from_file_object():
     m = load_mesh(io.StringIO(SQUARE))
     assert m.num_triangles == 2

@@ -601,6 +601,17 @@ def test_pcg_past_the_cap_factors_k(monkeypatch, method, k, tau):
     assert rel_diff(triple.lam.ravel()[interior], spla.splu(K).solve(rhs)) <= 1e-12
 
 
+@pytest.mark.parametrize("method,k,tau", [("rt", 0, None), ("bdm", 2, None), ("hdg", 1, "constant")])
+def test_unused_vertices_leave_the_solve_unchanged(method, k, tau):
+    """Vertices no triangle uses are no interior vertices of the coarse
+    space: the multipliers are bitwise those of the mesh without them."""
+    mesh = uniform_refine(unit_square(2))
+    padded = Mesh(np.vstack([mesh.vertices, [[5.0, 5.0], [6.0, 5.0]]]), mesh.triangles)
+    assert np.array_equal(padded.edges, mesh.edges)
+    want, got = (solve_hybridized(condensed_blocks(m, method, k, tau)).lam for m in (mesh, padded))
+    assert np.array_equal(got, want)
+
+
 def test_coarse_space_holds_the_p1_hats():
     """Column v of the prolongation is the face projection of the hat of
     interior vertex v on every interior edge: (1/2, -+sqrt(3)/6) sqrt(L) on

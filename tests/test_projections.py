@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybridfem.polyspaces as ps
 import hybridfem.projections as pj
 from hybridfem.errors import InvalidStabilization, SingularLocalSystem, UnsupportedDegree
+from hybridfem.harness import CASES
 from hybridfem.mesh import Mesh, build_reference_map, uniform_refine, unit_square
 
-from oracles import physical_hdg_projection, physical_hdiv_projection
+from oracles import physical_hdg_projection, physical_hdiv_projection, reference_hdg_coeffs
+from test_batched import MESHES, perturbed
 
 RNG = np.random.default_rng(2024)
 EM = build_reference_map([[0.12, 0.07], [1.05, 0.33], [0.41, 1.21]])
@@ -335,6 +339,52 @@ def test_hdg_stack_solve_matches_per_element_solve(k, tau, sign):
     got = pj._factor("hdg", k, M).solve(rhs)
     want = np.stack([la.solve(a, b) for a, b in zip(M, rhs)])
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def assert_kernel_matches_coupled(geo, k, tau, sign):
+    case = CASES["smooth"]
+    got = pj._hdg_coeffs(case.q, case.u, k, geo, tau, sign)
+    want = reference_hdg_coeffs(case.q, case.u, k, geo, tau, sign)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("tau", ("constant", "single-face", "drawn"))
+@pytest.mark.parametrize("k", range(4))
+def test_hdg_kernel_matches_coupled_solve(k, tau, sign, mesh_name):
+    geo = MESHES[mesh_name].geometry
+    n = len(geo)
+    if tau == "constant":
+        values = np.full((n, 3), 1.5)
+    elif tau == "single-face":
+        values = np.zeros((n, 3))
+        values[:, 0] = 2.0
+    else:
+        rng = np.random.default_rng(k)
+        values = rng.uniform(0.1, 10.0, (n, 3))
+        values[::2, 1] = 0.0
+    assert_kernel_matches_coupled(geo, k, values, sign)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    k=st.integers(0, 3),
+    sign=st.sampled_from([1, -1]),
+    # tau in [0.1, 10] on every face of the 8 triangles, except one face
+    # with tau = 0 in the elements drawn for it
+    tau_faces=st.lists(st.floats(0.1, 10.0), min_size=24, max_size=24),
+    zero_face=st.lists(st.sampled_from([None, 0, 1, 2]), min_size=8, max_size=8),
+)
+def test_hdg_kernel_matches_coupled_solve_on_perturbed_meshes(seed, k, sign, tau_faces, zero_face):
+    geo = perturbed(uniform_refine(unit_square(1)), seed, 0.25).geometry
+    values = np.reshape(tau_faces, (8, 3))
+    for t, face in enumerate(zero_face):
+        if face is not None:
+            values[t, face] = 0.0
+    assert_kernel_matches_coupled(geo, k, values, sign)
 
 
 def test_hdg_sign_flip_is_solvable_and_distinct():
