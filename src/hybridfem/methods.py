@@ -269,18 +269,12 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     Swl = (tau_e * np.sqrt(edge_len))[:, None, :, None] * sign[:, None] * Sref.transpose(1, 0, 2)
     D += ((tau_e * edge_len) @ Tref.reshape(3, -1)).reshape(nt, nw, nw)
 
-    # Dirichlet data on boundary edges, in the global edge bases; g is
-    # checked at the quadrature points before it is projected.
-    def g_checked(x):
-        vals = np.asarray(data.g(x), dtype=float)
-        if not np.isfinite(vals).all():
-            raise InvalidProblemData("g must be finite on the boundary")
-        return vals
-
+    # Dirichlet data on boundary edges, in the global edge bases;
+    # project_face rejects g that is not finite at its quadrature points.
     gdir = np.zeros((mesh.num_edges, nf))
     ends = mesh.vertices[mesh.edges[mesh.boundary]]
     gdir[mesh.boundary] = pj.project_face(
-        g_checked, k, ends[:, 0], ends[:, 1], npoints=len(erule.points)
+        data.g, k, ends[:, 0], ends[:, 1], npoints=len(erule.points)
     )
 
     layout = DofLayout(

@@ -12,14 +12,17 @@ conventions of :class:`LocalVectorField` / :class:`LocalScalarField`:
 
 The element L2 projection and the face L2 projection diagonalize in the
 orthonormal bases; RT/BDM systems are built and checked once per degree.
-The coupled HDG system depends on the element through the weighted
-stabilization, but it decouples: the complement part of the potential
-solves a (k+1) x (k+1) system per element, and the flux one of three
-reference systems checked once per degree (:func:`_hdg_coeffs`).
+The HDG projection is computed in its decoupled form (Cockburn,
+Gopalakrishnan & Sayas 2010): the complement part of the potential solves
+a (k+1) x (k+1) system per element, and the flux one of three reference
+systems checked once per degree (:func:`_hdg_coeffs`).
 
-Every projection is computed by one kernel over a stack of elements (the
-affine maps of a mesh, data evaluated at all their quadrature points at
-once); the per-element functions call it with a batch of one.
+Every system is applied through its checked inverse
+(:class:`ProjectionProblem`), and every per-element product is a stacked
+one (:func:`_times`).  Every projection is computed by one kernel over a
+stack of elements (the affine maps of a mesh, data evaluated at all their
+quadrature points at once); the per-element functions call it with a batch
+of one and get the same bits.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import polyspaces as ps
-from .errors import InvalidStabilization, SingularLocalSystem, UnsupportedDegree
+from .errors import (
+    DegenerateElement,
+    InvalidProblemData,
+    InvalidStabilization,
+    SingularLocalSystem,
+    UnsupportedDegree,
+)
 from .mesh import ElementMap, ReferenceTriangle, _AffineMaps
 
 __all__ = [
@@ -119,8 +128,11 @@ def _batch(emap: ElementMap) -> _AffineMaps:
 
 
 def _at(fn, x):
-    """Values of a callable of (N, 2) point arrays at points x (..., 2)."""
+    """Values of a callable of (N, 2) point arrays at points x (..., 2),
+    which must be finite."""
     vals = np.asarray(fn(x.reshape(-1, 2)), dtype=float)
+    if not np.isfinite(vals).all():
+        raise InvalidProblemData("data must be finite at the quadrature points")
     return vals.reshape(x.shape[:-1] + vals.shape[1:])
 
 
@@ -132,9 +144,10 @@ def _flat_moments(weights, vals):
 
 
 def _times(x, M):
-    """Rows x (n, m) times M.T, one stacked product per element: unlike one
-    GEMM over the batch, its bits do not depend on the batch size."""
-    return (x[:, None, :] @ M.T)[:, 0]
+    """Rows x (..., m) times M.mT, with M (p, m) or a stack (..., p, m): one
+    stacked product per row, so unlike one GEMM over the batch its bits do
+    not depend on the batch size."""
+    return (x[..., None, :] @ M.mT)[..., 0, :]
 
 
 def _ref_vector_values(space: str, k: int, coeffs, xhat):
@@ -170,7 +183,7 @@ def _scalar_coeffs(u, k: int, geo: _AffineMaps):
     """Element L2 projection coefficients (n, dim P_k) of u on every element."""
     rule = ps.triangle_rule(2 * k + 4)
     vals = _at(u, geo.forward(rule.points))
-    return (rule.weights * vals) @ ps.scalar_basis(k).eval(rule.points)
+    return _times(rule.weights * vals, ps.scalar_basis(k).eval(rule.points).T)
 
 
 def project_scalar(u, k: int, emap: ElementMap) -> LocalScalarField:
@@ -185,10 +198,14 @@ def project_face(mu, k: int, p0, p1, npoints=None) -> np.ndarray:
     to the Legendre basis orthonormalized in physical arc length.  With
     stacks of segments (p0, p1 of shape (n, 2)) the result is (n, k+1).
     """
+    if k < 0:
+        raise UnsupportedDegree(f"face degree {k} is negative")
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     d = p1 - p0
     L = np.sqrt(np.vecdot(d, d))[..., None]
+    if not (L > 0.0).all():
+        raise DegenerateElement("face of zero or non-finite length")
     rule = ps.edge_rule(k + 3 if npoints is None else npoints)
     vals = _at(mu, p0[..., None, :] + rule.points[:, None] * d[..., None, :])
     P = ps.legendre01(k, rule.points) / np.sqrt(L)[..., None]
@@ -203,25 +220,24 @@ def face_values(coeffs, length, t):
 
 @dataclass
 class ProjectionProblem:
-    """Defining system of a projection, checked by :func:`_factor`: one
-    matrix (N, N) on the reference element, or a stack (n, N, N) with one
-    per element.  ``solve`` takes right-hand sides (..., N, K), or (N,)
-    for one system."""
+    """Defining system of a projection and its inverse, checked by
+    :func:`_factor`: one matrix (N, N) on the reference element, or a stack
+    (n, N, N) with one per element.  ``solve`` takes right-hand sides
+    (..., N), one row per element for a stack, and applies the inverse by
+    :func:`_times`."""
 
-    method: str
-    degree: int
     matrix: np.ndarray
-    tau: tuple | None = None
+    inverse: np.ndarray
 
     def solve(self, rhs):
-        return np.linalg.solve(self.matrix, rhs)
+        return _times(rhs, self.inverse)
 
     def condition(self):
         return float(np.linalg.cond(self.matrix))
 
 
-def _factor(method, k, M, tau=None):
-    """Check one system (N, N) or a stack (n, N, N) for solving.
+def _factor(method, k, M):
+    """Invert one system (N, N) or a stack (n, N, N) and check it.
 
     Each element is checked on its own: it is rejected as singular when LU
     meets an exactly zero pivot, when its inverse is not finite, or when its
@@ -235,7 +251,7 @@ def _factor(method, k, M, tau=None):
     cond = np.linalg.norm(M, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
     if not np.all(cond < 1e13):
         raise err
-    return ProjectionProblem(method=method, degree=k, matrix=M, tau=tau)
+    return ProjectionProblem(M, inv)
 
 
 @lru_cache(maxsize=None)
@@ -325,6 +341,8 @@ class _HdivRef(_RefRules):
 
 @lru_cache(maxsize=None)
 def _hdiv_ref(method: str, k: int, exactness=None) -> _HdivRef:
+    if method not in ("rt", "bdm"):
+        raise UnsupportedDegree(f"unknown method {method!r}")
     if k < 0 or k > MAX_DEGREE:
         raise UnsupportedDegree(f"degree {k} outside [0, {MAX_DEGREE}]")
     return _HdivRef(method, k, exactness)
@@ -341,7 +359,7 @@ def _hdiv_coeffs(method: str, k: int, geo: _AffineMaps, q, exactness=None):
     ref = _hdiv_ref(method, k, exactness)
     xe = geo.edge_forward(ref.edge.points)
     rhs = np.hstack([ref.flux_moments(geo, q), ref.edge_moments(_dual_normal(geo, q, xe))])
-    return ref.problem.solve(rhs.T).T
+    return ref.problem.solve(rhs)
 
 
 def rt_project(q, k: int, emap: ElementMap, quad_exactness=None) -> LocalVectorField:
@@ -380,17 +398,18 @@ def check_stabilization(tau) -> np.ndarray:
 
 class _HdgRef(_RefRules):
     """Degree-dependent reference data for the HDG projection: the rows of
-    the coupled system (:func:`_hdg_matrices`) and, with w_c the k+1
-    complement functions (the trailing scalar basis functions, orthogonal
-    to P_{k-1}), what its decoupled form needs:
+    the coupled system (flux moments ``q_moments``, edge rows ``trace_q``
+    and ``trace_u``) and, with w_c the k+1 complement functions (the
+    trailing scalar basis functions, orthogonal to P_{k-1}), what its
+    decoupled form (:func:`_hdg_coeffs`) needs:
 
     * ``edge_mass`` (3, k+1, nw): Lhat_e T_e[c, :], the edge mass between
       the w_c and the scalar basis;
     * ``null_rows`` (k+1, 2 dim P_{k-1} + 3 (k+1)): for each w_c the
       combination -(., grad w_c) + sum_e <., w_c>_e of the flux-moment and
       edge rows; it cancels the flux columns, as (div qhat, w_c) = 0;
-    * ``flux_inverses`` (3, nq, nq): the inverses of the flux systems
-      [q_moments; trace_q on the edges other than s], checked by _factor.
+    * ``flux`` (3): the checked flux systems [q_moments; trace_q on the
+      edges other than s], one :class:`ProjectionProblem` per skipped edge s.
     """
 
     def __init__(self, k, exactness=None):
@@ -416,7 +435,7 @@ class _HdgRef(_RefRules):
         flux_cols = np.vstack([self.q_moments, self.trace_q.reshape(-1, self.vb.dim)])
         self.null_rows = Y - (Y @ flux_cols) @ np.linalg.pinv(flux_cols)
         flux = [np.vstack([self.q_moments, *np.delete(self.trace_q, s, axis=0)]) for s in range(3)]
-        self.flux_inverses = np.linalg.inv(_factor("hdg", k, np.stack(flux)).matrix)
+        self.flux = [_factor("hdg", k, M) for M in flux]
 
 
 @lru_cache(maxsize=None)
@@ -424,32 +443,6 @@ def _hdg_ref(k: int, exactness=None) -> _HdgRef:
     if k < 0 or k > MAX_DEGREE:
         raise UnsupportedDegree(f"degree {k} outside [0, {MAX_DEGREE}]")
     return _HdgRef(k, exactness)
-
-
-def _hdg_matrices(ref: _HdgRef, geo: _AffineMaps, tau, sign):
-    """Coupled HDG systems (n, N, N) of stacked elements, tau (n, 3)."""
-    nq, nw, low = ref.vb.dim, ref.sb.dim, ref.sdim_low
-    M = np.zeros((len(geo), nq + nw, nq + nw))
-    M[:, : 2 * low, :nq] = ref.q_moments
-    M[:, 2 * low : 3 * low, nq:] = np.eye(nw)[:low]
-    tau_check = sign * tau * geo.edge_jacobians
-    M[:, 3 * low :, :nq] = ref.trace_q.reshape(-1, nq)
-    M[:, 3 * low :, nq:] = (tau_check[:, :, None, None] * ref.trace_u).reshape(len(geo), -1, nw)
-    return M
-
-
-def hdg_projection_problem(k: int, tau, emap: ElementMap, sign: int = 1, quad_exactness=None) -> ProjectionProblem:
-    """Assemble and check the coupled HDG system for one element, the
-    defining system whose ``condition()`` measures unisolvence; the
-    projections themselves solve its decoupled form (:func:`_hdg_coeffs`).
-
-    The stabilization enters through its dual-trace transform
-    tau_check = |a| tau, so the reference projection reproduces the
-    physical one exactly.
-    """
-    tau = check_stabilization(tau)
-    M = _hdg_matrices(_hdg_ref(k, quad_exactness), _batch(emap), tau[None], sign)[0]
-    return _factor("hdg", k, M, tau=tuple(tau))
 
 
 def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=None, div_q=None):
@@ -483,15 +476,15 @@ def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=No
         b = div_moments + _times(ref.edge_moments(u_edge), ref.null_rows[:, 2 * low :])
     A = np.sum(tau_check[:, :, None, None] * ref.edge_mass, axis=1)
     b -= (A[:, :, :low] @ u_low[..., None])[..., 0]
-    u_c = _factor("hdg", k, A[:, :, low:]).solve(b[..., None])[..., 0]
+    u_c = _factor("hdg", k, A[:, :, low:]).solve(b)
     uc = np.hstack([u_low, u_c])
     r_e = r_e.reshape(n, 3, -1) - tau_check[..., None] * (ref.trace_u @ uc[:, None, :, None])[..., 0]
     skip = np.argmax(tau, axis=1)
     qc = np.empty((n, ref.vb.dim))
-    for s, inv in enumerate(ref.flux_inverses):
+    for s, flux in enumerate(ref.flux):
         rows = skip == s
         rhs = np.hstack([r_q[rows], np.delete(r_e[rows], s, axis=1).reshape(-1, 2 * k + 2)])
-        qc[rows] = _times(rhs, inv)
+        qc[rows] = flux.solve(rhs)
     return qc, uc
 
 
@@ -533,6 +526,8 @@ def lift_normal_trace(mu, method: str, k: int, emap: ElementMap) -> LocalVectorF
             return face_values(coeffs[local_edge], L, np.asarray(t, dtype=float))
 
     vals = np.stack([np.asarray(mu(e, ref.edge.points), dtype=float) for e in range(3)])
+    if not np.isfinite(vals).all():
+        raise InvalidProblemData("the trace to lift must be finite")
     trace = ref.edge_moments((emap.edge_jacobians[:, None] * vals)[None])[0]
     coeffs = ref.problem.solve(np.concatenate([np.zeros(ref.test_vb.dim), trace]))
     space = "RT" if method == "rt" else "P"

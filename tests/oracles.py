@@ -349,16 +349,40 @@ def reference_project_triple(triple, q_exact, u_exact, quad_exactness):
     return qc, uc, lamc
 
 
+def hdg_matrices(ref, geo, tau, sign):
+    """Coupled HDG systems (n, N, N) of stacked elements, tau (n, 3): flux
+    and potential moments against degree k-1, then the edge rows of
+    q . n + tau_check u."""
+    nq, nw, low = ref.vb.dim, ref.sb.dim, ref.sdim_low
+    M = np.zeros((len(geo), nq + nw, nq + nw))
+    M[:, : 2 * low, :nq] = ref.q_moments
+    M[:, 2 * low : 3 * low, nq:] = np.eye(nw)[:low]
+    tau_check = sign * tau * geo.edge_jacobians
+    M[:, 3 * low :, :nq] = ref.trace_q.reshape(-1, nq)
+    M[:, 3 * low :, nq:] = (tau_check[:, :, None, None] * ref.trace_u).reshape(len(geo), -1, nw)
+    return M
+
+
+def hdg_projection_problem(k, tau, emap, sign=1, quad_exactness=None):
+    """The checked coupled HDG system of one element, whose ``condition()``
+    measures unisolvence.  The stabilization enters through its dual-trace
+    transform tau_check = |a| tau, so the reference projection reproduces
+    the physical one exactly."""
+    tau = pj.check_stabilization(tau)
+    M = hdg_matrices(pj._hdg_ref(k, quad_exactness), pj._batch(emap), tau[None], sign)[0]
+    return pj._factor("hdg", k, M)
+
+
 def reference_hdg_coeffs(q, u, k, geo, tau, sign=1, exactness=None):
     """HDG projection coefficients of stacked elements from the coupled
-    (n, N, N) systems, each checked and solved as a whole."""
+    (n, N, N) systems, each checked and solved as a whole by LU."""
     ref = pj._hdg_ref(k, exactness)
-    problem = pj._factor("hdg", k, pj._hdg_matrices(ref, geo, tau, sign))
+    problem = pj._factor("hdg", k, hdg_matrices(ref, geo, tau, sign))
     xe = geo.edge_forward(ref.edge.points)
     trace = pj._dual_normal(geo, q, xe) + (sign * tau * geo.edge_jacobians)[..., None] * pj._at(u, xe)
     u_moments = (ref.vol.weights * pj._at(u, geo.forward(ref.vol.points))) @ ref.test_sb_vals
     rhs = np.hstack([ref.flux_moments(geo, q), u_moments, ref.edge_moments(trace)])
-    sol = problem.solve(rhs[..., None])[..., 0]
+    sol = np.linalg.solve(problem.matrix, rhs[..., None])[..., 0]
     return sol[:, : ref.vb.dim], sol[:, ref.vb.dim :]
 
 

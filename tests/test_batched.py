@@ -89,10 +89,11 @@ def check_against_oracles(triple, case):
     posts = [stenberg(triple, data), gradient_postprocess(triple, data)]
     norms = oracles.reference_error_norms(triple, case, posts)
     assert_norms_match(compute_error_norms(triple, case, posts), norms)
+    # A projection applied to the mesh gives the bits of its batches of one.
     got = _project_triple(triple, case.q, case.u, 2 * k + 6)
     want = oracles.reference_project_triple(triple, case.q, case.u, 2 * k + 6)
     for g, w in zip(got, want):
-        assert_close(g, w)
+        assert np.array_equal(g, w)
     coeffs, decomposed = oracles.reference_stenberg(triple, data)
     assert_close(posts[0].coeffs, coeffs)
     assert np.array_equal(posts[0].decomposed, decomposed)

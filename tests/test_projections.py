@@ -6,11 +6,23 @@ from hypothesis import strategies as st
 
 import hybridfem.polyspaces as ps
 import hybridfem.projections as pj
-from hybridfem.errors import InvalidStabilization, SingularLocalSystem, UnsupportedDegree
+from hybridfem.errors import (
+    DegenerateElement,
+    InvalidProblemData,
+    InvalidStabilization,
+    SingularLocalSystem,
+    UnsupportedDegree,
+)
 from hybridfem.harness import CASES
 from hybridfem.mesh import Mesh, build_reference_map, uniform_refine, unit_square
 
-from oracles import physical_hdg_projection, physical_hdiv_projection, reference_hdg_coeffs
+from oracles import (
+    hdg_matrices,
+    hdg_projection_problem,
+    physical_hdg_projection,
+    physical_hdiv_projection,
+    reference_hdg_coeffs,
+)
 from test_batched import MESHES, perturbed
 
 RNG = np.random.default_rng(2024)
@@ -76,6 +88,49 @@ def test_project_face_examples():
     qpts = p0 + rule.points[:, None] * (p1 - p0)
     mean = rule.weights @ f(qpts)
     assert pj.face_values(c, L, np.array([0.5]))[0] == pytest.approx(mean, abs=1e-13)
+
+
+def test_project_face_rejects_bad_input():
+    one = lambda x: np.ones(len(x))
+    p0 = np.array([0.3, 0.1])
+    with pytest.raises(DegenerateElement):
+        pj.project_face(one, 1, p0, p0.copy())
+    with pytest.raises(DegenerateElement):
+        pj.project_face(one, 1, np.stack([p0, p0]), np.stack([p0 + 1.0, p0]))
+    with pytest.raises(UnsupportedDegree):
+        pj.project_face(one, -1, p0, p0 + 1.0)
+
+
+def test_unknown_method_is_rejected():
+    with pytest.raises(UnsupportedDegree, match="unknown method"):
+        pj.lift_normal_trace(np.ones((3, 2)), "xx", 1, EM)
+    with pytest.raises(UnsupportedDegree, match="unknown method"):
+        pj.projection_problem("hdg", 1)
+
+
+def _nan(x):
+    return np.full(len(x), np.nan)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pj.project_scalar(_nan, 1, EM),
+        lambda: pj.project_face(lambda x: np.full(len(x), np.inf), 1, [0, 0], [1, 0]),
+        lambda: pj.rt_project(lambda x: np.full((len(x), 2), np.nan), 1, EM),
+        lambda: pj.bdm_project(lambda x: np.full((len(x), 2), -np.inf), 2, EM),
+        lambda: pj.hdg_project(lambda x: np.ones((len(x), 2)), _nan, 1, EM, np.ones(3)),
+        lambda: pj.hdg_project_decoupled(
+            lambda x: np.ones((len(x), 2)), _nan, lambda x: np.ones(len(x)), 1, EM, np.ones(3)
+        ),
+        lambda: pj.lift_normal_trace(np.full((3, 2), np.nan), "rt", 1, EM),
+        lambda: pj.lift_normal_trace(lambda e, t: np.full(len(t), np.inf), "bdm", 1, EM),
+    ],
+    ids=["scalar", "face", "rt", "bdm", "hdg", "hdg-div", "lift-coeffs", "lift-callable"],
+)
+def test_nonfinite_data_is_rejected(call):
+    with pytest.raises(InvalidProblemData):
+        call()
 
 
 # ---------------------------------------------------------------- RT / BDM
@@ -334,9 +389,11 @@ def test_hdg_stack_solve_matches_per_element_solve(k, tau, sign):
         mesh.vertices, (0.0, 1.0)
     )
     geo = Mesh(verts, mesh.triangles).geometry
-    M = pj._hdg_matrices(pj._hdg_ref(k), geo, np.tile(tau, (len(geo), 1)), sign)
-    rhs = rng.standard_normal(M.shape[:2] + (2,))
+    M = hdg_matrices(pj._hdg_ref(k), geo, np.tile(tau, (len(geo), 1)), sign)
+    rhs = rng.standard_normal(M.shape[:2])
     got = pj._factor("hdg", k, M).solve(rhs)
+    # each row of the stack gets the bits of its element's own checked inverse
+    assert np.array_equal(got, np.stack([pj._factor("hdg", k, a).solve(b) for a, b in zip(M, rhs)]))
     want = np.stack([la.solve(a, b) for a, b in zip(M, rhs)])
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -510,7 +567,7 @@ def test_unisolvence_condition_numbers():
         assert pj.projection_problem("rt", k).condition() < 1e8
         if k >= 1:
             assert pj.projection_problem("bdm", k).condition() < 1e8
-        prob = pj.hdg_projection_problem(k, np.ones(3), EM)
+        prob = hdg_projection_problem(k, np.ones(3), EM)
         assert prob.condition() < 1e8
 
 
@@ -532,4 +589,4 @@ def test_unisolvence_over_shape_regular_family():
         count += 1
         tau = rng.random(3) + 0.1
         for k in (0, 2):
-            assert pj.hdg_projection_problem(k, tau, em).condition() < 1e8
+            assert hdg_projection_problem(k, tau, em).condition() < 1e8
