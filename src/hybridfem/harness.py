@@ -305,7 +305,6 @@ class StudyConfig:
     reaction: str | None = None  # None (case default) | "on" | "off"
     postprocess: str = "none"  # none | stenberg | gradient | both
     mesh_file: str | None = None
-    base_n: int = 2
     out: str | None = None
     formats: tuple = ("csv", "json")
 
@@ -445,7 +444,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     schemes = config.postprocess_schemes()
     data = case.data()
 
-    mesh = load_mesh(config.mesh_file) if config.mesh_file else unit_square(config.base_n)
+    mesh = load_mesh(config.mesh_file) if config.mesh_file else unit_square(2)
     rows = []
     for level in range(config.levels):
         timings = {}
@@ -503,7 +502,6 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
             "tau": config.tau if config.method == "hdg" else None,
             "postprocess": list(schemes),
             "mesh_file": config.mesh_file,
-            "base_n": config.base_n,
         },
         levels=rows,
         eoc=slopes,
@@ -527,7 +525,7 @@ def _write_report(report: ConvergenceReport, config: StudyConfig):
         (outdir / f"{stem}.csv").write_text(report.to_csv())
 
 
-def compare_methods(methods, degree, levels=4, case="smooth", tau=1.0, base_n=2):
+def compare_methods(methods, degree, levels=4, case="smooth", tau=1.0):
     """Side-by-side study of several methods on the same mesh sequence.
 
     All requested methods must support the degree (BDM starts at 1).  The
@@ -538,7 +536,7 @@ def compare_methods(methods, degree, levels=4, case="smooth", tau=1.0, base_n=2)
         SpaceDescriptor(m, degree)  # raises UnsupportedDegree early
     reports = {}
     for m in methods:
-        cfg = StudyConfig(method=m, degree=degree, levels=levels, case=case, tau=tau, base_n=base_n)
+        cfg = StudyConfig(method=m, degree=degree, levels=levels, case=case, tau=tau)
         reports[m] = run_study(cfg)
     lines = [f"degree k={degree}, case={case}"]
     for level in range(levels):

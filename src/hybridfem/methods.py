@@ -372,7 +372,8 @@ def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
 
     of shape (nb, n, n) with n = nq + nw + 3 nf, for the slice ``rows`` of
     the elements.  The condensed, saddle and Dirichlet-form systems are all
-    Schur complements of their sum; condensation streams over blocks."""
+    Schur complements of their sum, which :func:`_reduce` builds one block
+    of elements at a time."""
     C = blocks.C[rows]
     nb, _, nf, nq = C.shape
     nw = blocks.Bdiv.shape[0]
@@ -404,35 +405,56 @@ def _scatter(local, dofs, N):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(N, N)).tocsr()
 
 
-_BLOCK_BYTES = 4 << 20  # of element matrices that condensation builds at a time
+_BLOCK_BYTES = 4 << 20  # of element matrices that the reduction builds at a time
 
 
-def _eliminate(blocks: LocalBlocks, F):
-    """Eliminate the leading m dofs of every element matrix, loaded by F
-    (nt, m), streaming over element blocks of ``_BLOCK_BYTES`` of local
-    matrices with one batched solve per block.
+def _reduce(blocks: LocalBlocks, m):
+    """Eliminate the leading m dofs (none, the flux, or flux and potential)
+    of every element matrix under the load [0 | F | 0], and sum what is left
+    into one global system.
 
-    Returns (R, S, g): R = L11^{-1} [-L12 | F] reconstructs the eliminated
-    dofs from the others, S = L22 + L21 R[..., :-1] holds the element Schur
-    complements and g = L21 L11^{-1} F the condensed load."""
-    nt, m = F.shape
+    Streams over element blocks of ``_BLOCK_BYTES`` of local matrices with
+    one batched solve per block.  The element dofs that are left are
+    numbered group by group (flux, then potential, element by element in
+    each) and the multipliers follow; the boundary multipliers are the
+    Dirichlet values ``gdir`` and move to the right-hand side.
+
+    Returns (A, rhs, R): the CSC system A x = rhs over the element dofs left
+    and the interior multipliers, and R = L11^{-1} [-L12 | load] (nt, m,
+    nl + 1), which rebuilds the eliminated dofs from the nl others."""
+    nt = blocks.layout.num_triangles
     nw, nq = blocks.Bdiv.shape
     n = nq + nw + 3 * blocks.lamidx.shape[2]
     nl = n - m
     step = max(1, _BLOCK_BYTES // (8 * n * n))
-    R, S, g = np.empty((nt, m, nl + 1)), np.empty((nt, nl, nl)), np.empty((nt, nl))
+    R, S, load = np.empty((nt, m, nl + 1)), np.empty((nt, nl, nl)), np.zeros((nt, n))
+    load[:, nq : nq + nw] = blocks.F
     for start in range(0, nt, step):
         rows = slice(start, start + step)
         L = _local_matrices(blocks, rows)
-        rhs = np.concatenate([-L[:, :m, m:], F[rows, :, None]], axis=2)
+        rhs = np.concatenate([-L[:, :m, m:], load[rows, :m, None]], axis=2)
         try:
             R[rows] = np.linalg.solve(L[:, :m, :m], rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularLocalSolver("element solver is singular") from exc
         LR = L[:, m:, :m] @ R[rows]
         np.add(LR[:, :, :nl], L[:, m:, m:], out=S[rows])
-        g[rows] = LR[:, :, -1]
-    return R, S, g
+        load[rows, m:] -= LR[:, :, -1]
+
+    kq, kw = max(nq - m, 0), nq + nw - max(m, nq)  # flux, potential dofs left per element
+    nE, el = nt * (kq + kw), np.arange(nt)[:, None]
+    dofs = np.hstack([el * kq + np.arange(kq), nt * kq + el * kw + np.arange(kw),
+                      nE + blocks.lamidx.reshape(nt, -1)])
+    keep = np.concatenate([np.arange(nE), nE + blocks.layout.interior_dofs])
+    known = np.concatenate([np.zeros(nE), blocks.gdir.ravel()])
+    H = _scatter(S, dofs, len(known))
+    del S  # before the row selection copies H
+    # Stored zeros (the empty blocks of RT/BDM, off-diagonal multiplier
+    # entries) steer the LU ordering and would double its fill.
+    H.eliminate_zeros()
+    H = H[keep]
+    summed = np.bincount(dofs.ravel(), weights=load[:, m:].ravel(), minlength=len(known))
+    return H[:, keep].tocsc(), summed[keep] - H @ known, R
 
 
 def _factor_spd(K, what):
@@ -449,31 +471,18 @@ def _factor_spd(K, what):
 def condensed_system(blocks: LocalBlocks):
     """Statically condensed SPD system on the interior multiplier dofs, with K
     symmetrized as (K + K^T)/2: the element Schur complements are symmetric
-    only up to round-off.  Flux and potential are eliminated one element
-    block at a time, never holding all element matrices at once.
+    only up to round-off.  :func:`_reduce` eliminates flux and potential
+    one element block at a time, never holding all element matrices at
+    once; K is the negated sum of the element complements.
 
     Returns (K, rhs, lam_full, interior, X, Y): ``lam_full`` holds the
     Dirichlet values on boundary dofs and zeros elsewhere, ``interior`` the
     interior dof ids, and (X, Y) the local reconstruction operators
     [q; u]_K = X_K lam_K + Y_K.
     """
-    layout = blocks.layout
-    nt = layout.num_triangles
-    nq = blocks.space.flux_dim
-    m = nq + blocks.space.scalar_dim
-    F = np.zeros((nt, m))
-    F[:, nq:] = blocks.F
-    R, S, g = _eliminate(blocks, F)
-
-    lamidx = blocks.lamidx.reshape(nt, -1)
-    gvec = np.bincount(lamidx.ravel(), weights=g.ravel(), minlength=layout.n_face)
-    interior = layout.interior_dofs
-    H_int = _scatter(S, lamidx, layout.n_face)[interior]
-    lam_full = blocks.gdir.ravel().copy()
-    rhs = H_int @ lam_full + gvec[interior]
-    K = -H_int[:, interior]
-    del S, g, H_int  # before the symmetrization copies K
-    return ((K + K.T) * 0.5).tocsc(), rhs, lam_full, interior, R[:, :, :-1], R[:, :, -1]
+    A, rhs, R = _reduce(blocks, blocks.space.flux_dim + blocks.space.scalar_dim)
+    K = ((A + A.T) * -0.5).tocsc()
+    return K, -rhs, blocks.gdir.ravel().copy(), blocks.layout.interior_dofs, R[:, :, :-1], R[:, :, -1]
 
 
 _OMEGA = 0.6        # < 2/3 keeps M SPD: three edges per element give lambda_max(D^-1 K) <= 3
@@ -628,32 +637,12 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
 
 def _saddle_matrix(blocks: LocalBlocks):
     """Global sparse system over (Q, U, interior multiplier dofs) with the
-    boundary multipliers moved to the right-hand side: the element matrices
-    summed over all dofs, then applied to the Dirichlet values on the
-    boundary multiplier dofs, whose rows and columns are dropped.
+    boundary multipliers moved to the right-hand side: :func:`_reduce`
+    with nothing eliminated.
 
     Returns (A, rhs, interior)."""
-    layout = blocks.layout
-    nt = layout.num_triangles
-    nQ, nU = layout.n_flux, layout.n_flux + layout.n_scalar
-    dofs = np.hstack(
-        [
-            np.arange(layout.n_flux).reshape(nt, -1),
-            layout.n_flux + np.arange(layout.n_scalar).reshape(nt, -1),
-            nU + blocks.lamidx.reshape(nt, -1),
-        ]
-    )
-    known = np.concatenate([np.zeros(nU), blocks.gdir.ravel()])
-    S = _scatter(_local_matrices(blocks), dofs, len(known))
-    # Stored zeros (the empty blocks of RT/BDM, off-diagonal multiplier
-    # entries) steer the LU ordering and would double its fill.
-    S.eliminate_zeros()
-    interior = layout.interior_dofs
-    keep = np.concatenate([np.arange(nU), nU + interior])
-    rows = S[keep]
-    rhs = -(rows @ known)
-    rhs[nQ:nU] += blocks.F.ravel()
-    return rows[:, keep].tocsc(), rhs, interior
+    A, rhs, _ = _reduce(blocks, 0)
+    return A, rhs, blocks.layout.interior_dofs
 
 
 def _saddle_order(blocks: LocalBlocks):
@@ -734,56 +723,47 @@ def system_residual(blocks: LocalBlocks, triple: FieldTriple) -> float:
 
 
 def dirichlet_form(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None):
-    """Dense matrix of the discrete Dirichlet form on the potential space.
-
-    The flux is eliminated element by element, and the summed (potential,
-    multiplier) element complements are reduced onto the potential through
-    the interior multiplier block, factored as SPD by :func:`_factor_spd`:
-    column j applies the divergence (plus stabilization, for HDG)
-    coupling to the flux and multiplier lifted from the j-th potential basis
-    function with zero Dirichlet data.  Reaction terms are not part of the
-    form.  Limited to 2000 potential dofs.
+    """Dense matrix of the discrete Dirichlet form on the potential space:
+    the Schur complement of the diffusion-only three-field system onto the
+    potential (see :func:`_dirichlet_pieces`).  Column j applies the
+    divergence (plus stabilization, for HDG) coupling to the flux and
+    multiplier lifted from the j-th potential basis function with zero
+    Dirichlet data.  The reaction term of ``data`` is not part of the form.
+    Limited to 2000 potential dofs.
     """
-    return _dirichlet_pieces(mesh, space, data, tau)[0]
+    diffusion = ProblemData(kappa=data.kappa, f=data.f, g=data.g)
+    return _dirichlet_pieces(mesh, space, diffusion, tau)[0]
 
 
 def _dirichlet_pieces(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau):
-    """Schur complement of the diffusion-only three-field system onto the
-    potential, within the 2000-dof cap of its dense matrix.
+    """Schur complement D of the three-field system onto the potential and
+    its load b = (f, .) - l_g, within the 2000-dof cap of the dense D.
 
-    ``_eliminate`` removes the flux of each element; the element complements
-    over (potential, multiplier) are summed, and one SPD factorization of
-    the negated interior-multiplier block lifts the potential basis
-    functions and the Dirichlet data in blocks of columns.  Returns (D
-    matrix, Dirichlet load l_g, load (f, .))."""
+    :func:`_reduce` eliminates the flux of each element and sums the
+    (potential, interior multiplier) system A [u; lam] = rhs.  One SPD
+    factorization of -A_ii lifts [A_ip | rhs_i] in blocks of columns, and
+    [D | b] = [A_pp | rhs_p] + A_pi (-A_ii)^{-1} [A_ip | rhs_i]."""
     n = mesh.num_triangles * space.scalar_dim
     if n > 2000:
         raise TooLarge(f"the Dirichlet form is limited to 2000 potential dofs, got {n}")
-    blocks = assemble(mesh, space, ProblemData(kappa=data.kappa, f=data.f, g=data.g), tau=tau)
-    layout = blocks.layout
-    nt, nW = layout.num_triangles, layout.n_scalar
-    _, S, _ = _eliminate(blocks, np.zeros((nt, space.flux_dim)))
-    dofs = np.hstack([np.arange(nW).reshape(nt, -1), nW + blocks.lamidx.reshape(nt, -1)])
-    T = _scatter(S, dofs, nW + layout.n_face)
-    # Columns: the potential basis functions, then the Dirichlet data.
-    W = sp.block_diag([sp.identity(nW), blocks.gdir.reshape(-1, 1)], format="csr")
-    inner = nW + layout.interior_dofs
-    T_pot, T_int = T[:nW], T[inner]
-    lu = _factor_spd(-T_int[:, inner].tocsc(), "interior multiplier block")
-    coupling, lift = T_pot[:, inner], (T_int @ W).tocsc()
-    pieces = (T_pot @ W).toarray()
+    A, rhs, _ = _reduce(assemble(mesh, space, data, tau=tau), space.flux_dim)
+    top, bottom = A[:n], A[n:]
+    lu = _factor_spd(-bottom[:, n:].tocsc(), "interior multiplier block")
+    coupling, lift = top[:, n:], sp.hstack([bottom[:, :n], rhs[n:, None]], format="csc")
+    pieces = sp.hstack([top[:, :n], rhs[:n, None]]).toarray()
     # 64 columns at a time: the whole dense lift is 26 MB at 512 BDM k=2
     # triangles, and SuperLU solves it faster in column blocks.
     for j in range(0, lift.shape[1], 64):
         pieces[:, j : j + 64] += coupling @ lu.solve(lift[:, j : j + 64].toarray())
-    return pieces[:, :-1], pieces[:, -1], blocks.F.ravel()
+    return pieces[:, :-1], pieces[:, -1]
 
 
 def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None):
-    """Solve the potential-only (primal) form D_h u = (f, .) - l_g and return
-    the potential coefficients (diagnostic cross-check of the Dirichlet form)."""
-    D, lg, F = _dirichlet_pieces(mesh, space, data, tau)
-    return np.linalg.solve(D, F - lg).reshape(-1, space.scalar_dim)
+    """Solve the potential-only (primal) form D u = (f, .) - l_g of the full
+    problem, reaction included, and return the potential coefficients
+    (diagnostic cross-check of the Dirichlet form)."""
+    D, b = _dirichlet_pieces(mesh, space, data, tau)
+    return np.linalg.solve(D, b).reshape(-1, space.scalar_dim)
 
 
 def conservation_residuals(triple: FieldTriple, data: ProblemData, include_reaction=False,

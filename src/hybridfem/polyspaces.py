@@ -119,16 +119,6 @@ def _shift_matrix(k: int, var: int):
     return M
 
 
-@lru_cache(maxsize=None)
-def _embed_matrix(k_src: int, k_dst: int):
-    """Inclusion of degree-<=k_src coefficients into the k_dst list."""
-    if k_dst < k_src:
-        raise ValueError("cannot embed into a shorter monomial list")
-    M = np.zeros((scalar_dim(k_dst), scalar_dim(k_src)))
-    M[: scalar_dim(k_src), :] = np.eye(scalar_dim(k_src))
-    return M
-
-
 def _reference_moment(a: int, b: int) -> Fraction:
     """Exact integral of x^a y^b over the reference triangle."""
     return Fraction(factorial(a) * factorial(b), factorial(a + b + 2))
@@ -239,31 +229,18 @@ class VectorBasis:
         sdim = scalar_dim(degree)
         scal = scalar_basis(max(degree, 0))
 
-        if tag == "P":
-            dim = 2 * sdim
-            coeffs = np.zeros((dim, 2, nmono))
-            for j in range(sdim):
-                coeffs[2 * j, 0, : scal.coeffs.shape[0]] = scal.coeffs[:, j]
-                coeffs[2 * j + 1, 1, : scal.coeffs.shape[0]] = scal.coeffs[:, j]
-        elif tag in ("RT", "N"):
-            dim = vector_dim("RT", degree)
-            coeffs = np.zeros((dim, 2, nmono))
-            emb = _embed_matrix(max(degree, 0), store_degree)
-            for j in range(sdim):
-                c = emb @ scal.coeffs[:, j]
-                coeffs[2 * j, 0] = c
-                coeffs[2 * j + 1, 1] = c
-            if degree >= 0:
-                comp = orthocomplement_basis(degree)
-                mulx = _shift_matrix(degree, 0)
-                muly = _shift_matrix(degree, 1)
-                for j in range(degree + 1):
-                    coeffs[2 * sdim + j, 0] = mulx @ comp.coeffs[:, j]
-                    coeffs[2 * sdim + j, 1] = muly @ comp.coeffs[:, j]
-            if tag == "N":
-                coeffs = np.stack([-coeffs[:, 1, :], coeffs[:, 0, :]], axis=1)
-        else:
-            raise ValueError(f"unknown vector space tag {tag!r}")
+        # The graded monomial lists are nested, so the P_k^2 part, (phi_j, 0)
+        # and (0, phi_j), is the scalar coefficients padded with zeros.
+        coeffs = np.zeros((vector_dim(tag, degree), 2, nmono))
+        c = scal.coeffs[:, :sdim].T
+        coeffs[0 : 2 * sdim : 2, 0, : c.shape[1]] = c
+        coeffs[1 : 2 * sdim : 2, 1, : c.shape[1]] = c
+        if tag != "P" and degree >= 0:
+            # x * (the orthogonal complement of P_{k-1} in P_k)
+            shift = np.stack([_shift_matrix(degree, 0), _shift_matrix(degree, 1)])
+            coeffs[2 * sdim :] = (shift @ orthocomplement_basis(degree).coeffs).transpose(2, 0, 1)
+        if tag == "N":
+            coeffs = np.stack([-coeffs[:, 1, :], coeffs[:, 0, :]], axis=1)
 
         self.tag = tag
         self.degree = degree

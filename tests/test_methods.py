@@ -444,21 +444,21 @@ def block_bytes(space, elements):
 @pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
 def test_condensation_independent_of_element_blocks(monkeypatch, method, k, tau):
     """128 elements streamed 7 at a time (the last block holds 2) give the
-    one-block condensed system and Dirichlet form bit for bit."""
+    one-block condensed system, saddle system and Dirichlet form bit for
+    bit."""
     mesh = perturbed_mesh(levels=2)
     blocks = condensed_blocks(mesh, method, k, tau)
     data = CASES["varkappa"].data()
 
     def run():
-        return condensed_system(blocks), dirichlet_form(mesh, blocks.space, data, tau=blocks.tau)
+        (K, *rest), (A, rhs, _) = condensed_system(blocks), _saddle_matrix(blocks)
+        D = dirichlet_form(mesh, blocks.space, data, tau=blocks.tau)
+        return [K.indptr, K.indices, K.data, *rest, A.indptr, A.indices, A.data, rhs, D]
 
     monkeypatch.setattr(methods, "_BLOCK_BYTES", block_bytes(blocks.space, mesh.num_triangles))
-    (K1, *rest1), D1 = run()
+    one = run()
     monkeypatch.setattr(methods, "_BLOCK_BYTES", block_bytes(blocks.space, 7))
-    (K7, *rest7), D7 = run()
-    for a, b in [(K1.indptr, K7.indptr), (K1.indices, K7.indices), (K1.data, K7.data), (D1, D7)]:
-        assert np.array_equal(a, b)
-    for a, b in zip(rest1, rest7):
+    for a, b in zip(one, run(), strict=True):
         assert np.array_equal(a, b)
 
 
@@ -656,13 +656,41 @@ def test_dirichlet_form_spd(method, k):
     assert eigs.min() > 0.0
 
 
-@pytest.mark.parametrize("method,k", [("rt", 0), ("rt", 1), ("hdg", 1)])
-def test_primal_solve_reproduces_potential(method, k):
+@pytest.mark.parametrize(
+    "method,k,case",
+    [
+        pytest.param(method, k, case, id=f"{method}-{k}{suffix}")
+        for case, suffix in [(SMOOTH, ""), (REACTION, "-reaction")]
+        for method, k in [("rt", 0), ("rt", 1), ("hdg", 1)]
+    ],
+)
+def test_primal_solve_reproduces_potential(method, k, case):
     mesh = uniform_refine(unit_square(1))
-    blocks, triple = solve_case(mesh, method, k, SMOOTH)
+    blocks, triple = solve_case(mesh, method, k, case)
     tau = make_tau(mesh) if method == "hdg" else None
-    u = solve_primal(mesh, SpaceDescriptor(method, k), SMOOTH.data(), tau=tau)
+    u = solve_primal(mesh, SpaceDescriptor(method, k), case.data(), tau=tau)
     assert np.abs(u - triple.u_coeffs).max() < 1e-8
+
+
+@pytest.mark.parametrize("method,k", [("rt", 0), ("rt", 2), ("bdm", 2), ("hdg", 1), ("hdg", 3)])
+def test_saddle_schur_complements_are_condensed_and_dirichlet_forms(method, k):
+    """One summed element matrix, different dofs eliminated: the saddle
+    matrix reduced onto the interior multipliers is -K, and reduced onto
+    the potential it is the Dirichlet form (c-free data)."""
+    mesh = perturbed_mesh()
+    blocks = condensed_blocks(mesh, method, k, "single-face" if method == "hdg" else None)
+    A = _saddle_matrix(blocks)[0].toarray()
+    nQ, nU = blocks.layout.n_flux, blocks.layout.n_flux + blocks.layout.n_scalar
+
+    def schur(keep):
+        drop = np.setdiff1d(np.arange(len(A)), keep)
+        coupling = A[np.ix_(keep, drop)] @ la.solve(A[np.ix_(drop, drop)], A[np.ix_(drop, keep)])
+        return A[np.ix_(keep, keep)] - coupling
+
+    K = condensed_system(blocks)[0].toarray()
+    assert rel_diff(schur(np.arange(nU, len(A))), -K) < 1e-12
+    D = dirichlet_form(mesh, blocks.space, CASES["varkappa"].data(), tau=blocks.tau)
+    assert rel_diff(schur(np.arange(nQ, nU)), D) < 1e-12
 
 
 @pytest.mark.parametrize("method,k", GLOBAL_SYSTEM_CASES)
