@@ -92,7 +92,6 @@ class ManufacturedCase:
     kappa: callable
     grad_kappa: callable
     c: callable | None = None
-    domain: str = "unit square"
 
     def q(self, x):
         return -np.asarray(self.kappa(x), dtype=float)[:, None] * self.grad_u(x)

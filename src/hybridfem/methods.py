@@ -189,6 +189,7 @@ class LocalBlocks:
     D: np.ndarray          # (nt, nw, nw) reaction mass + HDG stabilization
     Swl: np.ndarray        # (nt, nw, 3, nf) stabilization coupling to traces
     tau: np.ndarray | None # (nt, 3) or None
+    quad_exactness: int    # exactness of the data rule the load was integrated with
     F: np.ndarray          # (nt, nw) load
     gdir: np.ndarray       # (ne, nf) Dirichlet projection, zero off the boundary
     lamidx: np.ndarray     # (nt, 3, nf) global face dof ids per local edge
@@ -222,7 +223,8 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     nw, nf = space.scalar_dim, space.face_dim
     vb = ps.vector_basis(space.flux_space, k)
     sb = ps.scalar_basis(space.scalar_degree)
-    vol, erule = ps.quadrature_rules(k, max(quad_exactness or 0, 2 * k + 4))
+    quad_exactness = max(quad_exactness or 0, 2 * k + 4)
+    vol, erule = ps.quadrature_rules(k, quad_exactness)
 
     geo = mesh.geometry
     nt = mesh.num_triangles
@@ -297,6 +299,7 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
         D=D,
         Swl=Swl,
         tau=tau_vals,
+        quad_exactness=quad_exactness,
         F=F,
         gdir=gdir,
         lamidx=lamidx,
@@ -320,6 +323,7 @@ class FieldTriple:
     u_coeffs: np.ndarray   # (nt, nw)
     lam: np.ndarray        # (ne, nf)
     tau: np.ndarray | None = None
+    quad_exactness: int | None = None    # the assembly's data rule, set by the solvers
     solve_info: SolveInfo | None = None  # set by solve_hybridized
 
     def u_field(self, t) -> pj.LocalScalarField:
@@ -340,9 +344,7 @@ class FieldTriple:
         space = self.space
         vals = pj._normal_traces(self.mesh.geometry, space.flux_space, space.degree, self.q_coeffs, s)
         if space.is_hdg:
-            W = pj._edge_table(ps.scalar_basis(space.scalar_degree), s)
-            uh = np.einsum("lgw,ew->elg", W, self.u_coeffs)
-            vals = vals + self.tau[:, :, None] * (uh - _local_face_values(self.mesh, self.lam, s))
+            vals = vals + self.tau[:, :, None] * _trace_gap(self.mesh, self.u_coeffs, self.lam, s)
         return vals
 
 
@@ -361,6 +363,12 @@ def _local_face_values(mesh: Mesh, coeffs, s):
     L = mesh.edge_lengths[mesh.tri_edges]
     c = _edge_signs(mesh, k + 1) * coeffs[mesh.tri_edges] / np.sqrt(L)[..., None]
     return c @ ps.legendre01(k, s).T
+
+
+def _trace_gap(mesh: Mesh, u_coeffs, lam, s):
+    """HDG trace gap u_h - lam on every local edge at the parameters s, (nt, 3, ns)."""
+    W = pj._edge_table(ps.scalar_basis(lam.shape[1] - 1), s)
+    return np.einsum("lgw,ew->elg", W, u_coeffs) - _local_face_values(mesh, lam, s)
 
 
 def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
@@ -631,6 +639,7 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
         u_coeffs=qu[:, nq:],
         lam=lam,
         tau=blocks.tau,
+        quad_exactness=blocks.quad_exactness,
         solve_info=SolveInfo(len(interior), K.nnz, iterations, residual, lu_fallback),
     )
 
@@ -704,6 +713,7 @@ def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
         u_coeffs=sol[nQ : nQ + nW].reshape(-1, nw),
         lam=lam_full.reshape(-1, nf),
         tau=blocks.tau,
+        quad_exactness=blocks.quad_exactness,
     )
 
 
@@ -766,25 +776,29 @@ def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None
     return np.linalg.solve(D, b).reshape(-1, space.scalar_dim)
 
 
-def conservation_residuals(triple: FieldTriple, data: ProblemData, include_reaction=False,
-                           quad_exactness=None):
-    """Per-element defect of (f, 1)_K = <flux . n, 1>_dK.
-
-    For HDG the flux is the numerical flux.  With ``include_reaction`` the
-    left side becomes (f - c u_h, 1)_K, the balance that holds for the
-    reaction variant.  ``quad_exactness`` must match the assembly quadrature
-    of the solve; the balance is exact with respect to that rule."""
-    mesh, space = triple.mesh, triple.space
-    k = space.degree
-    vol, erule = ps.quadrature_rules(k, max(quad_exactness or 0, 2 * k + 4))
-    xq = mesh.geometry.forward(vol.points)
+def _balance(triple: FieldTriple, data: ProblemData, basis: ps.PolyFamily, vol, erule):
+    """The discrete conservation law (f - c u_h, w)_K - <q_h . n, w>_dK on
+    the rules ``vol`` and ``erule`` for every w of the reference family
+    ``basis``, (nt, basis.dim): numerical flux for HDG, reaction if set."""
+    geo = triple.mesh.geometry
+    xq = geo.forward(vol.points)
     fv = pj._at(data.f, xq)
-    if include_reaction and data.c is not None:
-        uh = triple.u_coeffs @ ps.scalar_basis(space.scalar_degree).eval(vol.points).T
+    if data.c is not None:
+        uh = triple.u_coeffs @ ps.scalar_basis(triple.space.scalar_degree).eval(vol.points).T
         fv = fv - pj._at(data.c, xq) * uh
-    lhs = mesh.geometry.detJ * (fv @ vol.weights)
-    flux = triple.normal_flux(erule.points) @ erule.weights
-    return lhs - np.sum(mesh.geometry.edge_lengths * flux, axis=1)
+    flux = geo.edge_lengths[:, :, None] * triple.normal_flux(erule.points) * erule.weights
+    source = geo.detJ[:, None] * ((vol.weights * fv) @ basis.eval(vol.points))
+    return source - np.einsum("elg,lgi->ei", flux, pj._edge_table(basis, erule.points))
+
+
+def conservation_residuals(triple: FieldTriple, data: ProblemData, quad_exactness=None):
+    """Per-element defect of (f - c u_h, 1)_K = <q_h . n, 1>_dK, the w = 1
+    row of :func:`_balance`, on the assembly's data rule recorded on the
+    triple (2k+4 for a triple built by hand) unless ``quad_exactness`` is
+    given.  A solve satisfies it to round-off."""
+    one = ps.PolyFamily(ps.monomial_exponents(0), np.ones((1, 1)))
+    rules = ps.quadrature_rules(triple.space.degree, quad_exactness or triple.quad_exactness)
+    return _balance(triple, data, one, *rules)[:, 0]
 
 
 def flux_jump_norms(triple: FieldTriple):
@@ -847,8 +861,6 @@ def energy_identity_residual(triple: FieldTriple, q_exact, u_exact, data: Proble
     lhs = np.sum(wk * np.einsum("egc,egc->eg", vals, vals))
     rhs = np.sum(wk * np.einsum("egc,egc->eg", diff, vals))
     if space.is_hdg:
-        s = erule.points
-        eu_edges = np.einsum("lgw,ew->elg", pj._edge_table(ps.scalar_basis(k), s), eu)
-        gap = eu_edges - _local_face_values(mesh, elam, s)
+        gap = _trace_gap(mesh, eu, elam, erule.points)
         lhs += np.sum(triple.tau * geo.edge_lengths * (gap**2 @ erule.weights))
     return abs(lhs - rhs)

@@ -17,7 +17,7 @@ import numpy as np
 from . import polyspaces as ps
 from . import projections as pj
 from .errors import SingularLocalSystem
-from .methods import FieldTriple, ProblemData
+from .methods import FieldTriple, ProblemData, _balance, conservation_residuals
 
 __all__ = ["PostprocessedField", "stenberg", "gradient_postprocess"]
 
@@ -33,8 +33,7 @@ class PostprocessedField:
     degree: int                  # k+1
     scheme: str                  # "stenberg" | "gradient"
     coeffs: np.ndarray           # (nt, dim P_{k+1})
-    decomposed: np.ndarray       # (nt,) flag: flux balance failed, mean-free
-                                 # system used as a standalone decomposition
+    decomposed: np.ndarray       # (nt,) flag: the element breaks the conservation law
 
     def field(self, t) -> pj.LocalScalarField:
         return pj.LocalScalarField(self.mesh.element_map(t), self.degree, self.coeffs[t])
@@ -65,35 +64,24 @@ def _solve_elements(S, rhs, mean_coeff):
 
 def stenberg(triple: FieldTriple, data: ProblemData) -> PostprocessedField:
     """Flux-driven reconstruction: the weighted gradient of the result
-    matches the source minus the boundary flux against all test functions.
+    matches the element balance (f - c u_h, w)_K - <q_h . n, w>_dK of
+    :func:`methods._balance` for all w in P_{k+1}, with the numerical flux
+    for HDG.
 
-    For HDG the boundary flux is the numerical flux, which restores the
-    elementwise balance that the scheme relies on.  Elements whose flux
-    balance defect exceeds the tolerance are flagged and solved through the
-    mean-free decomposition (the two formulations coincide otherwise).
+    Every element is solved the same way.  ``decomposed`` checks the
+    conservation law that makes the result consistent: it flags the elements
+    whose :func:`methods.conservation_residuals` exceeds ``COMPATIBILITY_TOL``
+    times the largest entry of their right-hand side (at least one).
     """
-    mesh, space = triple.mesh, triple.space
-    geo = mesh.geometry
-    k = space.degree
-    kp = k + 1
-    sb = ps.scalar_basis(kp)
-    vol = ps.triangle_rule(2 * kp + 4)
-    # The balance check must see the same (f, 1)_K functional the solver
-    # enforced, i.e. the assembly rule of degree k, not the finer rule used
-    # for the reconstruction integrals.
-    vol_check = ps.triangle_rule(2 * k + 4)
-    erule = ps.edge_rule(k + 4)
-
-    xq = geo.forward(vol.points)
-    S = _stiffness(geo, sb, vol, pj._at(data.kappa, xq))
-    flux = geo.edge_lengths[:, :, None] * triple.normal_flux(erule.points) * erule.weights
-    rhs = geo.detJ[:, None] * ((vol.weights * pj._at(data.f, xq)) @ sb.eval(vol.points))
-    rhs -= np.einsum("elg,lgi->ei", flux, pj._edge_table(sb, erule.points))
-    fmean = geo.detJ * (pj._at(data.f, geo.forward(vol_check.points)) @ vol_check.weights)
-    balance = fmean - flux.sum(axis=(1, 2))
-    decomposed = np.abs(balance) > COMPATIBILITY_TOL * np.maximum(1.0, np.abs(fmean))
+    mesh, k = triple.mesh, triple.space.degree
+    sb = ps.scalar_basis(k + 1)
+    vol = ps.triangle_rule(2 * (k + 1) + 4)
+    S = _stiffness(mesh.geometry, sb, vol, pj._at(data.kappa, mesh.geometry.forward(vol.points)))
+    rhs = _balance(triple, data, sb, vol, ps.edge_rule(k + 4))
+    tol = COMPATIBILITY_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1))
+    decomposed = np.abs(conservation_residuals(triple, data)) > tol
     coeffs = _solve_elements(S, rhs, triple.u_coeffs[:, 0])
-    return PostprocessedField(mesh=mesh, degree=kp, scheme="stenberg", coeffs=coeffs, decomposed=decomposed)
+    return PostprocessedField(mesh=mesh, degree=k + 1, scheme="stenberg", coeffs=coeffs, decomposed=decomposed)
 
 
 def gradient_postprocess(triple: FieldTriple, data: ProblemData) -> PostprocessedField:

@@ -519,30 +519,35 @@ def _solve_element(S, rhs, mean_coeff):
     return np.concatenate([[mean_coeff], np.linalg.solve(S[1:, 1:], rhs[1:])])
 
 
+def _source(triple, data, t, xq):
+    """f - c u_h at the points xq of element t."""
+    fv = np.asarray(data.f(xq), dtype=float)
+    if data.c is not None:
+        fv = fv - np.asarray(data.c(xq), dtype=float) * triple.u_field(t)(xq)
+    return fv
+
+
 def reference_stenberg(triple, data, tol=1e-9):
     """Coefficients and ``decomposed`` flags of the Stenberg reconstruction."""
     mesh, k = triple.mesh, triple.space.degree
     sb = ps.scalar_basis(k + 1)
     vol = ps.triangle_rule(2 * (k + 1) + 4)
-    vol_check = ps.triangle_rule(2 * k + 4)
     erule = ps.edge_rule(k + 4)
     grads = sb.grad(vol.points)
     vals_edge = [sb.eval(ReferenceTriangle.edge_points(loc, erule.points)) for loc in range(3)]
     W = sb.eval(vol.points)
+    balance = reference_conservation_residuals(triple, data)
     coeffs = np.zeros((mesh.num_triangles, sb.dim))
     decomposed = np.zeros(mesh.num_triangles, dtype=bool)
     for t in range(mesh.num_triangles):
         em = mesh.element_map(t)
         xq = em.forward(vol.points)
         S = _local_stiffness(em, grads, np.asarray(data.kappa(xq), dtype=float), vol)
-        rhs = em.detJ * (W.T @ (vol.weights * np.asarray(data.f(xq), dtype=float)))
-        fmean = em.detJ * float(vol_check.weights @ data.f(em.forward(vol_check.points)))
-        balance = fmean
+        rhs = em.detJ * (W.T @ (vol.weights * _source(triple, data, t, xq)))
         for loc in range(3):
             flux = _flux_trace(triple, t, loc, erule.points)
             rhs -= em.edge_lengths[loc] * (vals_edge[loc].T @ (erule.weights * flux))
-            balance -= em.edge_lengths[loc] * float(erule.weights @ flux)
-        decomposed[t] = abs(balance) > tol * max(1.0, abs(fmean))
+        decomposed[t] = abs(balance[t]) > tol * max(1.0, np.abs(rhs).max())
         coeffs[t] = _solve_element(S, rhs, triple.u_coeffs[t, 0])
     return coeffs, decomposed
 
@@ -564,17 +569,14 @@ def reference_gradient_postprocess(triple, data):
     return coeffs
 
 
-def reference_conservation_residuals(triple, data, include_reaction=False, quad_exactness=None):
+def reference_conservation_residuals(triple, data, quad_exactness=None):
     mesh, k = triple.mesh, triple.space.degree
-    vol, erule = ps.quadrature_rules(k, max(quad_exactness or 0, 2 * k + 4))
+    vol, erule = ps.quadrature_rules(k, quad_exactness or triple.quad_exactness)
     out = np.zeros(mesh.num_triangles)
     for t in range(mesh.num_triangles):
         em = mesh.element_map(t)
         xq = em.forward(vol.points)
-        fv = np.asarray(data.f(xq), dtype=float)
-        if include_reaction and data.c is not None:
-            fv = fv - np.asarray(data.c(xq), dtype=float) * triple.u_field(t)(xq)
-        out[t] = em.detJ * float(vol.weights @ fv)
+        out[t] = em.detJ * float(vol.weights @ _source(triple, data, t, xq))
         for loc in range(3):
             flux = _flux_trace(triple, t, loc, erule.points)
             out[t] -= em.edge_lengths[loc] * float(erule.weights @ flux)

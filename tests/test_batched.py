@@ -99,11 +99,9 @@ def check_against_oracles(triple, case):
     assert np.array_equal(posts[0].decomposed, decomposed)
     assert_close(posts[1].coeffs, oracles.reference_gradient_postprocess(triple, data))
     # Residuals and jumps are round-off; their scale is that of the data.
-    fscale = max(1.0, float(np.abs(oracles.reference_conservation_residuals(triple, data)).max()))
-    for reaction in (False, True):
-        got = conservation_residuals(triple, data, include_reaction=reaction)
-        want = oracles.reference_conservation_residuals(triple, data, include_reaction=reaction)
-        assert np.abs(got - want).max() <= 1e-12 * fscale
+    want = oracles.reference_conservation_residuals(triple, data)
+    fscale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(conservation_residuals(triple, data) - want).max() <= 1e-12 * fscale
     assert np.abs(flux_jump_norms(triple) - oracles.reference_flux_jump_norms(triple)).max() <= 1e-12
     got = energy_identity_residual(triple, case.q, case.u, data)
     want = oracles.reference_energy_identity_residual(triple, case.q, case.u, data)
@@ -169,7 +167,7 @@ def test_perturbed_meshes_batched_and_saddle_agree(seed, amplitude, space, case_
         assert_close(getattr(saddle, name), getattr(triple, name), rtol=1e-9)
     # One owner of every interior edge runs along it and the other against
     # it; the element balance and the flux continuity hold to round-off.
-    assert np.abs(conservation_residuals(triple, case.data(), include_reaction=True)).max() <= 1e-12
+    assert np.abs(conservation_residuals(triple, case.data())).max() <= 1e-12
     assert flux_jump_norms(triple).max() <= 1e-12
 
 

@@ -759,7 +759,7 @@ def test_per_element_conservation(method, k):
 def test_conservation_with_reaction_balance():
     mesh = uniform_refine(unit_square(2))
     _, triple = solve_case(mesh, "rt", 1, REACTION)
-    res = conservation_residuals(triple, REACTION.data(), include_reaction=True)
+    res = conservation_residuals(triple, REACTION.data())
     assert np.abs(res).max() < 1e-10
 
 

@@ -3,24 +3,26 @@ import pytest
 
 import hybridfem.polyspaces as ps
 import hybridfem.projections as pj
-from hybridfem.harness import CASES
+from hybridfem.harness import CASES, StudyConfig, run_study
 from hybridfem.mesh import unit_square, uniform_refine
 from hybridfem.methods import (
     FieldTriple,
     SpaceDescriptor,
     StabilizationFunction,
     assemble,
+    conservation_residuals,
     solve_hybridized,
 )
 from hybridfem.postprocess import gradient_postprocess, stenberg
 
 SMOOTH = CASES["smooth"]
+REACTION = CASES["reaction"]
 
 
-def solve(mesh, method, k, case):
+def solve(mesh, method, k, case, quad_exactness=None):
     space = SpaceDescriptor(method, k)
     tau = StabilizationFunction.constant(mesh) if method == "hdg" else None
-    blocks = assemble(mesh, space, case.data(), tau=tau)
+    blocks = assemble(mesh, space, case.data(), tau=tau, quad_exactness=quad_exactness)
     return solve_hybridized(blocks)
 
 
@@ -109,6 +111,27 @@ def test_hdg_numerical_flux_satisfies_precondition():
     triple = solve(mesh, "hdg", 1, SMOOTH)
     post = stenberg(triple, SMOOTH.data())
     assert not post.decomposed.any()
+
+
+@pytest.mark.parametrize("refinements", [1, 3])  # 8 and 128 triangles
+@pytest.mark.parametrize("method,k", [("rt", 0), ("bdm", 2), ("hdg", 1)])
+@pytest.mark.parametrize("case,quad_exactness", [(SMOOTH, 20), (REACTION, None)], ids=["exactness20", "reaction"])
+def test_balance_of_a_correct_solve_holds(case, quad_exactness, method, k, refinements):
+    # the conservation law takes the reaction term and the assembly's data
+    # rule from the solve, so a correct solve breaks it on no element
+    mesh = unit_square(1)
+    for _ in range(refinements):
+        mesh = uniform_refine(mesh)
+    triple = solve(mesh, method, k, case, quad_exactness)
+    assert np.abs(conservation_residuals(triple, case.data())).max() < 1e-13
+    assert not stenberg(triple, case.data()).decomposed.any()
+
+
+@pytest.mark.parametrize("method", ["rt", "hdg"])
+def test_stenberg_superconverges_with_reaction(method):
+    # the reconstruction balances f - c u_h, not f alone
+    config = StudyConfig(method=method, degree=2, levels=4, case="reaction", postprocess="stenberg")
+    assert run_study(config).verdicts["epost_stenberg"]["pass"]
 
 
 def test_incompatible_flux_sets_flag_and_fixes_mean():
