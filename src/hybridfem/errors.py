@@ -6,7 +6,7 @@ class HybridFEMError(Exception):
 
 
 class DegenerateElement(HybridFEMError):
-    """Triangle with (numerically) collinear vertices."""
+    """Triangle that is not three finite 2D vertices off one line."""
 
 
 class ParseError(HybridFEMError):
@@ -20,7 +20,8 @@ class ParseError(HybridFEMError):
 
 
 class NonConformingMesh(HybridFEMError):
-    """An edge is shared by more than two triangles."""
+    """The triangles are not (nt, 3) ids of existing vertices, or an edge is
+    shared by more than two triangles."""
 
 
 class UnsupportedDegree(HybridFEMError):
@@ -57,4 +58,4 @@ class TooLarge(HybridFEMError):
 
 
 class ConfigError(HybridFEMError):
-    """Invalid convergence-study configuration."""
+    """Invalid convergence-study or mesh-generator configuration."""

@@ -226,7 +226,7 @@ def compute_error_norms(triple: FieldTriple, case: ManufacturedCase, postprocess
     acc["eflux"] = np.sum(we * (qen - flux_h) ** 2)
     if space.is_hdg:
         # edgewise L2 projection of the exact normal flux, element side
-        r = ps.edge_rule(k + 3)
+        r = ps.quadrature_rules(k)[1]
         qn = np.einsum("elgc,elc->elg", pj._at(case.q, geo.edge_forward(r.points)), geo.edge_normals)
         P = ps.legendre01(k, r.points)
         gap = np.einsum("si,gi,elg->els", ps.legendre01(k, s), P * r.weights[:, None], qn) - flux_h
@@ -401,10 +401,8 @@ class ConvergenceReport:
         lines.append(f"{'eoc':>3} {'':>9} {'':>8} " + " ".join(eoc_cells))
         for key, v in self.verdicts.items():
             status = "pass" if v["pass"] else ("FAIL" if self.asserted else "reported")
-            lines.append(
-                f"  {key}: expected {v['expected']} in [{v['lo']:.2f}, {v['hi']:.2f}], "
-                f"observed {v['observed']}: {status}"
-            )
+            seen = "saturated" if v["observed"] is None and v["pass"] else f"observed {v['observed']}"
+            lines.append(f"  {key}: expected {v['expected']} in [{v['lo']:.2f}, {v['hi']:.2f}], {seen}: {status}")
         return "\n".join(lines)
 
 
@@ -432,8 +430,9 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     Levels are solved through the hybridized path.  The report carries one
     row per level (with the condensed solve's ``solver`` facts and the
     ``timings`` of its phases in the JSON only), slope sequences for every
-    norm, and pass/fail verdicts
-    for the method's asserted orders (evaluated on the finest level pair).
+    norm, and pass/fail verdicts for the method's asserted orders
+    (evaluated on the finest level pair; a norm below ``SATURATION`` on the
+    finest level passes with slope None).
     With a user-supplied mesh the verdicts are reported but not asserted
     (no convexity guarantee for the duality rates).
     """
@@ -483,7 +482,9 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     verdicts = {}
     for key, (order, lo, hi) in expected_orders(space, schemes).items():
         observed = slopes[key][-1] if slopes[key] else None
-        ok = observed is not None and (order - lo) <= observed <= (order + hi)
+        # a norm the method reproduces exactly has no slope, and passes
+        ok = rows[-1]["norms"][key] < SATURATION or (
+            observed is not None and (order - lo) <= observed <= (order + hi))
         verdicts[key] = {
             "expected": order,
             "lo": order - lo,

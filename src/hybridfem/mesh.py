@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateElement, NonConformingMesh, ParseError
+from .errors import ConfigError, DegenerateElement, NonConformingMesh, ParseError
 
 __all__ = [
     "ReferenceTriangle",
@@ -170,13 +170,13 @@ class _AffineMaps:
 def build_reference_map(triangle_vertices) -> ElementMap:
     """Build the affine map sending the reference vertices onto a triangle.
 
-    Raises DegenerateElement when a vertex is not finite or the vertices are
-    numerically collinear (|det B| below 1e-14 times the squared
-    bounding-box scale).
+    Raises DegenerateElement when the input is not three 2D vertices, a
+    vertex is not finite, or the vertices are numerically collinear (|det B|
+    below 1e-14 times the squared bounding-box scale).
     """
     v = np.array(triangle_vertices, dtype=float)
     if v.shape != (3, 2):
-        raise ValueError("expected three 2D vertices")
+        raise DegenerateElement("expected three 2D vertices")
     if not np.isfinite(v).all():
         raise DegenerateElement(f"triangle with vertices {v.tolist()} is not finite")
     return _AffineMaps(v[None])[0]
@@ -193,8 +193,9 @@ class Mesh:
     vertex pairs.  The stored edge direction (``edges[e] = (a, b)``) is chosen
     so that the right-handed normal of a->b is the outward normal of
     ``t_plus``, i.e. the global edge normal points from the lower- to the
-    higher-id owner.  An edge with more than two owners, or a triangle
-    listed twice in any vertex order, raises NonConformingMesh.
+    higher-id owner.  A triangle array that is not (nt, 3) or indexes a
+    missing vertex, an edge with more than two owners, or a triangle listed
+    twice in any vertex order raises NonConformingMesh.
 
     Attributes:
         vertices: (nv, 2) float array.
@@ -221,9 +222,9 @@ class Mesh:
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
         if triangles.ndim != 2 or triangles.shape[1] != 3:
-            raise ValueError("triangles must be an (nt, 3) index array")
+            raise NonConformingMesh("triangles must be an (nt, 3) index array")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
-            raise ValueError("triangle vertex index out of range")
+            raise NonConformingMesh("triangle vertex index out of range")
         # before the orientation test: a NaN determinant passes every size test
         if not np.isfinite(vertices).all():
             raise DegenerateElement("vertex coordinates must be finite")
@@ -332,7 +333,7 @@ def unit_square(n: int) -> Mesh:
     diagonals, which keeps the mesh symmetric under quarter turns.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs)
     verts = np.column_stack([X.ravel(), Y.ravel()])

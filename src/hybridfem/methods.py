@@ -127,10 +127,7 @@ class StabilizationFunction:
     """
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != 3:
-            raise InvalidStabilization("expected an (n_elements, 3) array")
-        self.values = pj._checked_tau(values)
+        self.values = pj._checked_tau(values, (None, 3))
 
     @classmethod
     def constant(cls, mesh: Mesh, value: float = 1.0):
@@ -171,8 +168,12 @@ class DofLayout:
     @property
     def interior_dofs(self):
         """Multiplier dof ids on the interior edges, edge by edge."""
-        nf = self.space.face_dim
-        return (self.interior_edges[:, None] * nf + np.arange(nf)).ravel()
+        return _edge_dofs(self.interior_edges, self.space.face_dim).ravel()
+
+
+def _edge_dofs(edges, nf):
+    """Multiplier dof ids (..., nf) of the edge ids ``edges`` (...)."""
+    return edges[..., None] * nf + np.arange(nf)
 
 
 @dataclass
@@ -209,11 +210,8 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     if space.is_hdg:
         if tau is None:
             raise InvalidStabilization("HDG assembly requires a stabilization function")
-        if not isinstance(tau, StabilizationFunction):
-            tau = StabilizationFunction(tau)
-        if tau.values.shape[0] != mesh.num_triangles:
-            raise InvalidStabilization("stabilization shape does not match the mesh")
-        tau_vals = tau.values
+        values = tau.values if isinstance(tau, StabilizationFunction) else tau
+        tau_vals = pj._checked_tau(values, (mesh.num_triangles, 3))
     else:
         if tau is not None:
             raise InvalidStabilization(f"{space.method} does not take a stabilization")
@@ -286,7 +284,7 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
         interior_edges=np.flatnonzero(~mesh.boundary),
         boundary_edges=np.flatnonzero(mesh.boundary),
     )
-    lamidx = (mesh.tri_edges[:, :, None] * nf + np.arange(nf)[None, None, :])
+    lamidx = _edge_dofs(mesh.tri_edges, nf)
 
     return LocalBlocks(
         mesh=mesh,
@@ -525,7 +523,7 @@ def _coarse_space(mesh: Mesh, interior_edges, nf):
     coef = np.array([[0.5, -np.sqrt(3.0) / 6.0], [0.5, np.sqrt(3.0) / 6.0]])[:, : min(nf, 2)]
     vals = root[:, None, None] * coef                  # (m, 2 ends, dofs)
     rows, cols, keep = np.broadcast_arrays(
-        nf * np.arange(len(ends))[:, None, None] + np.arange(coef.shape[1]),
+        _edge_dofs(np.arange(len(ends))[:, None], nf)[..., : coef.shape[1]],
         vid[ends][..., None],
         inner[ends][..., None],
     )
@@ -625,23 +623,21 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
         res, scale = K @ lam - rhs, _dot(rhs, rhs)
         residual = float(np.sqrt(_dot(res, res) / scale)) if scale else 0.0
         lam_full[interior] = lam
-    nt = blocks.layout.num_triangles
-    lam_loc = lam_full[blocks.lamidx.reshape(nt, 3 * nf)]
-    qu = np.einsum("eij,ej->ei", X, lam_loc) + Y
-    if not (np.isfinite(qu).all() and np.isfinite(lam_full).all()):
-        raise SingularSystem("condensed system produced non-finite values")
+    qu = np.einsum("eij,ej->ei", X, lam_full[blocks.lamidx.reshape(len(X), 3 * nf)]) + Y
     nq = blocks.space.flux_dim
-    lam = lam_full.reshape(blocks.layout.num_edges, nf)
-    return FieldTriple(
-        mesh=blocks.mesh,
-        space=blocks.space,
-        q_coeffs=qu[:, :nq],
-        u_coeffs=qu[:, nq:],
-        lam=lam,
-        tau=blocks.tau,
-        quad_exactness=blocks.quad_exactness,
-        solve_info=SolveInfo(len(interior), K.nnz, iterations, residual, lu_fallback),
-    )
+    info = SolveInfo(len(interior), K.nnz, iterations, residual, lu_fallback)
+    return _solved_triple(blocks, "condensed system", qu[:, :nq], qu[:, nq:], lam_full, info)
+
+
+def _solved_triple(blocks: LocalBlocks, what, q, u, lam_full, solve_info=None) -> FieldTriple:
+    """The triple of a solve of ``what``: flux and potential coefficients
+    (nt, nq) and (nt, nw), and every multiplier dof, the Dirichlet values
+    included.  A non-finite value raises :class:`SingularSystem`."""
+    if not all(np.isfinite(a).all() for a in (q, u, lam_full)):
+        raise SingularSystem(f"{what} produced non-finite values")
+    return FieldTriple(mesh=blocks.mesh, space=blocks.space, q_coeffs=q, u_coeffs=u,
+                       lam=lam_full.reshape(-1, blocks.space.face_dim), tau=blocks.tau,
+                       quad_exactness=blocks.quad_exactness, solve_info=solve_info)
 
 
 def _saddle_matrix(blocks: LocalBlocks):
@@ -671,7 +667,7 @@ def _saddle_order(blocks: LocalBlocks):
         # E^T E + I is SPD with the pattern of the edge graph; the factor's
         # perm_c gives each edge its position, so the order is its argsort
         edges = np.argsort(_factor_spd((E.T @ E + sp.identity(m)).tocsc(), "edge graph").perm_c)
-    return np.concatenate([elements.ravel(), nQ + nW + (edges[:, None] * nf + np.arange(nf)).ravel()])
+    return np.concatenate([elements.ravel(), nQ + nW + _edge_dofs(edges, nf).ravel()])
 
 
 def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
@@ -690,31 +686,20 @@ def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
     element."""
     A, rhs, interior = _saddle_matrix(blocks)
     p = _saddle_order(blocks)
+    A, rhs = A[p][:, p], rhs[p]  # frees the unpermuted system before SuperLU runs
     try:
-        lu = spla.splu(A[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystem("saddle system is singular") from exc
     if not np.array_equal(lu.perm_r, np.arange(len(p))):
         raise SingularSystem("saddle system has a zero pivot")
     sol = np.empty_like(rhs)
-    sol[p] = lu.solve(rhs[p])
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("saddle system produced non-finite values")
-    layout = blocks.layout
-    nq, nw, nf = blocks.space.flux_dim, blocks.space.scalar_dim, blocks.space.face_dim
-    nQ, nW = layout.n_flux, layout.n_scalar
+    sol[p] = lu.solve(rhs)
+    nQ, nW = blocks.layout.n_flux, blocks.layout.n_scalar
     lam_full = blocks.gdir.ravel().copy()
     lam_full[interior] = sol[nQ + nW :]
-    return FieldTriple(
-        mesh=blocks.mesh,
-        space=blocks.space,
-        q_coeffs=sol[:nQ].reshape(-1, nq),
-        u_coeffs=sol[nQ : nQ + nW].reshape(-1, nw),
-        lam=lam_full.reshape(-1, nf),
-        tau=blocks.tau,
-        quad_exactness=blocks.quad_exactness,
-    )
+    q, u = sol[:nQ].reshape(-1, blocks.space.flux_dim), sol[nQ : nQ + nW].reshape(-1, blocks.space.scalar_dim)
+    return _solved_triple(blocks, "saddle system", q, u, lam_full)
 
 
 def system_residual(blocks: LocalBlocks, triple: FieldTriple) -> float:

@@ -35,64 +35,40 @@ class TransformKind(Enum):
     DUAL_TRACE = "dual_trace"        # mucheck = |a| mu o F
 
 
-_VOLUME = {
-    TransformKind.PRIMAL_SCALAR,
-    TransformKind.PRIMAL_VECTOR,
-    TransformKind.DUAL_SCALAR,
-    TransformKind.DUAL_VECTOR,
+# The six transformations.  A volume row maps the values ``v`` at the mapped
+# points, pull-back next to push-forward; a trace row is the scale of the
+# values on local edge e, |a| for the dual trace and 1 for the primal.
+_TABLE = {
+    TransformKind.PRIMAL_SCALAR: (lambda v, m: v, lambda v, m: v),
+    TransformKind.PRIMAL_VECTOR: (lambda v, m: m.detJ * v @ m.invB.T, lambda v, m: v @ m.B.T / m.detJ),
+    TransformKind.DUAL_SCALAR: (lambda v, m: m.detJ * v, lambda v, m: v / m.detJ),
+    TransformKind.DUAL_VECTOR: (lambda v, m: v @ m.B, lambda v, m: v @ m.invB),  # B^T q, invB^T q
+    TransformKind.PRIMAL_TRACE: lambda m, e: 1.0,
+    TransformKind.DUAL_TRACE: lambda m, e: m.edge_jacobians[e],
 }
+
+
+def _transform(field, kind: TransformKind, emap: ElementMap, push: bool):
+    rule = _TABLE[kind]
+    if isinstance(rule, tuple):
+        move = emap.inverse if push else emap.forward
+        return lambda x: rule[push](np.asarray(field(move(x)), dtype=float), emap)
+
+    def trace(local_edge, t):
+        vals, scale = np.asarray(field(local_edge, t), dtype=float), rule(emap, local_edge)
+        return vals / scale if push else scale * vals
+
+    return trace
 
 
 def pull_back(field, kind: TransformKind, emap: ElementMap):
     """Reference-side field (hat or check) of a physical field."""
-    if kind in _VOLUME:
-
-        def ref(xhat, field=field, kind=kind, emap=emap):
-            x = emap.forward(xhat)
-            vals = np.asarray(field(x), dtype=float)
-            if kind is TransformKind.PRIMAL_SCALAR:
-                return vals
-            if kind is TransformKind.DUAL_SCALAR:
-                return emap.detJ * vals
-            if kind is TransformKind.PRIMAL_VECTOR:
-                return emap.detJ * vals @ emap.invB.T
-            return vals @ emap.B  # DUAL_VECTOR: B^T q
-
-        return ref
-
-    def ref_trace(local_edge, t, field=field, kind=kind, emap=emap):
-        vals = np.asarray(field(local_edge, t), dtype=float)
-        if kind is TransformKind.DUAL_TRACE:
-            return emap.edge_jacobians[local_edge] * vals
-        return vals
-
-    return ref_trace
+    return _transform(field, kind, emap, push=False)
 
 
 def push_forward(field, kind: TransformKind, emap: ElementMap):
     """Physical field whose pull-back of the given kind is ``field``."""
-    if kind in _VOLUME:
-
-        def phys(x, field=field, kind=kind, emap=emap):
-            xhat = emap.inverse(x)
-            vals = np.asarray(field(xhat), dtype=float)
-            if kind is TransformKind.PRIMAL_SCALAR:
-                return vals
-            if kind is TransformKind.DUAL_SCALAR:
-                return vals / emap.detJ
-            if kind is TransformKind.PRIMAL_VECTOR:
-                return vals @ emap.B.T / emap.detJ
-            return vals @ emap.invB  # invB^T applied from the left
-
-        return phys
-
-    def phys_trace(local_edge, t, field=field, kind=kind, emap=emap):
-        vals = np.asarray(field(local_edge, t), dtype=float)
-        if kind is TransformKind.DUAL_TRACE:
-            return vals / emap.edge_jacobians[local_edge]
-        return vals
-
-    return phys_trace
+    return _transform(field, kind, emap, push=True)
 
 
 @lru_cache(maxsize=None)

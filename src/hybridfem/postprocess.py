@@ -39,9 +39,7 @@ class PostprocessedField:
         return pj.LocalScalarField(self.mesh.element_map(t), self.degree, self.coeffs[t])
 
     def element_means(self):
-        # The first basis function is the constant sqrt(2) on the reference
-        # triangle; all the others have zero mean.
-        return self.coeffs[:, 0] * np.sqrt(2.0) * 0.5 * self.mesh.geometry.detJ
+        return pj._element_mean(self.coeffs[:, 0], self.mesh.geometry.detJ)
 
 
 def _stiffness(geo, sb, vol, weight):
@@ -75,9 +73,9 @@ def stenberg(triple: FieldTriple, data: ProblemData) -> PostprocessedField:
     """
     mesh, k = triple.mesh, triple.space.degree
     sb = ps.scalar_basis(k + 1)
-    vol = ps.triangle_rule(2 * (k + 1) + 4)
+    vol, erule = ps.quadrature_rules(k + 1)
     S = _stiffness(mesh.geometry, sb, vol, pj._at(data.kappa, mesh.geometry.forward(vol.points)))
-    rhs = _balance(triple, data, sb, vol, ps.edge_rule(k + 4))
+    rhs = _balance(triple, data, sb, vol, erule)
     tol = COMPATIBILITY_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1))
     decomposed = np.abs(conservation_residuals(triple, data)) > tol
     coeffs = _solve_elements(S, rhs, triple.u_coeffs[:, 0])
@@ -91,7 +89,7 @@ def gradient_postprocess(triple: FieldTriple, data: ProblemData) -> Postprocesse
     geo = mesh.geometry
     kp = space.degree + 1
     sb = ps.scalar_basis(kp)
-    vol = ps.triangle_rule(2 * kp + 4)
+    vol = ps.quadrature_rules(kp)[0]
 
     nt = mesh.num_triangles
     xq = geo.forward(vol.points)

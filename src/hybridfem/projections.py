@@ -88,9 +88,14 @@ class LocalScalarField:
         return self.ref_values(xhat)
 
     def mean(self):
-        # First basis function is the constant sqrt(2) on the reference
-        # triangle; all the others have zero mean.
-        return float(self.coeffs[0]) * np.sqrt(2.0) * 0.5 * self.emap.detJ
+        return float(_element_mean(self.coeffs[0], self.emap.detJ))
+
+
+def _element_mean(c0, detJ):
+    """Integral over its element (of area detJ / 2) of a scalar field with
+    first coefficient c0: the first basis function is the constant sqrt(2)
+    on the reference triangle, and all the others have zero mean."""
+    return c0 * np.sqrt(2.0) * 0.5 * detJ
 
 
 @dataclass
@@ -181,7 +186,7 @@ def _edge_table(basis: ps.PolyFamily, s):
 
 def _scalar_coeffs(u, k: int, geo: _AffineMaps):
     """Element L2 projection coefficients (n, dim P_k) of u on every element."""
-    rule = ps.triangle_rule(2 * k + 4)
+    rule = ps.quadrature_rules(k)[0]
     vals = _at(u, geo.forward(rule.points))
     return _times(rule.weights * vals, ps.scalar_basis(k).eval(rule.points).T)
 
@@ -206,7 +211,7 @@ def project_face(mu, k: int, p0, p1, npoints=None) -> np.ndarray:
     L = np.sqrt(np.vecdot(d, d))[..., None]
     if not (L > 0.0).all():
         raise DegenerateElement("face of zero or non-finite length")
-    rule = ps.edge_rule(k + 3 if npoints is None else npoints)
+    rule = ps.quadrature_rules(k)[1] if npoints is None else ps.edge_rule(npoints)
     vals = _at(mu, p0[..., None, :] + rule.points[:, None] * d[..., None, :])
     P = ps.legendre01(k, rule.points) / np.sqrt(L)[..., None]
     return (np.swapaxes(P, -1, -2) @ (rule.weights * L * vals)[..., None])[..., 0]
@@ -376,10 +381,13 @@ def bdm_project(q, k: int, emap: ElementMap, quad_exactness=None) -> LocalVector
     return LocalVectorField(emap, "P", k, coeffs)
 
 
-def _checked_tau(tau) -> np.ndarray:
-    """Stabilization values (..., 3), one per local edge of an element:
-    finite, nonnegative up to round-off (clipped to zero) and positive on
-    some edge of every element."""
+def _checked_tau(values, shape) -> np.ndarray:
+    """Stabilization values of the given shape (None matches any length),
+    one per local edge of an element: finite, nonnegative up to round-off
+    (clipped to zero) and positive on some edge of every element."""
+    tau = np.asarray(values, dtype=float)
+    if tau.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, tau.shape)):
+        raise InvalidStabilization(f"expected stabilization values of shape {shape}, got {tau.shape}")
     if not np.isfinite(tau).all():
         raise InvalidStabilization("stabilization must be finite")
     if tau.min() < -1e-14:
@@ -390,10 +398,7 @@ def _checked_tau(tau) -> np.ndarray:
 
 
 def check_stabilization(tau) -> np.ndarray:
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (3,):
-        raise InvalidStabilization("expected one stabilization value per edge")
-    return _checked_tau(tau)
+    return _checked_tau(tau, (3,))
 
 
 class _HdgRef(_RefRules):
@@ -519,7 +524,7 @@ def lift_normal_trace(mu, method: str, k: int, emap: ElementMap) -> LocalVectorF
     if not callable(mu):
         coeffs = np.asarray(mu, dtype=float)
         if coeffs.shape != (3, k + 1):
-            raise ValueError("expected shape (3, k+1) for face coefficients")
+            raise InvalidProblemData("expected shape (3, k+1) for face coefficients")
 
         def mu(local_edge, t, coeffs=coeffs):
             L = emap.edge_lengths[local_edge]

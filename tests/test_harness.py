@@ -7,6 +7,7 @@ import hybridfem.polyspaces as ps
 from hybridfem.errors import ConfigError, UnsupportedDegree
 from hybridfem.harness import (
     CASES,
+    SATURATION,
     StudyConfig,
     compare_methods,
     compute_error_norms,
@@ -224,6 +225,21 @@ def test_linear_case_all_levels_tiny(small_report):
         assert row["norms"]["eq"] < 1e-10
         assert row["norms"]["eu_proj"] < 1e-10
     assert all(s is None for s in rep.eoc["eq"])  # saturated
+
+
+def test_saturated_norms_pass_the_check(capsys):
+    # BDM k=3 reproduces the linear case: every asserted norm is round-off
+    rep = run_study(StudyConfig(method="bdm", degree=3, levels=3, case="linear"))
+    assert rep.passed and rep.verdicts
+    for key, v in rep.verdicts.items():
+        assert rep.levels[-1]["norms"][key] < SATURATION
+        assert v["observed"] is None and v["pass"] is True
+    assert "saturated: pass" in rep.table() and "FAIL" not in rep.table()
+    verdict = json.loads(rep.to_json())["verdicts"]["eq"]
+    assert verdict["observed"] is None and verdict["pass"] is True
+    rc = cli_main(["--method", "bdm", "--degree", "3", "--levels", "3", "--case", "linear", "--check"])
+    assert rc == 0
+    assert "saturated: pass" in capsys.readouterr().out
 
 
 def test_varkappa_study_orders():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hybridfem.errors import DegenerateElement, NonConformingMesh, ParseError
+from hybridfem.errors import ConfigError, DegenerateElement, NonConformingMesh, ParseError
 from hybridfem.mesh import (
     Mesh,
     ReferenceTriangle,
@@ -224,6 +224,32 @@ def test_load_mesh_rejects_surplus_lines():
 def test_load_mesh_from_file_object():
     m = load_mesh(io.StringIO(SQUARE))
     assert m.num_triangles == 2
+
+
+@pytest.mark.parametrize(
+    "triangles",
+    [[[0, 1]], [0, 1, 2], [[[0, 1, 2]]], [[0, 1, 3]], [[0, -1, 2]]],
+    ids=["two-columns", "flat", "three-axes", "missing-vertex", "negative-index"],
+)
+def test_mesh_rejects_a_bad_triangle_array(triangles):
+    with pytest.raises(NonConformingMesh):
+        Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], triangles)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[[0, 0], [1, 0]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]], [0, 1, 2], [[0, 0], [1, 0], [0, 1], [1, 1]]],
+    ids=["two-vertices", "3d-vertices", "flat", "four-vertices"],
+)
+def test_reference_map_needs_three_2d_vertices(vertices):
+    with pytest.raises(DegenerateElement):
+        build_reference_map(vertices)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_unit_square_needs_a_positive_size(n):
+    with pytest.raises(ConfigError):
+        unit_square(n)
 
 
 def test_mesh_rejects_bad_indices():

@@ -95,6 +95,28 @@ def test_assemble_requires_matching_stabilization():
         StabilizationFunction(-np.ones((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "row",
+    [[1.0, 1.0], [np.nan, 1.0, 1.0], [1.0, np.inf, 1.0], [1.0, 1.0, -1.0], [0.0, 0.0, 0.0]],
+    ids=["shape", "nan", "inf", "negative", "zeros"],
+)
+def test_every_stabilization_entry_rejects_the_same_values(row):
+    # StabilizationFunction, assemble and the HDG projection share one check
+    mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+    row = np.array(row)
+    with pytest.raises(InvalidStabilization):
+        StabilizationFunction(row[None])
+    with pytest.raises(InvalidStabilization):
+        assemble(mesh, SpaceDescriptor("hdg", 1), LINEAR.data(), tau=row[None])
+    with pytest.raises(InvalidStabilization):
+        pj.hdg_project(LINEAR.q, LINEAR.u, 1, mesh.element_map(0), row)
+
+
+def test_assemble_rejects_the_stabilization_of_another_mesh():
+    with pytest.raises(InvalidStabilization):
+        assemble(unit_square(1), SpaceDescriptor("hdg", 1), LINEAR.data(), tau=make_tau(unit_square(2)))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_stabilization_rejects_nonfinite_values(value):
     with pytest.raises(InvalidStabilization):

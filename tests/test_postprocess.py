@@ -104,6 +104,17 @@ def test_mean_preservation(method, k):
         assert np.abs(means - uh_means).max() < 1e-12
 
 
+def test_field_means_are_the_element_means_bit_for_bit():
+    # LocalScalarField.mean and PostprocessedField.element_means share one rule
+    mesh = uniform_refine(unit_square(2))  # level 1 of a study
+    triple = solve(mesh, "hdg", 1, SMOOTH)
+    for post in (stenberg(triple, SMOOTH.data()), gradient_postprocess(triple, SMOOTH.data())):
+        means = post.element_means()
+        for t in range(mesh.num_triangles):
+            assert post.field(t).mean() == means[t]
+            assert triple.u_field(t).mean() == means[t]
+
+
 def test_hdg_numerical_flux_satisfies_precondition():
     # the flux balance that the reconstruction relies on holds to round-off
     # when fed the numerical flux

@@ -514,6 +514,12 @@ def test_lifting_reproduces_normal_trace(method, k):
         assert np.abs(lift.normal_trace(loc, t) - target).max() < 1e-11
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (2, 2), (3, 3), (6,)])
+def test_lifting_rejects_misshapen_coefficients(shape):
+    with pytest.raises(InvalidProblemData):
+        pj.lift_normal_trace(np.zeros(shape), "rt", 1, EM)
+
+
 def test_lifting_zero_gives_zero():
     lift = pj.lift_normal_trace(np.zeros((3, 2)), "rt", 1, EM)
     assert np.abs(lift.coeffs).max() < 1e-13
