@@ -425,8 +425,14 @@ def loads_mesh(text: str) -> Mesh:
 
 
 def load_mesh(path) -> Mesh:
-    """Read a mesh file (see :func:`loads_mesh` for the format)."""
-    if isinstance(path, io.TextIOBase):
-        return loads_mesh(path.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_mesh(fh.read())
+    """Read a mesh file (see :func:`loads_mesh` for the format); a file that
+    is not UTF-8 text raises ParseError."""
+    try:
+        if isinstance(path, io.TextIOBase):
+            text = path.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"mesh file is not UTF-8 text: {exc.reason}") from None
+    return loads_mesh(text)

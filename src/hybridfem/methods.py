@@ -178,7 +178,9 @@ def _edge_dofs(edges, nf):
 
 @dataclass
 class LocalBlocks:
-    """Element blocks of the three-field system, stacked over elements."""
+    """Element data of the three-field system, stacked over elements: the
+    flux and reaction masses, the load and the Dirichlet data.  The edge
+    blocks exist only in :func:`_local_matrices`, per streamed block."""
 
     mesh: Mesh
     space: SpaceDescriptor
@@ -186,19 +188,16 @@ class LocalBlocks:
     layout: DofLayout
     A: np.ndarray          # (nt, nq, nq) weighted flux mass
     Bdiv: np.ndarray       # (nw, nq) reference divergence coupling, shared
-    C: np.ndarray          # (nt, 3, nf, nq) trace coupling per local edge
-    D: np.ndarray          # (nt, nw, nw) reaction mass + HDG stabilization
-    Swl: np.ndarray        # (nt, nw, 3, nf) stabilization coupling to traces
+    Mc: np.ndarray | None  # (nt, nw, nw) reaction mass, or None without reaction
     tau: np.ndarray | None # (nt, 3) or None
     quad_exactness: int    # exactness of the data rule the load was integrated with
     F: np.ndarray          # (nt, nw) load
     gdir: np.ndarray       # (ne, nf) Dirichlet projection, zero off the boundary
-    lamidx: np.ndarray     # (nt, 3, nf) global face dof ids per local edge
 
 
 def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
              quad_exactness=None) -> LocalBlocks:
-    """Build all element blocks of the three-field system.
+    """Build the element data of the three-field system (:class:`LocalBlocks`).
 
     ``tau`` (a :class:`StabilizationFunction` or a plain (nt, 3) array) is
     required for HDG and rejected otherwise.  With the stabilization set to
@@ -218,7 +217,6 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
         tau_vals = None
 
     k = space.degree
-    nw, nf = space.scalar_dim, space.face_dim
     vb = ps.vector_basis(space.flux_space, k)
     sb = ps.scalar_basis(space.scalar_degree)
     quad_exactness = max(quad_exactness or 0, 2 * k + 4)
@@ -254,24 +252,13 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
 
     F = np.einsum("eg,gi->ei", vol.weights[None, :] * fvals, What) * detJ[:, None]
 
-    D = np.zeros((nt, nw, nw))
+    Mc = None
     if cvals is not None:
-        D += ps.weighted_gram((vol.weights * cvals * detJ[:, None])[:, :, None, None], What[:, :, None])
-
-    # Edge blocks: the reference edge tables scaled per element, signed by
-    # the orientation of each local edge against its global edge.
-    Cref, Sref, Tref = pj._edge_tables(space.method, k)
-    sign = _edge_signs(mesh, nf)
-    edge_len = mesh.edge_lengths[mesh.tri_edges]  # (nt, 3)
-    scale = ReferenceTriangle.edge_lengths / np.sqrt(edge_len)
-    C = scale[..., None, None] * sign[..., None] * Cref
-    tau_e = tau_vals if space.is_hdg else np.zeros((nt, 3))  # RT/BDM: tau = 0
-    Swl = (tau_e * np.sqrt(edge_len))[:, None, :, None] * sign[:, None] * Sref.transpose(1, 0, 2)
-    D += ((tau_e * edge_len) @ Tref.reshape(3, -1)).reshape(nt, nw, nw)
+        Mc = ps.weighted_gram((vol.weights * cvals * detJ[:, None])[:, :, None, None], What[:, :, None])
 
     # Dirichlet data on boundary edges, in the global edge bases;
     # project_face rejects g that is not finite at its quadrature points.
-    gdir = np.zeros((mesh.num_edges, nf))
+    gdir = np.zeros((mesh.num_edges, space.face_dim))
     ends = mesh.vertices[mesh.edges[mesh.boundary]]
     gdir[mesh.boundary] = pj.project_face(
         data.g, k, ends[:, 0], ends[:, 1], npoints=len(erule.points)
@@ -284,7 +271,6 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
         interior_edges=np.flatnonzero(~mesh.boundary),
         boundary_edges=np.flatnonzero(mesh.boundary),
     )
-    lamidx = _edge_dofs(mesh.tri_edges, nf)
 
     return LocalBlocks(
         mesh=mesh,
@@ -293,14 +279,11 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
         layout=layout,
         A=A,
         Bdiv=Bdiv,
-        C=C,
-        D=D,
-        Swl=Swl,
+        Mc=Mc,
         tau=tau_vals,
         quad_exactness=quad_exactness,
         F=F,
         gdir=gdir,
-        lamidx=lamidx,
     )
 
 
@@ -346,11 +329,12 @@ class FieldTriple:
         return vals
 
 
-def _edge_signs(mesh: Mesh, nf: int):
-    """Orientation signs (nt, 3, nf) of the nf Legendre face dofs seen from
-    every local edge.  The basis has parity, P_i(1 - s) = (-1)^i P_i(s), so
-    a local edge that runs against its global edge flips the odd dofs."""
-    return np.where(mesh.tri_edge_aligned[..., None], 1.0, (-1.0) ** np.arange(nf))
+def _edge_signs(mesh: Mesh, nf: int, rows=slice(None)):
+    """Orientation signs (nb, 3, nf) of the nf Legendre face dofs seen from
+    every local edge of the elements ``rows``.  The basis has parity,
+    P_i(1 - s) = (-1)^i P_i(s), so a local edge that runs against its
+    global edge flips the odd dofs."""
+    return np.where(mesh.tri_edge_aligned[rows, :, None], 1.0, (-1.0) ** np.arange(nf))
 
 
 def _local_face_values(mesh: Mesh, coeffs, s):
@@ -377,27 +361,36 @@ def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
          [C,  S^T, -diag tau ]],
 
     of shape (nb, n, n) with n = nq + nw + 3 nf, for the slice ``rows`` of
-    the elements.  The condensed, saddle and Dirichlet-form systems are all
-    Schur complements of their sum, which :func:`_reduce` builds one block
-    of elements at a time."""
-    C = blocks.C[rows]
-    nb, _, nf, nq = C.shape
-    nw = blocks.Bdiv.shape[0]
-    m = nq + nw
+    the elements.  D is the reaction mass plus the stabilization; C, S and
+    the stabilization are the reference edge tables scaled by the edge
+    lengths (and tau) and signed by the edge orientations of each element.
+    The condensed, saddle and Dirichlet-form systems are all Schur
+    complements of their sum, which :func:`_reduce` builds one block of
+    elements at a time."""
+    space, mesh = blocks.space, blocks.mesh
+    (nw, nq), nf = blocks.Bdiv.shape, space.face_dim
+    Cref, Sref, Tref = pj._edge_tables(space.method, space.degree)
+    sign, edge_len = _edge_signs(mesh, nf, rows), mesh.edge_lengths[mesh.tri_edges[rows]]
+    nb, m = len(edge_len), nq + nw
+    C = (ReferenceTriangle.edge_lengths / np.sqrt(edge_len))[..., None, None] * sign[..., None] * Cref
     C = C.reshape(nb, 3 * nf, nq)
-    S = blocks.Swl[rows].reshape(nb, nw, 3 * nf)
     L = np.zeros((nb, m + 3 * nf, m + 3 * nf))
     L[:, :nq, :nq] = blocks.A[rows]
     L[:, :nq, nq:m] = -blocks.Bdiv.T
     L[:, :nq, m:] = C.transpose(0, 2, 1)
     L[:, nq:m, :nq] = blocks.Bdiv
-    L[:, nq:m, nq:m] = blocks.D[rows]
-    L[:, nq:m, m:] = -S
     L[:, m:, :nq] = C
-    L[:, m:, nq:m] = S.transpose(0, 2, 1)
+    if blocks.Mc is not None:
+        L[:, nq:m, nq:m] = blocks.Mc[rows]
     if blocks.tau is not None:
+        tau = blocks.tau[rows]
+        S = (tau * np.sqrt(edge_len))[:, None, :, None] * sign[:, None] * Sref.transpose(1, 0, 2)
+        S = S.reshape(nb, nw, 3 * nf)
+        L[:, nq:m, nq:m] += ((tau * edge_len) @ Tref.reshape(3, -1)).reshape(nb, nw, nw)
+        L[:, nq:m, m:] = -S
+        L[:, m:, nq:m] = S.transpose(0, 2, 1)
         idx = np.arange(m, m + 3 * nf)
-        L[:, idx, idx] = -np.repeat(blocks.tau[rows], nf, axis=1)
+        L[:, idx, idx] = -np.repeat(tau, nf, axis=1)
     return L
 
 
@@ -429,8 +422,8 @@ def _reduce(blocks: LocalBlocks, m):
     and the interior multipliers, and R = L11^{-1} [-L12 | load] (nt, m,
     nl + 1), which rebuilds the eliminated dofs from the nl others."""
     nt = blocks.layout.num_triangles
-    nw, nq = blocks.Bdiv.shape
-    n = nq + nw + 3 * blocks.lamidx.shape[2]
+    (nw, nq), nf = blocks.Bdiv.shape, blocks.space.face_dim
+    n = nq + nw + 3 * nf
     nl = n - m
     step = max(1, _BLOCK_BYTES // (8 * n * n))
     R, S, load = np.empty((nt, m, nl + 1)), np.empty((nt, nl, nl)), np.zeros((nt, n))
@@ -450,7 +443,7 @@ def _reduce(blocks: LocalBlocks, m):
     kq, kw = max(nq - m, 0), nq + nw - max(m, nq)  # flux, potential dofs left per element
     nE, el = nt * (kq + kw), np.arange(nt)[:, None]
     dofs = np.hstack([el * kq + np.arange(kq), nt * kq + el * kw + np.arange(kw),
-                      nE + blocks.lamidx.reshape(nt, -1)])
+                      nE + _edge_dofs(blocks.mesh.tri_edges, nf).reshape(nt, -1)])
     keep = np.concatenate([np.arange(nE), nE + blocks.layout.interior_dofs])
     known = np.concatenate([np.zeros(nE), blocks.gdir.ravel()])
     H = _scatter(S, dofs, len(known))
@@ -623,7 +616,7 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
         res, scale = K @ lam - rhs, _dot(rhs, rhs)
         residual = float(np.sqrt(_dot(res, res) / scale)) if scale else 0.0
         lam_full[interior] = lam
-    qu = np.einsum("eij,ej->ei", X, lam_full[blocks.lamidx.reshape(len(X), 3 * nf)]) + Y
+    qu = np.einsum("eij,ej->ei", X, lam_full[_edge_dofs(blocks.mesh.tri_edges, nf)].reshape(len(X), -1)) + Y
     nq = blocks.space.flux_dim
     info = SolveInfo(len(interior), K.nnz, iterations, residual, lu_fallback)
     return _solved_triple(blocks, "condensed system", qu[:, :nq], qu[:, nq:], lam_full, info)
@@ -812,7 +805,7 @@ def _project_triple(triple: FieldTriple, q_exact, u_exact, quad_exactness):
         )
     else:
         qc = pj._hdiv_coeffs(space.method, k, mesh.geometry, q_exact, quad_exactness)
-        uc = pj._scalar_coeffs(u_exact, space.scalar_degree, mesh.geometry)
+        uc = pj._scalar_coeffs(u_exact, space.scalar_degree, mesh.geometry, quad_exactness)
     npoints = len(ps.quadrature_rules(k, quad_exactness)[1].points)
     ends = mesh.vertices[mesh.edges]
     lamc = pj.project_face(u_exact, k, ends[:, 0], ends[:, 1], npoints=npoints)
@@ -824,7 +817,8 @@ def energy_identity_residual(triple: FieldTriple, q_exact, u_exact, data: Proble
     quadrature so that only solver and projection round-off remains.
 
     For RT/BDM the identity balances the weighted norm of the projected flux
-    error against its pairing with the projection defect; HDG adds the
+    error, plus the reaction pairing (c (u - u_h), P u - u_h) when ``data.c``
+    is set, against its pairing with the projection defect; HDG adds the
     stabilization seminorm of the potential/trace mismatch.
     """
     space = triple.space
@@ -845,6 +839,10 @@ def energy_identity_residual(triple: FieldTriple, q_exact, u_exact, data: Proble
     diff = pj._vector_values(geo, space.flux_space, k, qc, vol.points) - pj._at(q_exact, xq)
     lhs = np.sum(wk * np.einsum("egc,egc->eg", vals, vals))
     rhs = np.sum(wk * np.einsum("egc,egc->eg", diff, vals))
+    if data.c is not None:
+        W = ps.scalar_basis(space.scalar_degree).eval(vol.points).T
+        cw = geo.detJ[:, None] * vol.weights * pj._at(data.c, xq)
+        lhs += np.sum(cw * (pj._at(u_exact, xq) - triple.u_coeffs @ W) * (eu @ W))
     if space.is_hdg:
         gap = _trace_gap(mesh, eu, elam, erule.points)
         lhs += np.sum(triple.tau * geo.edge_lengths * (gap**2 @ erule.weights))

@@ -39,7 +39,7 @@ class PostprocessedField:
         return pj.LocalScalarField(self.mesh.element_map(t), self.degree, self.coeffs[t])
 
     def element_means(self):
-        return pj._element_mean(self.coeffs[:, 0], self.mesh.geometry.detJ)
+        return pj._element_mean(self.coeffs[:, 0])
 
 
 def _stiffness(geo, sb, vol, weight):

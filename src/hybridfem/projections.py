@@ -88,14 +88,14 @@ class LocalScalarField:
         return self.ref_values(xhat)
 
     def mean(self):
-        return float(_element_mean(self.coeffs[0], self.emap.detJ))
+        return float(_element_mean(self.coeffs[0]))
 
 
-def _element_mean(c0, detJ):
-    """Integral over its element (of area detJ / 2) of a scalar field with
-    first coefficient c0: the first basis function is the constant sqrt(2)
-    on the reference triangle, and all the others have zero mean."""
-    return c0 * np.sqrt(2.0) * 0.5 * detJ
+def _element_mean(c0):
+    """Mean over its element of a scalar field with first coefficient c0:
+    the first basis function is the constant sqrt(2) on the reference
+    triangle, and all the others have zero mean."""
+    return c0 * np.sqrt(2.0)
 
 
 @dataclass
@@ -184,16 +184,16 @@ def _edge_table(basis: ps.PolyFamily, s):
     return np.stack([basis.eval(ReferenceTriangle.edge_points(e, s)) for e in range(3)])
 
 
-def _scalar_coeffs(u, k: int, geo: _AffineMaps):
+def _scalar_coeffs(u, k: int, geo: _AffineMaps, exactness=None):
     """Element L2 projection coefficients (n, dim P_k) of u on every element."""
-    rule = ps.quadrature_rules(k)[0]
+    rule = ps.quadrature_rules(k, exactness)[0]
     vals = _at(u, geo.forward(rule.points))
     return _times(rule.weights * vals, ps.scalar_basis(k).eval(rule.points).T)
 
 
-def project_scalar(u, k: int, emap: ElementMap) -> LocalScalarField:
+def project_scalar(u, k: int, emap: ElementMap, quad_exactness=None) -> LocalScalarField:
     """Element L2 projection onto the degree-k scalar space."""
-    return LocalScalarField(emap, k, _scalar_coeffs(u, k, _batch(emap))[0])
+    return LocalScalarField(emap, k, _scalar_coeffs(u, k, _batch(emap), quad_exactness)[0])
 
 
 def project_face(mu, k: int, p0, p1, npoints=None) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import hybridfem.methods as methods
 import hybridfem.polyspaces as ps
 import hybridfem.projections as pj
 from hybridfem.mesh import ReferenceTriangle
@@ -92,6 +93,18 @@ def physical_hdg_projection(q, u, k, em, tau, exactness=None):
 # at a time, sharing only the element blocks with the library.
 
 
+def element_blocks(blocks):
+    """The trace coupling C (nt, 3, nf, nq), the potential block D (nt, nw,
+    nw) and the stabilization coupling Swl (nt, nw, 3, nf) of every element,
+    sliced out of the library's element matrices."""
+    L = methods._local_matrices(blocks)
+    nt, (nw, nq), nf = len(L), blocks.Bdiv.shape, blocks.space.face_dim
+    m = nq + nw
+    C = L[:, m:, :nq].reshape(nt, 3, nf, nq)
+    Swl = L[:, m:, nq:m].transpose(0, 2, 1).reshape(nt, nw, 3, nf)
+    return C, L[:, nq:m, nq:m], Swl
+
+
 def _interior_positions(blocks):
     """Position of every multiplier dof among the interior ones (-1 on the
     boundary) and the interior dof ids."""
@@ -133,6 +146,7 @@ def reference_saddle_matrix(blocks):
     nq, nw, nf = space.flux_dim, space.scalar_dim, space.face_dim
     nQ, nW = layout.n_flux, layout.n_scalar
     face_pos, interior = _interior_positions(blocks)
+    C, D, Swl = element_blocks(blocks)
     N = nQ + nW + len(interior)
     trip = _Triplets()
     rhs = np.zeros(N)
@@ -142,13 +156,13 @@ def reference_saddle_matrix(blocks):
         trip.add(qs, qs, blocks.A[t])
         trip.add(qs, us, -blocks.Bdiv.T)
         trip.add(us, qs, blocks.Bdiv)
-        trip.add(us, us, blocks.D[t])
+        trip.add(us, us, D[t])
         rhs[us] += blocks.F[t]
         for loc in range(3):
             e = mesh.tri_edges[t, loc]
             pos = _edge_positions(face_pos, e, nf)
-            Cl = blocks.C[t, loc]
-            Sl = blocks.Swl[t, :, loc, :]
+            Cl = C[t, loc]
+            Sl = Swl[t, :, loc, :]
             if pos[0] >= 0:
                 ls = nQ + nW + pos
                 trip.add(qs, ls, Cl.T)
@@ -177,6 +191,7 @@ def reference_dirichlet_pieces(blocks):
     nq, nw, nf = space.flux_dim, space.scalar_dim, space.face_dim
     nt, nQ, nW = layout.num_triangles, layout.n_flux, layout.n_scalar
     face_pos, interior = _interior_positions(blocks)
+    C, D_elem, Swl = element_blocks(blocks)
     N = nQ + len(interior)
     trip = _Triplets()
     for t in range(nt):
@@ -186,8 +201,8 @@ def reference_dirichlet_pieces(blocks):
             pos = _edge_positions(face_pos, mesh.tri_edges[t, loc], nf)
             if pos[0] < 0:
                 continue
-            trip.add(qs, nQ + pos, blocks.C[t, loc].T)
-            trip.add(nQ + pos, qs, blocks.C[t, loc])
+            trip.add(qs, nQ + pos, C[t, loc].T)
+            trip.add(nQ + pos, qs, C[t, loc])
             if blocks.tau is not None:
                 trip.add(nQ + pos, nQ + pos, -blocks.tau[t, loc] * np.eye(nf))
     lu = spla.splu(trip.matrix(N))
@@ -202,7 +217,7 @@ def reference_dirichlet_pieces(blocks):
                     e = mesh.tri_edges[t, loc]
                     pos = _edge_positions(face_pos, e, nf)
                     lam_loc[loc] = sol[nQ + pos] if pos[0] >= 0 else lam_boundary[e]
-                contrib = contrib - np.einsum("wlf,lf->w", blocks.Swl[t], lam_loc)
+                contrib = contrib - np.einsum("wlf,lf->w", Swl[t], lam_loc)
             out[t * nw : (t + 1) * nw] = contrib
         return out
 
@@ -216,9 +231,9 @@ def reference_dirichlet_pieces(blocks):
                 for loc in range(3):
                     pos = _edge_positions(face_pos, mesh.tri_edges[t, loc], nf)
                     if pos[0] >= 0:
-                        rhs[nQ + pos] = -blocks.Swl[t, j, loc, :]
+                        rhs[nQ + pos] = -Swl[t, j, loc, :]
             col = apply_coupling(lu.solve(rhs), zero_boundary)
-            col[t * nw : (t + 1) * nw] += blocks.D[t][:, j]
+            col[t * nw : (t + 1) * nw] += D_elem[t][:, j]
             D[:, t * nw + j] = col
 
     rhs = np.zeros(N)
@@ -226,7 +241,7 @@ def reference_dirichlet_pieces(blocks):
         for loc in range(3):
             e = mesh.tri_edges[t, loc]
             if mesh.boundary[e]:
-                rhs[t * nq : (t + 1) * nq] -= blocks.C[t, loc].T @ blocks.gdir[e]
+                rhs[t * nq : (t + 1) * nq] -= C[t, loc].T @ blocks.gdir[e]
     return D, apply_coupling(lu.solve(rhs), blocks.gdir)
 
 
@@ -332,10 +347,10 @@ def reference_project_triple(triple, q_exact, u_exact, quad_exactness):
         em = mesh.element_map(t)
         if space.method == "rt":
             qc[t] = pj.rt_project(q_exact, k, em, quad_exactness=quad_exactness).coeffs
-            uc[t] = pj.project_scalar(u_exact, k, em).coeffs
+            uc[t] = pj.project_scalar(u_exact, k, em, quad_exactness=quad_exactness).coeffs
         elif space.method == "bdm":
             qc[t] = pj.bdm_project(q_exact, k, em, quad_exactness=quad_exactness).coeffs
-            uc[t] = pj.project_scalar(u_exact, k - 1, em).coeffs
+            uc[t] = pj.project_scalar(u_exact, k - 1, em, quad_exactness=quad_exactness).coeffs
         else:
             Pq, Pu = pj.hdg_project(
                 q_exact, u_exact, k, em, triple.tau[t], quad_exactness=quad_exactness
@@ -486,7 +501,8 @@ def reference_edge_blocks(blocks, quad_exactness=None):
     s, w = erule.points, erule.weights
     vb = ps.vector_basis(space.flux_space, k)
     sb = ps.scalar_basis(space.scalar_degree)
-    C, Swl = np.zeros_like(blocks.C), np.zeros_like(blocks.Swl)
+    C = np.zeros((mesh.num_triangles, 3, nf, space.flux_dim))
+    Swl = np.zeros((mesh.num_triangles, space.scalar_dim, 3, nf))
     for t in range(mesh.num_triangles):
         em = mesh.element_map(t)
         for loc in range(3):
@@ -616,6 +632,10 @@ def reference_energy_identity_residual(triple, q_exact, u_exact, data, quad_exac
         qproj = pj.LocalVectorField(em, space.flux_space, k, qc[t])
         diff = qproj(xq) - np.asarray(q_exact(xq), dtype=float)
         rhs += em.detJ * float(vol.weights @ (kinv * np.einsum("gc,gc->g", diff, vals)))
+        if data.c is not None:
+            err = np.asarray(u_exact(xq), dtype=float) - triple.u_field(t)(xq)
+            Peu = pj.LocalScalarField(em, space.scalar_degree, eu[t])(xq)
+            lhs += em.detJ * float(vol.weights @ (np.asarray(data.c(xq), dtype=float) * err * Peu))
         if space.is_hdg:
             for loc in range(3):
                 vals = pj.LocalScalarField(em, k, eu[t]).edge_values(loc, erule.points)

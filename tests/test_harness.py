@@ -327,11 +327,12 @@ def test_cli_tau_single_face():
 @pytest.mark.parametrize(
     "args",
     [["--tau", "abc"], ["--mesh", "missing.msh"], ["--method", "hdg", "--tau", "nan"],
-     ["--format", "csv"]],
-    ids=["tau-not-a-number", "missing-mesh", "tau-nan", "format-without-out"],
+     ["--format", "csv"], ["--mesh", "bad.msh"]],
+    ids=["tau-not-a-number", "missing-mesh", "tau-nan", "format-without-out", "mesh-not-utf8"],
 )
 def test_cli_bad_arguments_fail_fast(args, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.msh").write_bytes(b"\xff\xfe 3 1\n")
     rc = cli_main(args + ["--levels", "2"])
     assert rc == 2
     err = capsys.readouterr().err

@@ -226,6 +226,13 @@ def test_load_mesh_from_file_object():
     assert m.num_triangles == 2
 
 
+def test_load_mesh_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.msh"
+    path.write_bytes(b"\xff\xfe 3 1\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_mesh(path)
+
+
 @pytest.mark.parametrize(
     "triangles",
     [[[0, 1]], [0, 1, 2], [[[0, 1, 2]]], [[0, 1, 3]], [[0, -1, 2]]],

@@ -38,7 +38,7 @@ from hybridfem.methods import (
     system_residual,
 )
 
-from oracles import reference_dirichlet_pieces, reference_saddle_matrix, reference_saddle_solve
+from oracles import element_blocks, reference_dirichlet_pieces, reference_saddle_matrix, reference_saddle_solve
 from test_batched import perturbed as perturbed_by
 
 SMOOTH = CASES["smooth"]
@@ -201,11 +201,12 @@ def test_tau_dependence_localized_to_stabilization_blocks():
     space = SpaceDescriptor("hdg", 1)
     b1 = assemble(mesh, space, SMOOTH.data(), tau=make_tau(mesh, 1.0))
     b2 = assemble(mesh, space, SMOOTH.data(), tau=make_tau(mesh, 2.0))
+    (C1, D1, S1), (C2, D2, S2) = element_blocks(b1), element_blocks(b2)
     assert np.abs(b1.A - b2.A).max() == 0.0
-    assert np.abs(b1.C - b2.C).max() == 0.0
+    assert np.abs(C1 - C2).max() == 0.0
     assert np.abs(b1.F - b2.F).max() == 0.0
-    assert np.abs((b2.D - b1.D) - b1.D).max() < 1e-13  # D linear in tau, D(0) = 0
-    assert np.abs((b2.Swl - b1.Swl) - b1.Swl).max() < 1e-13
+    assert np.abs((D2 - D1) - D1).max() < 1e-13  # D linear in tau, D(0) = 0
+    assert np.abs((S2 - S1) - S1).max() < 1e-13
 
 
 # ------------------------------------------------------------- saddle solve
@@ -492,6 +493,20 @@ def test_singular_element_in_last_block_rejected(monkeypatch):
         condensed_system(blocks)
 
 
+@pytest.mark.parametrize("method", ["rt", "bdm", "hdg"])
+def test_assembly_stores_no_edge_blocks(method):
+    """Apart from the flux and reaction masses, what ``assemble`` stores
+    per element is data, not element blocks: under 1 KiB at k=3, where the
+    edge blocks C and S alone would take 2.5-3.3 KB."""
+    mesh = uniform_refine(unit_square(2))
+    tau = make_tau(mesh) if method == "hdg" else None
+    blocks = assemble(mesh, SpaceDescriptor(method, 3), REACTION.data(), tau=tau)
+    assert blocks.Mc is not None
+    stored = sum(value.nbytes for name, value in vars(blocks).items()
+                 if isinstance(value, np.ndarray) and name not in ("A", "Mc"))
+    assert stored < 1024 * mesh.num_triangles
+
+
 def test_condensation_peak_memory_below_element_stack():
     """Condensation never holds all element matrices at once: its traced
     peak above the inputs stays below one (nt, n, n) float64 stack."""
@@ -738,17 +753,22 @@ def test_dirichlet_form_too_large():
 # ------------------------------------------------------------- identities
 
 
-@pytest.mark.parametrize("method,k", [("rt", 0), ("rt", 1), ("bdm", 1), ("hdg", 0), ("hdg", 1)])
-def test_energy_identity_balances(method, k):
-    # data integrals (f, g) resolved beyond the tolerance: the identity is a
-    # statement about exact integration, and the solver's data quadrature is
-    # the only non-algebraic ingredient
+@pytest.mark.parametrize(
+    "method,k,case",
+    [pytest.param(method, k, case, id=f"{method}-{k}" + ("" if case is SMOOTH else "-reaction"))
+     for case in (SMOOTH, REACTION)
+     for method, k in [("rt", 0), ("rt", 1), ("bdm", 1), ("hdg", 0), ("hdg", 1)]],
+)
+def test_energy_identity_balances(method, k, case):
+    # data integrals (f, g, c) resolved beyond the tolerance: the identity is
+    # a statement about exact integration, and the solver's data quadrature
+    # is the only non-algebraic ingredient
     mesh = uniform_refine(unit_square(2))
     space = SpaceDescriptor(method, k)
     tau = make_tau(mesh) if method == "hdg" else None
-    blocks = assemble(mesh, space, SMOOTH.data(), tau=tau, quad_exactness=20)
+    blocks = assemble(mesh, space, case.data(), tau=tau, quad_exactness=20)
     triple = solve_hybridized(blocks)
-    res = energy_identity_residual(triple, SMOOTH.q, SMOOTH.u, SMOOTH.data(), quad_exactness=20)
+    res = energy_identity_residual(triple, case.q, case.u, case.data(), quad_exactness=20)
     assert res < 1e-9
 
 
@@ -880,6 +900,7 @@ def test_conforming_formulation_equivalence(k):
     space = SpaceDescriptor("rt", k)
     blocks = assemble(mesh, space, SMOOTH.data())
     triple = solve_saddle(blocks)
+    C = element_blocks(blocks)[0]
 
     nt = mesh.num_triangles
     nq, nw, nf = space.flux_dim, space.scalar_dim, space.face_dim
@@ -890,7 +911,7 @@ def test_conforming_formulation_equivalence(k):
     for row, e in enumerate(interior_edges):
         for t in mesh.edge_tris[e]:
             loc = int(np.flatnonzero(mesh.tri_edges[t] == e)[0])
-            J[row * nf : (row + 1) * nf, t * nq : (t + 1) * nq] += blocks.C[t, loc]
+            J[row * nf : (row + 1) * nf, t * nq : (t + 1) * nq] += C[t, loc]
     N = la.null_space(J)
     assert N.shape[1] == nQ - len(interior_edges) * nf  # jump operator has full rank
 
@@ -903,7 +924,7 @@ def test_conforming_formulation_equivalence(k):
         for loc in range(3):
             e = mesh.tri_edges[t, loc]
             if mesh.boundary[e]:
-                tg[t * nq : (t + 1) * nq] += blocks.C[t, loc].T @ blocks.gdir[e]
+                tg[t * nq : (t + 1) * nq] += C[t, loc].T @ blocks.gdir[e]
     nv = N.shape[1]
     sys = np.zeros((nv + nW, nv + nW))
     sys[:nv, :nv] = N.T @ Aglob @ N

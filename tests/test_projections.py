@@ -54,6 +54,14 @@ def test_project_scalar_mean_example():
     mean = exact_integral_x2() / 0.5
     assert proj(np.array([[0.3, 0.2]]))[0] == pytest.approx(mean, abs=1e-14)
     assert mean == pytest.approx(1 / 6)
+    assert proj.mean() == pytest.approx(mean, abs=1e-14)
+
+
+def test_mean_is_a_mean_not_an_integral():
+    # the constant 1 on a triangle of area 2 has mean 1 (its integral is 2)
+    em = build_reference_map([[0, 0], [2, 0], [0, 2]])
+    proj = pj.project_scalar(lambda x: np.ones(len(x)), 0, em)
+    assert proj.mean() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_project_scalar_orthogonality():
