@@ -29,8 +29,12 @@ from .methods import (
     StabilizationFunction,
     assemble,
     solve_hybridized,
+    _TraceTables,
+    _blocks,
     _local_face_values,
-    _project_triple,
+    _pass_bytes,
+    _project_elements,
+    _project_faces,
 )
 from .postprocess import gradient_postprocess, stenberg
 
@@ -181,62 +185,69 @@ CASES = {
 
 
 def compute_error_norms(triple: FieldTriple, case: ManufacturedCase, postprocessed=()):
-    """All error norms of a solved triple against the exact solution.
+    """All error norms of a solved triple against the exact solution,
+    summed one element block at a time.
 
     ``postprocessed`` is an iterable of PostprocessedField objects; their
     L2 errors are reported under ``epost_<scheme>``.
     """
     mesh, space = triple.mesh, triple.space
-    geo = mesh.geometry
     k = space.degree
     exactness = 2 * k + 6
     vol, erule = ps.quadrature_rules(k, exactness)  # k + 4 edge points
-    qc, uc, lamc = _project_triple(triple, case.q, case.u, exactness)
-
-    xq = geo.forward(vol.points)
-    w = geo.detJ[:, None] * vol.weights
-    kinv = 1.0 / pj._at(case.kappa, xq)
-    # Distances to the projections come from coefficient differences: the
-    # pointwise difference of two order-one fields would cancel.
-    qh = pj._vector_values(geo, space.flux_space, k, triple.q_coeffs, vol.points)
-    dq = pj._vector_values(geo, space.flux_space, k, qc - triple.q_coeffs, vol.points)
-    d_exact = np.sum((pj._at(case.q, xq) - qh) ** 2, axis=-1)
-    d_proj = np.sum(dq**2, axis=-1)
-    W = ps.scalar_basis(space.scalar_degree).eval(vol.points)
-    ue = pj._at(case.u, xq)
-    uh = triple.u_coeffs @ W.T
-    acc = {
-        "eq": np.sum(w * d_exact),
-        "eq_w": np.sum(w * kinv * d_exact),
-        "eq_proj": np.sum(w * d_proj),
-        "eq_proj_w": np.sum(w * kinv * d_proj),
-        "eu": np.sum(w * (ue - uh) ** 2),
-        "eu_proj": np.sum(w * ((uc - triple.u_coeffs) @ W.T) ** 2),
-    }
-
-    # Broken boundary norms: h_K times the squared L2 norm on dK, summed.
-    s = erule.points
-    we = (mesh.h[:, None] * geo.edge_lengths)[..., None] * erule.weights
-    xe = geo.edge_forward(s)
-    lam_h = _local_face_values(mesh, triple.lam, s)
-    acc["ehat"] = np.sum(we * (pj._at(case.u, xe) - lam_h) ** 2)
-    acc["ehat_proj"] = np.sum(we * _local_face_values(mesh, lamc - triple.lam, s) ** 2)
-    flux_h = triple.normal_flux(s)
-    qen = np.einsum("elgc,elc->elg", pj._at(case.q, xe), geo.edge_normals)
-    acc["eflux"] = np.sum(we * (qen - flux_h) ** 2)
+    dlam = _project_faces(triple, case.u, exactness) - triple.lam
+    # Reference values, tabulated once for all blocks.
+    V = ps.vector_basis(space.flux_space, k).eval(vol.points)
+    W = ps.scalar_basis(space.scalar_degree).eval(vol.points).T
+    traces = _TraceTables(space, erule.points)
+    posts = [(p, ps.scalar_basis(p.degree).eval(vol.points).T) for p in postprocessed]
     if space.is_hdg:
         # edgewise L2 projection of the exact normal flux, element side
         r = ps.quadrature_rules(k)[1]
-        qn = np.einsum("elgc,elc->elg", pj._at(case.q, geo.edge_forward(r.points)), geo.edge_normals)
-        P = ps.legendre01(k, r.points)
-        gap = np.einsum("si,gi,elg->els", ps.legendre01(k, s), P * r.weights[:, None], qn) - flux_h
-    else:
-        gap = pj._normal_traces(geo, space.flux_space, k, qc - triple.q_coeffs, s)
-    acc["eflux_proj"] = np.sum(we * gap**2)
-    for p in postprocessed:
-        up = p.coeffs @ ps.scalar_basis(p.degree).eval(vol.points).T
-        acc[f"epost_{p.scheme}"] = np.sum(w * (ue - up) ** 2)
-    return {key: float(np.sqrt(max(val, 0.0))) for key, val in acc.items()}
+        Pr = ps.legendre01(k, r.points) * r.weights[:, None]
+
+    def block(rows):
+        geo = mesh.geometry.rows(rows)
+        # the exact solution at the rule points, for the projections and the norms
+        (qv, qe), (ue, u_edge), (kappa, _) = pj._sample([case.q, case.u, case.kappa], geo, vol, erule)
+        qc, uc = _project_elements(triple, (qv, qe), (ue, u_edge), exactness, rows)
+        q_h, u_h = triple.q_coeffs[rows], triple.u_coeffs[rows]
+        w = geo.detJ[:, None] * vol.weights
+        kinv = 1.0 / kappa
+        # Distances to the projections come from coefficient differences: the
+        # pointwise difference of two order-one fields would cancel.
+        d_exact = np.sum((qv - pj._vector_values(geo, V, q_h)) ** 2, axis=-1)
+        d_proj = np.sum(pj._vector_values(geo, V, qc - q_h) ** 2, axis=-1)
+        part = {
+            "eq": np.sum(w * d_exact),
+            "eq_w": np.sum(w * kinv * d_exact),
+            "eq_proj": np.sum(w * d_proj),
+            "eq_proj_w": np.sum(w * kinv * d_proj),
+            "eu": np.sum(w * (ue - u_h @ W) ** 2),
+            "eu_proj": np.sum(w * ((uc - u_h) @ W) ** 2),
+        }
+
+        # Broken boundary norms: h_K times the squared L2 norm on dK, summed.
+        we = (mesh.h[rows, None] * geo.edge_lengths)[..., None] * erule.weights
+        lam_h = _local_face_values(mesh, triple.lam, traces.P, rows)
+        part["ehat"] = np.sum(we * (u_edge - lam_h) ** 2)
+        part["ehat_proj"] = np.sum(we * _local_face_values(mesh, dlam, traces.P, rows) ** 2)
+        flux_h = triple._normal_flux(traces, rows)
+        qen = np.einsum("elgc,elc->elg", qe, geo.edge_normals)
+        part["eflux"] = np.sum(we * (qen - flux_h) ** 2)
+        if space.is_hdg:
+            qn = np.einsum("elgc,elc->elg", pj._at(case.q, geo.edge_forward(r.points)), geo.edge_normals)
+            gap = np.einsum("si,gi,elg->els", traces.P, Pr, qn) - flux_h
+        else:
+            gap = pj._normal_traces(geo, traces.N, qc - q_h)
+        part["eflux_proj"] = np.sum(we * gap**2)
+        for p, Wp in posts:
+            part[f"epost_{p.scheme}"] = np.sum(w * (ue - p.coeffs[rows] @ Wp) ** 2)
+        return part
+
+    # a function per block, so that no block's arrays outlive it
+    parts = [block(rows) for rows in _blocks(mesh.num_triangles, _pass_bytes(vol, erule))]
+    return {key: float(np.sqrt(max(sum(part[key] for part in parts), 0.0))) for key in parts[0]}
 
 
 def eoc(errors):

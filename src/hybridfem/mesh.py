@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +101,15 @@ class ElementMap:
         return self.forward(ReferenceTriangle.edge_points(local_edge, t))
 
 
+@lru_cache(maxsize=None)
+def _edge_xhat(t):
+    """Reference points (3 m, 2) at the parameters t (a tuple of m) of the
+    three local edges, read-only: tabulated once per rule."""
+    xhat = np.vstack([ReferenceTriangle.edge_points(e, t) for e in range(3)])
+    xhat.flags.writeable = False
+    return xhat
+
+
 class _AffineMaps:
     """Affine maps F(xhat) = B xhat + b of stacked triangles, as arrays over
     the leading axis.  A mesh builds one for all its elements; an
@@ -150,8 +160,15 @@ class _AffineMaps:
 
     def edge_forward(self, t):
         """Points at the parameters t (m,) of every local edge, (n, 3, m, 2)."""
-        xhat = np.vstack([ReferenceTriangle.edge_points(e, t) for e in range(3)])
+        xhat = _edge_xhat(tuple(np.asarray(t, dtype=float)))
         return self.forward(xhat).reshape(len(self), 3, len(t), 2)
+
+    def rows(self, sl) -> "_AffineMaps":
+        """The maps of the elements ``sl`` (a slice), as views of these
+        arrays: nothing is recomputed."""
+        view = object.__new__(_AffineMaps)
+        view.__dict__.update({name: a[sl] for name, a in vars(self).items()})
+        return view
 
     def __getitem__(self, t) -> ElementMap:
         return ElementMap(
@@ -426,12 +443,13 @@ def loads_mesh(text: str) -> Mesh:
 
 def load_mesh(path) -> Mesh:
     """Read a mesh file (see :func:`loads_mesh` for the format); a file that
-    is not UTF-8 text raises ParseError."""
+    is not UTF-8 text raises ParseError.  A leading byte-order mark is
+    dropped."""
     try:
         if isinstance(path, io.TextIOBase):
             text = path.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"mesh file is not UTF-8 text: {exc.reason}") from None

@@ -176,6 +176,31 @@ def _edge_dofs(edges, nf):
     return edges[..., None] * nf + np.arange(nf)
 
 
+_BLOCK_BYTES = 1 << 20  # per block of the bytes per element that each element pass declares
+
+
+def _blocks(nt, bytes_per_element):
+    """Consecutive slices of the nt elements (or edges), each of
+    ``_BLOCK_BYTES`` at ``bytes_per_element`` (one element at least).
+    Every element pass runs over them: the reduction declares its element
+    matrices, the quadrature passes :func:`_pass_bytes`.  A pass that sums
+    over elements sums per block and then the block sums in element
+    order."""
+    step = max(1, _BLOCK_BYTES // bytes_per_element)
+    for start in range(0, nt, step):
+        yield slice(start, start + step)
+
+
+def _pass_bytes(vol, erule):
+    """Bytes per element that a pass on the rules ``vol`` and ``erule``
+    (either may be None) declares to :func:`_blocks`: twelve doubles for
+    each of its quadrature values, two per volume point and one per point of
+    each edge.  The passes hold four to seven doubles per value at once, so
+    the arrays of a block stay within about half the budget."""
+    values = (2 * len(vol.weights) if vol else 0) + (3 * len(erule.weights) if erule else 0)
+    return 8 * 12 * values
+
+
 @dataclass
 class LocalBlocks:
     """Element data of the three-field system, stacked over elements: the
@@ -246,7 +271,7 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
 
     T = np.einsum("edc,edb->ecb", Bmat, Bmat)  # B^T B, (nt, 2, 2)
     wk = vol.weights / (kap * detJ[:, None])
-    A = ps.weighted_gram(wk[:, :, None, None] * T[:, None], Vhat)
+    A = ps.weighted_gram(wk[:, :, None, None] * T[:, None], ps.gram_table(Vhat))
 
     Bdiv = np.einsum("g,gq,gi->iq", vol.weights, divhat, What)
 
@@ -254,7 +279,8 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
 
     Mc = None
     if cvals is not None:
-        Mc = ps.weighted_gram((vol.weights * cvals * detJ[:, None])[:, :, None, None], What[:, :, None])
+        Mc = ps.weighted_gram((vol.weights * cvals * detJ[:, None])[:, :, None, None],
+                              ps.gram_table(What[:, :, None]))
 
     # Dirichlet data on boundary edges, in the global edge bases;
     # project_face rejects g that is not finite at its quadrature points.
@@ -292,9 +318,9 @@ class FieldTriple:
     """Solution coefficients of the three-field system, stacked over the
     elements and edges.
 
-    Operators work on the stacked arrays over all elements at once;
-    :meth:`normal_flux` evaluates the (numerical) normal flux on every local
-    edge.  ``u_field(t)`` and ``lam_values(e, t)`` are per-element and
+    Operators work on the stacked arrays over a slice of the elements;
+    :meth:`normal_flux` evaluates the (numerical) normal flux on their local
+    edges.  ``u_field(t)`` and ``lam_values(e, t)`` are per-element and
     per-edge views.
     """
 
@@ -317,16 +343,31 @@ class FieldTriple:
         edge direction."""
         return pj.face_values(self.lam[e], self.mesh.edge_lengths[e], np.asarray(tpar, dtype=float))
 
-    def normal_flux(self, s):
-        """Normal flux on every local edge at the local edge parameters s,
-        (nt, 3, ns): q_h . n for RT/BDM, the numerical flux
-        q_h . n + tau (u_h - uhat_h) for HDG."""
-        s = np.asarray(s, dtype=float)
-        space = self.space
-        vals = pj._normal_traces(self.mesh.geometry, space.flux_space, space.degree, self.q_coeffs, s)
-        if space.is_hdg:
-            vals = vals + self.tau[:, :, None] * _trace_gap(self.mesh, self.u_coeffs, self.lam, s)
+    def normal_flux(self, s, rows=slice(None)):
+        """Normal flux on the local edges of the elements ``rows`` at the
+        local edge parameters s, (nb, 3, ns): q_h . n for RT/BDM, the
+        numerical flux q_h . n + tau (u_h - uhat_h) for HDG."""
+        return self._normal_flux(_TraceTables(self.space, np.asarray(s, dtype=float)), rows)
+
+    def _normal_flux(self, traces: _TraceTables, rows):
+        """:meth:`normal_flux` at the edge parameters of ``traces``."""
+        vals = pj._normal_traces(self.mesh.geometry.rows(rows), traces.N, self.q_coeffs[rows])
+        if self.space.is_hdg:
+            gap = _trace_gap(self.mesh, self.u_coeffs[rows], self.lam, traces, rows)
+            vals = vals + self.tau[rows, :, None] * gap
         return vals
+
+
+class _TraceTables:
+    """Reference tables of the traces of a space's fields at the edge
+    parameters s, tabulated once per pass: the normal traces N (3, ns, nq)
+    of the flux basis and the scalar basis W (3, ns, nw) on the three
+    reference edges, and the Legendre basis P (ns, nf)."""
+
+    def __init__(self, space: SpaceDescriptor, s):
+        self.N = pj._normal_table(ps.vector_basis(space.flux_space, space.degree), s)
+        self.W = pj._edge_table(ps.scalar_basis(space.scalar_degree), s)
+        self.P = ps.legendre01(space.degree, s)
 
 
 def _edge_signs(mesh: Mesh, nf: int, rows=slice(None)):
@@ -337,20 +378,21 @@ def _edge_signs(mesh: Mesh, nf: int, rows=slice(None)):
     return np.where(mesh.tri_edge_aligned[rows, :, None], 1.0, (-1.0) ** np.arange(nf))
 
 
-def _local_face_values(mesh: Mesh, coeffs, s):
-    """Edge fields (coefficients (ne, k+1) in the global edge bases) seen
-    from every element on its local edges at the local edge parameters s,
-    (nt, 3, ns)."""
-    k = coeffs.shape[1] - 1
-    L = mesh.edge_lengths[mesh.tri_edges]
-    c = _edge_signs(mesh, k + 1) * coeffs[mesh.tri_edges] / np.sqrt(L)[..., None]
-    return c @ ps.legendre01(k, s).T
+def _local_face_values(mesh: Mesh, coeffs, P, rows):
+    """Edge fields (coefficients (ne, nf) in the global edge bases) seen
+    from the elements ``rows`` on their local edges, from the Legendre table
+    P (ns, nf) at the local edge parameters, (nb, 3, ns)."""
+    edges = mesh.tri_edges[rows]
+    L = mesh.edge_lengths[edges]
+    c = _edge_signs(mesh, P.shape[1], rows) * coeffs[edges] / np.sqrt(L)[..., None]
+    return c @ P.T
 
 
-def _trace_gap(mesh: Mesh, u_coeffs, lam, s):
-    """HDG trace gap u_h - lam on every local edge at the parameters s, (nt, 3, ns)."""
-    W = pj._edge_table(ps.scalar_basis(lam.shape[1] - 1), s)
-    return np.einsum("lgw,ew->elg", W, u_coeffs) - _local_face_values(mesh, lam, s)
+def _trace_gap(mesh: Mesh, u, lam, traces: _TraceTables, rows):
+    """HDG trace gap u - lam on the local edges of the elements ``rows`` at
+    the edge parameters of ``traces``, (nb, 3, ns): u (nb, nw) holds their
+    potential coefficients, lam (ne, nf) the edge coefficients."""
+    return np.einsum("lgw,ew->elg", traces.W, u) - _local_face_values(mesh, lam, traces.P, rows)
 
 
 def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
@@ -404,17 +446,14 @@ def _scatter(local, dofs, N):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(N, N)).tocsr()
 
 
-_BLOCK_BYTES = 4 << 20  # of element matrices that the reduction builds at a time
-
-
 def _reduce(blocks: LocalBlocks, m):
     """Eliminate the leading m dofs (none, the flux, or flux and potential)
     of every element matrix under the load [0 | F | 0], and sum what is left
     into one global system.
 
-    Streams over element blocks of ``_BLOCK_BYTES`` of local matrices with
-    one batched solve per block.  The element dofs that are left are
-    numbered group by group (flux, then potential, element by element in
+    Streams over the element blocks of :func:`_blocks`, counting the local
+    matrices, with one batched solve per block.  The element dofs that are
+    left are numbered group by group (flux, then potential, element by element in
     each) and the multipliers follow; the boundary multipliers are the
     Dirichlet values ``gdir`` and move to the right-hand side.
 
@@ -425,11 +464,9 @@ def _reduce(blocks: LocalBlocks, m):
     (nw, nq), nf = blocks.Bdiv.shape, blocks.space.face_dim
     n = nq + nw + 3 * nf
     nl = n - m
-    step = max(1, _BLOCK_BYTES // (8 * n * n))
     R, S, load = np.empty((nt, m, nl + 1)), np.empty((nt, nl, nl)), np.zeros((nt, n))
     load[:, nq : nq + nw] = blocks.F
-    for start in range(0, nt, step):
-        rows = slice(start, start + step)
+    for rows in _blocks(nt, 8 * n * n):
         L = _local_matrices(blocks, rows)
         rhs = np.concatenate([-L[:, :m, m:], load[rows, :m, None]], axis=2)
         try:
@@ -584,12 +621,15 @@ def _pcg(K, rhs, M):
 class SolveInfo:
     """Facts of one condensed solve: the size n and nonzeros of K, the PCG
     iteration count, the final relative residual ||K lam - rhs|| / ||rhs||,
-    and whether PCG passed its cap and K was factored instead."""
+    the normwise backward error ||K lam - rhs||_inf / (||K||_inf
+    ||lam||_inf + ||rhs||_inf), and whether PCG passed its cap and K was
+    factored instead."""
 
     n: int
     nnz: int
     iterations: int
     residual: float
+    backward_error: float = 0.0
     lu_fallback: bool = False
 
 
@@ -607,18 +647,23 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
     nf = blocks.space.face_dim
     if not (np.isfinite(K.data).all() and np.isfinite(rhs).all()):
         raise SingularSystem("condensed system is not finite")
-    iterations, residual, lu_fallback = 0, 0.0, False
+    iterations, residual, backward_error, lu_fallback = 0, 0.0, 0.0, False
     if len(interior):
+        # K is exactly symmetric, so its largest row sum is its largest
+        # column sum; taken before the preconditioner and the iterates exist
+        K_inf = np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max()
         M = _two_level(K, blocks.mesh, blocks.layout.interior_edges, nf)
         lam, iterations = _pcg(K, rhs, M)
         if lam is None:
             lam, lu_fallback = _factor_spd(K, "condensed system").solve(rhs), True
         res, scale = K @ lam - rhs, _dot(rhs, rhs)
         residual = float(np.sqrt(_dot(res, res) / scale)) if scale else 0.0
+        scale = K_inf * np.abs(lam).max() + np.abs(rhs).max()
+        backward_error = float(np.abs(res).max() / scale) if scale else 0.0
         lam_full[interior] = lam
     qu = np.einsum("eij,ej->ei", X, lam_full[_edge_dofs(blocks.mesh.tri_edges, nf)].reshape(len(X), -1)) + Y
     nq = blocks.space.flux_dim
-    info = SolveInfo(len(interior), K.nnz, iterations, residual, lu_fallback)
+    info = SolveInfo(len(interior), K.nnz, iterations, residual, backward_error, lu_fallback)
     return _solved_triple(blocks, "condensed system", qu[:, :nq], qu[:, nq:], lam_full, info)
 
 
@@ -757,26 +802,38 @@ def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None
 def _balance(triple: FieldTriple, data: ProblemData, basis: ps.PolyFamily, vol, erule):
     """The discrete conservation law (f - c u_h, w)_K - <q_h . n, w>_dK on
     the rules ``vol`` and ``erule`` for every w of the reference family
-    ``basis``, (nt, basis.dim): numerical flux for HDG, reaction if set."""
-    geo = triple.mesh.geometry
-    xq = geo.forward(vol.points)
-    fv = pj._at(data.f, xq)
-    if data.c is not None:
-        uh = triple.u_coeffs @ ps.scalar_basis(triple.space.scalar_degree).eval(vol.points).T
-        fv = fv - pj._at(data.c, xq) * uh
-    flux = geo.edge_lengths[:, :, None] * triple.normal_flux(erule.points) * erule.weights
-    source = geo.detJ[:, None] * ((vol.weights * fv) @ basis.eval(vol.points))
-    return source - np.einsum("elg,lgi->ei", flux, pj._edge_table(basis, erule.points))
+    ``basis``: numerical flux for HDG, reaction if set.  Tabulates the
+    reference values once and returns the law of an element slice
+    ``rows``, (nb, basis.dim), as a function."""
+    mesh = triple.mesh
+    w_vol, w_edge = basis.eval(vol.points), pj._edge_table(basis, erule.points)
+    W = ps.scalar_basis(triple.space.scalar_degree).eval(vol.points)
+    traces = _TraceTables(triple.space, erule.points)
+
+    def law(rows):
+        geo = mesh.geometry.rows(rows)
+        xq = geo.forward(vol.points)
+        fv = pj._at(data.f, xq)
+        if data.c is not None:
+            fv = fv - pj._at(data.c, xq) * (triple.u_coeffs[rows] @ W.T)
+        flux = geo.edge_lengths[:, :, None] * triple._normal_flux(traces, rows) * erule.weights
+        source = geo.detJ[:, None] * ((vol.weights * fv) @ w_vol)
+        return source - np.einsum("elg,lgi->ei", flux, w_edge)
+
+    return law
 
 
 def conservation_residuals(triple: FieldTriple, data: ProblemData, quad_exactness=None):
     """Per-element defect of (f - c u_h, 1)_K = <q_h . n, 1>_dK, the w = 1
     row of :func:`_balance`, on the assembly's data rule recorded on the
     triple (2k+4 for a triple built by hand) unless ``quad_exactness`` is
-    given.  A solve satisfies it to round-off."""
+    given, one element block at a time.  A solve satisfies it to
+    round-off."""
     one = ps.PolyFamily(ps.monomial_exponents(0), np.ones((1, 1)))
     rules = ps.quadrature_rules(triple.space.degree, quad_exactness or triple.quad_exactness)
-    return _balance(triple, data, one, *rules)[:, 0]
+    law = _balance(triple, data, one, *rules)
+    blocks = _blocks(triple.mesh.num_triangles, _pass_bytes(*rules))
+    return np.concatenate([law(rows)[:, 0] for rows in blocks])
 
 
 def flux_jump_norms(triple: FieldTriple):
@@ -795,21 +852,29 @@ def flux_jump_norms(triple: FieldTriple):
     return np.sqrt(mesh.edge_lengths[inner] * np.sum(jump[inner] ** 2, axis=1))
 
 
-def _project_triple(triple: FieldTriple, q_exact, u_exact, quad_exactness):
-    """Method-specific projections (Pi q, Pi u, P u) of an exact solution."""
-    mesh, space = triple.mesh, triple.space
-    k = space.degree
+def _project_elements(triple: FieldTriple, q, u, quad_exactness, rows=slice(None)):
+    """Method-specific element projections (Pi q, Pi u) on the elements
+    ``rows`` of an exact solution, given by its values q and u on them
+    (``projections._sample``) on the rules of ``quad_exactness``."""
+    space = triple.space
+    k, geo = space.degree, triple.mesh.geometry.rows(rows)
     if space.is_hdg:
-        qc, uc = pj._hdg_coeffs(
-            q_exact, u_exact, k, mesh.geometry, triple.tau, exactness=quad_exactness
-        )
-    else:
-        qc = pj._hdiv_coeffs(space.method, k, mesh.geometry, q_exact, quad_exactness)
-        uc = pj._scalar_coeffs(u_exact, space.scalar_degree, mesh.geometry, quad_exactness)
-    npoints = len(ps.quadrature_rules(k, quad_exactness)[1].points)
-    ends = mesh.vertices[mesh.edges]
-    lamc = pj.project_face(u_exact, k, ends[:, 0], ends[:, 1], npoints=npoints)
-    return qc, uc, lamc
+        return pj._hdg_coeffs(q, u, k, geo, triple.tau[rows], exactness=quad_exactness)
+    qc = pj._hdiv_coeffs(space.method, k, geo, q, quad_exactness)
+    return qc, pj._scalar_coeffs(u[0], space.scalar_degree, ps.quadrature_rules(k, quad_exactness)[0])
+
+
+def _project_faces(triple: FieldTriple, u_exact, quad_exactness):
+    """Edgewise L2 projection P u (ne, nf) of an exact potential on every
+    edge, on the edge rule of ``quad_exactness``: one pass over the edges,
+    in blocks of :func:`_blocks` as the element passes."""
+    mesh, k = triple.mesh, triple.space.degree
+    erule = ps.quadrature_rules(k, quad_exactness)[1]
+    lamc = np.empty((mesh.num_edges, k + 1))
+    for edges in _blocks(mesh.num_edges, _pass_bytes(None, erule)):
+        ends = mesh.vertices[mesh.edges[edges]]
+        lamc[edges] = pj.project_face(u_exact, k, ends[:, 0], ends[:, 1], npoints=len(erule.points))
+    return lamc
 
 
 def energy_identity_residual(triple: FieldTriple, q_exact, u_exact, data: ProblemData, quad_exactness=None) -> float:
@@ -819,31 +884,36 @@ def energy_identity_residual(triple: FieldTriple, q_exact, u_exact, data: Proble
     For RT/BDM the identity balances the weighted norm of the projected flux
     error, plus the reaction pairing (c (u - u_h), P u - u_h) when ``data.c``
     is set, against its pairing with the projection defect; HDG adds the
-    stabilization seminorm of the potential/trace mismatch.
+    stabilization seminorm of the potential/trace mismatch.  Both sides are
+    summed one element block at a time.
     """
-    space = triple.space
+    space, mesh = triple.space, triple.mesh
     k = space.degree
     if quad_exactness is None:
         quad_exactness = max(2 * k + 10, 16)
-    mesh = triple.mesh
-    geo = mesh.geometry
-    qc, uc, lamc = _project_triple(triple, q_exact, u_exact, quad_exactness)
-    eq = qc - triple.q_coeffs
-    eu = uc - triple.u_coeffs
-    elam = lamc - triple.lam
-
     vol, erule = ps.quadrature_rules(k, quad_exactness)
-    xq = geo.forward(vol.points)
-    wk = geo.detJ[:, None] * vol.weights / pj._at(data.kappa, xq)
-    vals = pj._vector_values(geo, space.flux_space, k, eq, vol.points)
-    diff = pj._vector_values(geo, space.flux_space, k, qc, vol.points) - pj._at(q_exact, xq)
-    lhs = np.sum(wk * np.einsum("egc,egc->eg", vals, vals))
-    rhs = np.sum(wk * np.einsum("egc,egc->eg", diff, vals))
-    if data.c is not None:
-        W = ps.scalar_basis(space.scalar_degree).eval(vol.points).T
-        cw = geo.detJ[:, None] * vol.weights * pj._at(data.c, xq)
-        lhs += np.sum(cw * (pj._at(u_exact, xq) - triple.u_coeffs @ W) * (eu @ W))
-    if space.is_hdg:
-        gap = _trace_gap(mesh, eu, elam, erule.points)
-        lhs += np.sum(triple.tau * geo.edge_lengths * (gap**2 @ erule.weights))
-    return abs(lhs - rhs)
+    V = ps.vector_basis(space.flux_space, k).eval(vol.points)
+    W = ps.scalar_basis(space.scalar_degree).eval(vol.points).T
+    traces = _TraceTables(space, erule.points)
+    elam = _project_faces(triple, u_exact, quad_exactness) - triple.lam
+
+    def block(rows):
+        geo = mesh.geometry.rows(rows)
+        (q, qe), (u, ue), (kappa, _) = pj._sample([q_exact, u_exact, data.kappa], geo, vol, erule)
+        qc, uc = _project_elements(triple, (q, qe), (u, ue), quad_exactness, rows)
+        eq, eu = qc - triple.q_coeffs[rows], uc - triple.u_coeffs[rows]
+        wk = geo.detJ[:, None] * vol.weights / kappa
+        vals = pj._vector_values(geo, V, eq)
+        diff = pj._vector_values(geo, V, qc) - q
+        lhs = np.sum(wk * np.einsum("egc,egc->eg", vals, vals))
+        rhs = np.sum(wk * np.einsum("egc,egc->eg", diff, vals))
+        if data.c is not None:
+            cw = geo.detJ[:, None] * vol.weights * pj._at(data.c, geo.forward(vol.points))
+            lhs += np.sum(cw * (u - triple.u_coeffs[rows] @ W) * (eu @ W))
+        if space.is_hdg:
+            gap = _trace_gap(mesh, eu, elam, traces, rows)
+            lhs += np.sum(triple.tau[rows] * geo.edge_lengths * (gap**2 @ erule.weights))
+        return lhs, rhs
+
+    lhs, rhs = zip(*[block(rows) for rows in _blocks(mesh.num_triangles, _pass_bytes(vol, erule))])
+    return abs(sum(lhs) - sum(rhs))

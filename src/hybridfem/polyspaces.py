@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "triangle_rule",
     "edge_rule",
     "quadrature_rules",
+    "gram_table",
     "weighted_gram",
     "compose_affine",
     "boundary_decomposition_check",
@@ -364,12 +365,19 @@ def quadrature_rules(k: int, exactness=None):
     return triangle_rule(exactness), edge_rule(max(k + 3, (exactness + 2) // 2))
 
 
-def weighted_gram(weights, basis):
+def gram_table(basis):
+    """Reference product table (ng nc^2, n^2) of the basis values (ng, n,
+    nc) at ng points, which :func:`weighted_gram` contracts."""
+    n = basis.shape[1]
+    return np.einsum("gic,gjd->gcdij", basis, basis).reshape(-1, n * n)
+
+
+def weighted_gram(weights, table):
     """Element matrices sum_{g,c,d} weights[e, g, c, d] basis[g, i, c] basis[g, j, d]
     as one GEMM of the weights (nt, ng nc^2), a pointwise weight times a
-    per-element metric, against the reference product table (ng nc^2, n^2)."""
-    nt, n = weights.shape[0], basis.shape[1]
-    table = np.einsum("gic,gjd->gcdij", basis, basis).reshape(-1, n * n)
+    per-element metric, against the reference product table
+    ``gram_table(basis)``."""
+    nt, n = weights.shape[0], isqrt(table.shape[1])
     return (weights.reshape(nt, -1) @ table).reshape(nt, n, n)
 
 

@@ -20,9 +20,9 @@ systems checked once per degree (:func:`_hdg_coeffs`).
 Every system is applied through its checked inverse
 (:class:`ProjectionProblem`), and every per-element product is a stacked
 one (:func:`_times`).  Every projection is computed by one kernel over a
-stack of elements (the affine maps of a mesh, data evaluated at all their
-quadrature points at once); the per-element functions call it with a batch
-of one and get the same bits.
+stack of elements (the affine maps of a block of a mesh and the data
+sampled at their quadrature points by :func:`_sample`); the per-element
+functions call it with a batch of one and get the same bits.
 """
 
 from __future__ import annotations
@@ -155,26 +155,32 @@ def _times(x, M):
     return (x[..., None, :] @ M.mT)[..., 0, :]
 
 
-def _ref_vector_values(space: str, k: int, coeffs, xhat):
+def _ref_vector_values(coeffs, V):
     """Reference values (n, m, 2) of stacked vector fields (coefficients
-    (n, dim)) at the reference points xhat (m, 2): one GEMM against the
-    basis table."""
-    table = ps.vector_basis(space, k).eval(xhat).transpose(1, 0, 2)  # (dim, m, 2)
-    return (coeffs @ table.reshape(len(table), -1)).reshape(len(coeffs), len(xhat), 2)
+    (n, dim)) from the basis values V (m, dim, 2) at m reference points: one
+    GEMM against the basis table."""
+    table = V.transpose(1, 0, 2)  # (dim, m, 2)
+    return (coeffs @ table.reshape(len(table), -1)).reshape(len(coeffs), len(V), 2)
 
 
-def _vector_values(geo: _AffineMaps, space: str, k: int, coeffs, xhat):
+def _vector_values(geo: _AffineMaps, V, coeffs):
     """Physical values (n, m, 2) of stacked vector fields (coefficients
-    (n, dim)) at the images of the reference points xhat (m, 2)."""
-    qhat = _ref_vector_values(space, k, coeffs, xhat)
+    (n, dim)) at the images of the reference points of the basis values V
+    (m, dim, 2)."""
+    qhat = _ref_vector_values(coeffs, V)
     return qhat @ (geo.B / geo.detJ[:, None, None]).transpose(0, 2, 1)
 
 
-def _normal_traces(geo: _AffineMaps, space: str, k: int, coeffs, s):
-    """q . n of stacked vector fields on every local edge at the edge
-    parameters s, (n, 3, ns)."""
-    vb = ps.vector_basis(space, k)
-    N = np.stack([vb.normal_trace(e, s) for e in range(3)])
+def _normal_table(vb: ps.VectorBasis, s):
+    """Normal traces q . nhat of the vector basis on the three reference
+    edges at the edge parameters s, (3, ns, dim)."""
+    return np.stack([vb.normal_trace(e, s) for e in range(3)])
+
+
+def _normal_traces(geo: _AffineMaps, N, coeffs):
+    """q . n of stacked vector fields on every local edge, from the
+    reference table N = _normal_table(vb, s) at the edge parameters s,
+    (n, 3, ns)."""
     return np.einsum("lgq,eq->elg", N, coeffs) / geo.edge_jacobians[:, :, None]
 
 
@@ -184,16 +190,35 @@ def _edge_table(basis: ps.PolyFamily, s):
     return np.stack([basis.eval(ReferenceTriangle.edge_points(e, s)) for e in range(3)])
 
 
-def _scalar_coeffs(u, k: int, geo: _AffineMaps, exactness=None):
-    """Element L2 projection coefficients (n, dim P_k) of u on every element."""
-    rule = ps.quadrature_rules(k, exactness)[0]
-    vals = _at(u, geo.forward(rule.points))
-    return _times(rule.weights * vals, ps.scalar_basis(k).eval(rule.points).T)
+def _sample(fns, geo: _AffineMaps, vol, edge):
+    """Values of each data function of ``fns`` on every element at the
+    points of the triangle rule ``vol``, (n, ng, ...), and of the edge rule
+    ``edge`` on each local edge, (n, 3, ns, ...): what the projection
+    kernels take."""
+    xq, xe = geo.forward(vol.points), geo.edge_forward(edge.points)
+    return [(_at(fn, xq), _at(fn, xe)) for fn in fns]
+
+
+@lru_cache(maxsize=None)
+def _scalar_table(k: int, exactness: int):
+    """The scalar basis of degree k at the points of
+    ``triangle_rule(exactness)``, (ng, dim), tabulated once."""
+    W = ps.scalar_basis(k).eval(ps.triangle_rule(exactness).points)
+    W.flags.writeable = False
+    return W
+
+
+def _scalar_coeffs(u, k: int, vol):
+    """Element L2 projection coefficients (n, dim P_k) of data with the
+    values u (n, ng) at the points of the triangle rule ``vol``."""
+    return _times(vol.weights * u, _scalar_table(k, vol.exactness).T)
 
 
 def project_scalar(u, k: int, emap: ElementMap, quad_exactness=None) -> LocalScalarField:
     """Element L2 projection onto the degree-k scalar space."""
-    return LocalScalarField(emap, k, _scalar_coeffs(u, k, _batch(emap), quad_exactness)[0])
+    vol = ps.quadrature_rules(k, quad_exactness)[0]
+    coeffs = _scalar_coeffs(_at(u, _batch(emap).forward(vol.points)), k, vol)[0]
+    return LocalScalarField(emap, k, coeffs)
 
 
 def project_face(mu, k: int, p0, p1, npoints=None) -> np.ndarray:
@@ -211,10 +236,20 @@ def project_face(mu, k: int, p0, p1, npoints=None) -> np.ndarray:
     L = np.sqrt(np.vecdot(d, d))[..., None]
     if not (L > 0.0).all():
         raise DegenerateElement("face of zero or non-finite length")
-    rule = ps.quadrature_rules(k)[1] if npoints is None else ps.edge_rule(npoints)
+    npoints = len(ps.quadrature_rules(k)[1].points) if npoints is None else npoints
+    rule = ps.edge_rule(npoints)
     vals = _at(mu, p0[..., None, :] + rule.points[:, None] * d[..., None, :])
-    P = ps.legendre01(k, rule.points) / np.sqrt(L)[..., None]
+    P = _legendre_table(k, npoints) / np.sqrt(L)[..., None]
     return (np.swapaxes(P, -1, -2) @ (rule.weights * L * vals)[..., None])[..., 0]
+
+
+@lru_cache(maxsize=None)
+def _legendre_table(k: int, npoints: int):
+    """The Legendre basis of degree k at the points of
+    ``edge_rule(npoints)``, (npoints, k+1), tabulated once."""
+    P = ps.legendre01(k, ps.edge_rule(npoints).points)
+    P.flags.writeable = False
+    return P
 
 
 def face_values(coeffs, length, t):
@@ -276,7 +311,7 @@ def _edge_tables(method: str, k: int):
     sb = ps.scalar_basis(k - 1 if method == "bdm" else k)
     rule = ps.edge_rule(k + 1)
     wP = rule.weights[:, None] * ps.legendre01(k, rule.points)
-    N = np.stack([vb.normal_trace(e, rule.points) for e in range(3)])
+    N = _normal_table(vb, rule.points)
     W = _edge_table(sb, rule.points)
     tables = (
         np.einsum("gi,lgq->liq", wP, N),
@@ -308,8 +343,9 @@ class _RefRules:
         self.mu_w = _ROOT_LHAT * (self.edge.weights[:, None] * ps.legendre01(k, self.edge.points))
 
     def flux_moments(self, geo: _AffineMaps, q):
-        """Interior moments of the pulled-back flux |J| B^-1 q, (n, ntest)."""
-        qhat = _at(q, geo.forward(self.vol.points)) @ geo.invB.transpose(0, 2, 1)
+        """Interior moments of the pulled-back flux |J| B^-1 q from its
+        values q (n, ng, 2) at the volume points, (n, ntest)."""
+        qhat = q @ geo.invB.transpose(0, 2, 1)
         return geo.detJ[:, None] * _times(qhat.reshape(len(geo), -1), self.test_w.T)
 
     def edge_moments(self, vals):
@@ -317,9 +353,10 @@ class _RefRules:
         return np.einsum("lgi,elg->eli", self.mu_w, vals).reshape(len(vals), -1)
 
 
-def _dual_normal(geo: _AffineMaps, q, xe):
-    """The dual trace |a| q . n at edge points (n, 3, ns, 2)."""
-    return geo.edge_jacobians[..., None] * np.vecdot(_at(q, xe), geo.edge_normals[:, :, None])
+def _dual_normal(geo: _AffineMaps, q):
+    """The dual trace |a| q . n from the values q (n, 3, ns, 2) at the edge
+    points."""
+    return geo.edge_jacobians[..., None] * np.vecdot(q, geo.edge_normals[:, :, None])
 
 
 class _HdivRef(_RefRules):
@@ -359,26 +396,30 @@ def projection_problem(method: str, k: int) -> ProjectionProblem:
 
 
 def _hdiv_coeffs(method: str, k: int, geo: _AffineMaps, q, exactness=None):
-    """RT/BDM projection coefficients (n, dim) of physical data q on every
-    element: one solve of the shared reference system."""
+    """RT/BDM projection coefficients (n, dim) of physical data on every
+    element from its values q = _sample(data, geo, vol, edge) on the rules
+    of ``exactness``: one solve of the shared reference system."""
     ref = _hdiv_ref(method, k, exactness)
-    xe = geo.edge_forward(ref.edge.points)
-    rhs = np.hstack([ref.flux_moments(geo, q), ref.edge_moments(_dual_normal(geo, q, xe))])
+    rhs = np.hstack([ref.flux_moments(geo, q[0]), ref.edge_moments(_dual_normal(geo, q[1]))])
     return ref.problem.solve(rhs)
+
+
+def _hdiv_field(method: str, q, k: int, emap: ElementMap, exactness) -> LocalVectorField:
+    ref, geo = _hdiv_ref(method, k, exactness), _batch(emap)
+    coeffs = _hdiv_coeffs(method, k, geo, *_sample([q], geo, ref.vol, ref.edge), exactness)[0]
+    return LocalVectorField(emap, ref.vb.tag, k, coeffs)
 
 
 def rt_project(q, k: int, emap: ElementMap, quad_exactness=None) -> LocalVectorField:
     """Raviart-Thomas projection: interior moments against full vector
     polynomials of degree k-1 plus edgewise normal-trace moments."""
-    coeffs = _hdiv_coeffs("rt", k, _batch(emap), q, quad_exactness)[0]
-    return LocalVectorField(emap, "RT", k, coeffs)
+    return _hdiv_field("rt", q, k, emap, quad_exactness)
 
 
 def bdm_project(q, k: int, emap: ElementMap, quad_exactness=None) -> LocalVectorField:
     """BDM projection: interior moments against the rotated space of degree
     k-2 (void for k = 1) plus edgewise normal-trace moments."""
-    coeffs = _hdiv_coeffs("bdm", k, _batch(emap), q, quad_exactness)[0]
-    return LocalVectorField(emap, "P", k, coeffs)
+    return _hdiv_field("bdm", q, k, emap, quad_exactness)
 
 
 def _checked_tau(values, shape) -> np.ndarray:
@@ -454,7 +495,8 @@ def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=No
     """HDG projection coefficients, vector (n, nq) and scalar (n, nw), of
     every element: interior moments of both components against degree k-1
     plus edgewise moments of q . n + sign * tau * u, solved in decoupled
-    form.
+    form.  The data come as their values on the rules of ``exactness``: q
+    and u as ``_sample(data, geo, vol, edge)``, div_q at the volume points.
 
     1. The P_{k-1} part of u is its P_{k-1} moments.
     2. The complement part solves, per element, the (k+1) x (k+1) system
@@ -468,16 +510,14 @@ def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=No
     ref = _hdg_ref(k, exactness)
     n, low = len(geo), ref.sdim_low
     tau_check = sign * tau * geo.edge_jacobians
-    xq = geo.forward(ref.vol.points)
-    xe = geo.edge_forward(ref.edge.points)
-    u_edge = tau_check[..., None] * _at(u, xe)
-    r_q = ref.flux_moments(geo, q)
-    r_e = ref.edge_moments(_dual_normal(geo, q, xe) + u_edge)
-    u_low = _times(ref.vol.weights * _at(u, xq), ref.test_sb_vals.T)
+    u_edge = tau_check[..., None] * u[1]
+    r_q = ref.flux_moments(geo, q[0])
+    r_e = ref.edge_moments(_dual_normal(geo, q[1]) + u_edge)
+    u_low = _times(ref.vol.weights * u[0], ref.test_sb_vals.T)
     if div_q is None:
         b = _times(np.hstack([r_q, r_e]), ref.null_rows)
     else:
-        div_moments = _times(ref.vol.weights * geo.detJ[:, None] * _at(div_q, xq), ref.comp_vals.T)
+        div_moments = _times(ref.vol.weights * geo.detJ[:, None] * div_q, ref.comp_vals.T)
         b = div_moments + _times(ref.edge_moments(u_edge), ref.null_rows[:, 2 * low :])
     A = np.sum(tau_check[:, :, None, None] * ref.edge_mass, axis=1)
     b -= (A[:, :, :low] @ u_low[..., None])[..., 0]
@@ -486,8 +526,8 @@ def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=No
     r_e = r_e.reshape(n, 3, -1) - tau_check[..., None] * (ref.trace_u @ uc[:, None, :, None])[..., 0]
     skip = np.argmax(tau, axis=1)
     qc = np.empty((n, ref.vb.dim))
-    for s, flux in enumerate(ref.flux):
-        rows = skip == s
+    for s in np.unique(skip):
+        rows, flux = skip == s, ref.flux[s]
         rhs = np.hstack([r_q[rows], np.delete(r_e[rows], s, axis=1).reshape(-1, 2 * k + 2)])
         qc[rows] = flux.solve(rhs)
     return qc, uc
@@ -495,7 +535,11 @@ def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=No
 
 def _hdg_fields(q, u, k, emap, tau, sign, exactness, div_q=None):
     tau = check_stabilization(tau)
-    qc, uc = _hdg_coeffs(q, u, k, _batch(emap), tau[None], sign, exactness, div_q)
+    ref, geo = _hdg_ref(k, exactness), _batch(emap)
+    if div_q is not None:
+        div_q = _at(div_q, geo.forward(ref.vol.points))
+    q, u = _sample([q, u], geo, ref.vol, ref.edge)
+    qc, uc = _hdg_coeffs(q, u, k, geo, tau[None], sign, exactness, div_q)
     return LocalVectorField(emap, "P", k, qc[0]), LocalScalarField(emap, k, uc[0])
 
 

@@ -393,10 +393,10 @@ def reference_hdg_coeffs(q, u, k, geo, tau, sign=1, exactness=None):
     (n, N, N) systems, each checked and solved as a whole by LU."""
     ref = pj._hdg_ref(k, exactness)
     problem = pj._factor("hdg", k, hdg_matrices(ref, geo, tau, sign))
-    xe = geo.edge_forward(ref.edge.points)
-    trace = pj._dual_normal(geo, q, xe) + (sign * tau * geo.edge_jacobians)[..., None] * pj._at(u, xe)
-    u_moments = (ref.vol.weights * pj._at(u, geo.forward(ref.vol.points))) @ ref.test_sb_vals
-    rhs = np.hstack([ref.flux_moments(geo, q), u_moments, ref.edge_moments(trace)])
+    xq, xe = geo.forward(ref.vol.points), geo.edge_forward(ref.edge.points)
+    trace = pj._dual_normal(geo, pj._at(q, xe)) + (sign * tau * geo.edge_jacobians)[..., None] * pj._at(u, xe)
+    u_moments = (ref.vol.weights * pj._at(u, xq)) @ ref.test_sb_vals
+    rhs = np.hstack([ref.flux_moments(geo, pj._at(q, xq)), u_moments, ref.edge_moments(trace)])
     sol = np.linalg.solve(problem.matrix, rhs[..., None])[..., 0]
     return sol[:, : ref.vb.dim], sol[:, ref.vb.dim :]
 

@@ -15,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridfem.polyspaces as ps
+import hybridfem.projections as pj
 import oracles
 from hybridfem.harness import CASES, SATURATION, StudyConfig, compute_error_norms, run_study
 from hybridfem.mesh import Mesh, uniform_refine, unit_square
 from hybridfem.methods import (
     SpaceDescriptor,
     StabilizationFunction,
-    _project_triple,
+    _project_elements,
+    _project_faces,
     assemble,
     conservation_residuals,
     energy_identity_residual,
@@ -83,6 +85,12 @@ def assert_close(got, want, rtol=1e-12):
     assert np.abs(np.asarray(got) - want).max(initial=0.0) <= rtol * scale
 
 
+def project_elements(triple, q, u, exactness):
+    """The element projections of an exact solution on the whole mesh."""
+    vol, erule = ps.quadrature_rules(triple.space.degree, exactness)
+    return _project_elements(triple, *pj._sample([q, u], triple.mesh.geometry, vol, erule), exactness)
+
+
 def check_against_oracles(triple, case):
     data = case.data()
     k = triple.space.degree
@@ -90,7 +98,7 @@ def check_against_oracles(triple, case):
     norms = oracles.reference_error_norms(triple, case, posts)
     assert_norms_match(compute_error_norms(triple, case, posts), norms)
     # A projection applied to the mesh gives the bits of its batches of one.
-    got = _project_triple(triple, case.q, case.u, 2 * k + 6)
+    got = (*project_elements(triple, case.q, case.u, 2 * k + 6), _project_faces(triple, case.u, 2 * k + 6))
     want = oracles.reference_project_triple(triple, case.q, case.u, 2 * k + 6)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -136,7 +144,8 @@ def test_element_matrices_match_quadrature_loop(method, k, tau, quad_exactness, 
     vol = ps.triangle_rule(quad_exactness or 2 * (k + 1) + 4)
     kappa = case.kappa(mesh.geometry.forward(vol.points).reshape(-1, 2)).reshape(mesh.num_triangles, -1)
     want = oracles.reference_stiffness(mesh, k + 1, case.kappa, vol)
-    assert_close(_stiffness(mesh.geometry, ps.scalar_basis(k + 1), vol, kappa), want, rtol=1e-13)
+    table = ps.gram_table(ps.scalar_basis(k + 1).grad(vol.points))
+    assert_close(_stiffness(mesh.geometry, table, vol, kappa), want, rtol=1e-13)
 
 
 @settings(max_examples=12, deadline=None)

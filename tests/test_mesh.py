@@ -226,6 +226,14 @@ def test_load_mesh_from_file_object():
     assert m.num_triangles == 2
 
 
+def test_load_mesh_accepts_a_byte_order_mark(tmp_path):
+    # some editors start a UTF-8 file with U+FEFF
+    path = tmp_path / "bom.msh"
+    path.write_bytes(b"\xef\xbb\xbf3 1\n0 0\n1 0\n0 1\n0 1 2\n")
+    mesh = load_mesh(path)
+    assert (mesh.num_vertices, mesh.num_triangles) == (3, 1)
+
+
 def test_load_mesh_rejects_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "bad.msh"
     path.write_bytes(b"\xff\xfe 3 1\n")

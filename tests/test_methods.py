@@ -5,8 +5,10 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
+import hybridfem.harness as harness
 import hybridfem.methods as methods
 import hybridfem.polyspaces as ps
+import hybridfem.postprocess as postprocess
 import hybridfem.projections as pj
 from hybridfem.errors import (
     InvalidProblemData,
@@ -19,12 +21,12 @@ from hybridfem.errors import (
 )
 from hybridfem.harness import CASES, compute_error_norms
 from hybridfem.mesh import Mesh, unit_square, uniform_refine
+from hybridfem.postprocess import gradient_postprocess, stenberg
 from hybridfem.methods import (
     FieldTriple,
     ProblemData,
     SpaceDescriptor,
     StabilizationFunction,
-    _project_triple,
     _saddle_matrix,
     assemble,
     condensed_system,
@@ -39,7 +41,7 @@ from hybridfem.methods import (
 )
 
 from oracles import element_blocks, reference_dirichlet_pieces, reference_saddle_matrix, reference_saddle_solve
-from test_batched import perturbed as perturbed_by
+from test_batched import perturbed as perturbed_by, project_elements
 
 SMOOTH = CASES["smooth"]
 LINEAR = CASES["linear"]
@@ -261,7 +263,7 @@ def test_double_valued_interior_stabilization():
     # linear data stays exact for k >= 1 under any admissible tau
     blocks = assemble(mesh, space, LINEAR.data(), tau=tau)
     t3 = solve_hybridized(blocks)
-    qc, uc, lamc = _project_triple(t3, LINEAR.q, LINEAR.u, None)
+    qc, uc = project_elements(t3, LINEAR.q, LINEAR.u, None)
     assert np.abs(qc - t3.q_coeffs).max() < 1e-10
     assert np.abs(uc - t3.u_coeffs).max() < 1e-10
 
@@ -526,6 +528,75 @@ def test_condensation_peak_memory_below_element_stack():
     assert peak < stack
 
 
+def stream_by(monkeypatch, elements):
+    """Make every element pass stream ``elements`` elements (and edges) at
+    a time, whatever its bytes per element."""
+    def blocks(n, bytes_per_element):
+        return (slice(start, start + elements) for start in range(0, n, elements))
+
+    for module in (methods, harness, postprocess):
+        monkeypatch.setattr(module, "_blocks", blocks)
+
+
+@pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
+def test_streamed_passes_independent_of_element_blocks(monkeypatch, method, k, tau):
+    """128 elements streamed 7 at a time give the one-block error norms,
+    energy identity and postprocessed coefficients within 1e-14 relative,
+    and the same Stenberg ``decomposed`` flags."""
+    mesh = perturbed_mesh(levels=2)
+    triple = solve_hybridized(condensed_blocks(mesh, method, k, tau, case="reaction"))
+    data = REACTION.data()
+
+    def run(posts):
+        norms = compute_error_norms(triple, REACTION, posts)
+        return norms, energy_identity_residual(triple, REACTION.q, REACTION.u, data)
+
+    stream_by(monkeypatch, mesh.num_triangles)
+    posts = [stenberg(triple, data), gradient_postprocess(triple, data)]
+    norms, energy = run(posts)
+    stream_by(monkeypatch, 7)
+    posts7 = [stenberg(triple, data), gradient_postprocess(triple, data)]
+    norms7, energy7 = run(posts)  # the same postprocessed fields
+    assert norms7.keys() == norms.keys()
+    for key, value in norms.items():
+        assert abs(norms7[key] - value) <= 1e-14 * value, key
+    # the identity's defect is round-off of sums of the size ||Pi q - q_h||^2
+    assert abs(energy7 - energy) <= 1e-14 * norms["eq_proj_w"] ** 2
+    for p, p7 in zip(posts, posts7, strict=True):
+        assert rel_diff(p7.coeffs, p.coeffs) <= 1e-14
+        assert np.array_equal(p7.decomposed, p.decomposed)
+
+
+def test_streamed_passes_peak_memory_below_a_quadrature_array():
+    """The error norms and both postprocessors stream their elements: on
+    2,048 HDG k=1 triangles the traced peak of each above its inputs stays
+    below one (nt, ng, 2) float64 array of the norm rule, of which the
+    whole-mesh passes held several."""
+    mesh = unit_square(2)
+    for _ in range(4):
+        mesh = uniform_refine(mesh)
+    data = SMOOTH.data()
+    triple = solve_hybridized(assemble(mesh, SpaceDescriptor("hdg", 1), data, tau=make_tau(mesh)))
+    posts = [stenberg(triple, data), gradient_postprocess(triple, data)]
+    ng = len(ps.quadrature_rules(1, 2 * 1 + 6)[0].weights)
+    array = mesh.num_triangles * ng * 2 * 8
+    passes = {
+        "norms": lambda: compute_error_norms(triple, SMOOTH, posts),
+        "stenberg": lambda: stenberg(triple, data),
+        "gradient": lambda: gradient_postprocess(triple, data),
+    }
+    for name, run in passes.items():
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < array, name
+
+
 # ------------------------------------------------------ iterative solve
 
 
@@ -610,6 +681,21 @@ def test_solve_info_reports_the_condensed_solve(method, k, tau):
     assert info.residual < 1e-13
     with pytest.raises(AttributeError):
         info.iterations = 0
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["regular", "perturbed"])
+@pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
+def test_solve_info_backward_error(method, k, tau, perturbed):
+    """The normwise backward error ||K lam - rhs||_inf / (||K||_inf
+    ||lam||_inf + ||rhs||_inf) of the solve reads round-off."""
+    mesh = perturbed_mesh(levels=2) if perturbed else uniform_refine(uniform_refine(unit_square(2)))
+    blocks = condensed_blocks(mesh, method, k, tau)
+    K, rhs, _, interior, _, _ = condensed_system(blocks)
+    triple = solve_hybridized(blocks)
+    lam = triple.lam.ravel()[interior]
+    want = np.abs(K @ lam - rhs).max() / (spla.norm(K, np.inf) * np.abs(lam).max() + np.abs(rhs).max())
+    assert triple.solve_info.backward_error == pytest.approx(want, rel=1e-12)
+    assert triple.solve_info.backward_error <= 1e-14
 
 
 def test_stretched_mesh_falls_back_to_lu():
@@ -819,7 +905,7 @@ def test_energy_estimate_inequality(method, k):
     mesh = uniform_refine(unit_square(2))
     blocks, triple = solve_case(mesh, method, k, case)
     norms = compute_error_norms(triple, case)
-    qc, _, _ = _project_triple(triple, case.q, case.u, 2 * k + 6)
+    qc, _ = project_elements(triple, case.q, case.u, 2 * k + 6)
     # || Pi q - q ||_{kappa^{-1}} by quadrature
     import hybridfem.projections as pj
 
@@ -841,7 +927,7 @@ def test_reaction_energy_estimate():
     k = 1
     mesh = uniform_refine(unit_square(2))
     blocks, triple = solve_case(mesh, "bdm", k, case)
-    qc, uc, _ = _project_triple(triple, case.q, case.u, 2 * k + 6)
+    qc, uc = project_elements(triple, case.q, case.u, 2 * k + 6)
     import hybridfem.projections as pj
 
     vol = ps.triangle_rule(2 * k + 6)
@@ -867,7 +953,7 @@ def test_flux_norm_ratio_bounded():
     for _ in range(3):
         blocks, triple = solve_case(mesh, "rt", 0, SMOOTH)
         norms = compute_error_norms(triple, SMOOTH)
-        qc, _, _ = _project_triple(triple, SMOOTH.q, SMOOTH.u, 8)
+        qc, _ = project_elements(triple, SMOOTH.q, SMOOTH.u, 8)
         import hybridfem.projections as pj
 
         vol = ps.triangle_rule(8)

@@ -408,7 +408,8 @@ def test_hdg_stack_solve_matches_per_element_solve(k, tau, sign):
 
 def assert_kernel_matches_coupled(geo, k, tau, sign):
     case = CASES["smooth"]
-    got = pj._hdg_coeffs(case.q, case.u, k, geo, tau, sign)
+    ref = pj._hdg_ref(k)
+    got = pj._hdg_coeffs(*pj._sample([case.q, case.u], geo, ref.vol, ref.edge), k, geo, tau, sign)
     want = reference_hdg_coeffs(case.q, case.u, k, geo, tau, sign)
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
