@@ -473,10 +473,10 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
                 "level": level,
                 "h": mesh.h_max,
                 "dofs": {
-                    "flux": blocks.layout.n_flux,
-                    "scalar": blocks.layout.n_scalar,
-                    "face": blocks.layout.n_face,
-                    "condensed": len(blocks.layout.interior_dofs),
+                    "flux": triple.q_coeffs.size,
+                    "scalar": triple.u_coeffs.size,
+                    "face": triple.lam.size,
+                    "condensed": triple.solve_info.n,
                 },
                 "norms": norms,
                 "solver": asdict(triple.solve_info),

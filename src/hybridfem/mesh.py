@@ -225,6 +225,8 @@ class Mesh:
         edges: (ne, 2) int array of directed vertex pairs.
         edge_tris: (ne, 2) int array of owner triangle ids.
         boundary: (ne,) bool array.
+        interior_edges: (ni,) int array, the ids of the edges off the
+            boundary in increasing order.
         edge_lengths: (ne,) global edge lengths.
         tri_edges: (nt, 3) int array; column i is the global id of the edge
             opposite local vertex i.
@@ -281,6 +283,7 @@ class Mesh:
         self.edges = np.stack([start.ravel()[lead], end.ravel()[lead]], axis=1)
         self.edge_tris = np.stack([lead // 3, second], axis=1)
         self.boundary = self.edge_tris[:, 1] < 0
+        self.interior_edges = np.flatnonzero(~self.boundary)
         self.tri_edges = tri_edges.reshape(nt, 3)
         # Two triangles sharing two edges share all three vertices: a
         # triangle listed twice, whose copies own every edge together.
@@ -317,10 +320,6 @@ class Mesh:
         return len(self.edges)
 
     @property
-    def num_boundary_edges(self):
-        return int(self.boundary.sum())
-
-    @property
     def h_max(self):
         return float(self.h.max())
 
@@ -334,13 +333,6 @@ class Mesh:
 
     def element_map(self, t):
         return self.geometry[t]
-
-    def edge_unit_normal(self, e):
-        """Global unit normal of edge e (outward for the lower-id owner)."""
-        a, b = self.edges[e]
-        t = self.vertices[b] - self.vertices[a]
-        n = np.array([t[1], -t[0]])
-        return n / np.linalg.norm(n)
 
 
 def unit_square(n: int) -> Mesh:
@@ -386,9 +378,9 @@ def loads_mesh(text: str) -> Mesh:
     always derived, never read.  Malformed, missing or surplus lines,
     coordinates that are not finite or exceed 1e150 in magnitude, and
     out-of-range or repeated vertex indices raise ParseError with the line
-    number.
+    number.  A leading byte-order mark (U+FEFF) is dropped.
     """
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     # Pair each payload line with its 1-based line number, skipping blanks.
     payload = [
         (num, line.split()) for num, line in enumerate(lines, start=1) if line.strip()
@@ -443,13 +435,13 @@ def loads_mesh(text: str) -> Mesh:
 
 def load_mesh(path) -> Mesh:
     """Read a mesh file (see :func:`loads_mesh` for the format); a file that
-    is not UTF-8 text raises ParseError.  A leading byte-order mark is
-    dropped."""
+    is not UTF-8 text raises ParseError.  ``path`` may also be an open text
+    stream."""
     try:
         if isinstance(path, io.TextIOBase):
             text = path.read()
         else:
-            with open(path, "r", encoding="utf-8-sig") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"mesh file is not UTF-8 text: {exc.reason}") from None

@@ -44,7 +44,6 @@ __all__ = [
     "SpaceDescriptor",
     "ProblemData",
     "StabilizationFunction",
-    "DofLayout",
     "LocalBlocks",
     "FieldTriple",
     "SolveInfo",
@@ -143,34 +142,6 @@ class StabilizationFunction:
         return cls(vals)
 
 
-@dataclass
-class DofLayout:
-    """Block offsets of the three unknown groups."""
-
-    space: SpaceDescriptor
-    num_triangles: int
-    num_edges: int
-    interior_edges: np.ndarray
-    boundary_edges: np.ndarray
-
-    @property
-    def n_flux(self):
-        return self.num_triangles * self.space.flux_dim
-
-    @property
-    def n_scalar(self):
-        return self.num_triangles * self.space.scalar_dim
-
-    @property
-    def n_face(self):
-        return self.num_edges * self.space.face_dim
-
-    @property
-    def interior_dofs(self):
-        """Multiplier dof ids on the interior edges, edge by edge."""
-        return _edge_dofs(self.interior_edges, self.space.face_dim).ravel()
-
-
 def _edge_dofs(edges, nf):
     """Multiplier dof ids (..., nf) of the edge ids ``edges`` (...)."""
     return edges[..., None] * nf + np.arange(nf)
@@ -210,7 +181,6 @@ class LocalBlocks:
     mesh: Mesh
     space: SpaceDescriptor
     data: ProblemData
-    layout: DofLayout
     A: np.ndarray          # (nt, nq, nq) weighted flux mass
     Bdiv: np.ndarray       # (nw, nq) reference divergence coupling, shared
     Mc: np.ndarray | None  # (nt, nw, nw) reaction mass, or None without reaction
@@ -218,6 +188,11 @@ class LocalBlocks:
     quad_exactness: int    # exactness of the data rule the load was integrated with
     F: np.ndarray          # (nt, nw) load
     gdir: np.ndarray       # (ne, nf) Dirichlet projection, zero off the boundary
+
+    @property
+    def interior_dofs(self):
+        """Multiplier dof ids on the interior edges, edge by edge."""
+        return _edge_dofs(self.mesh.interior_edges, self.space.face_dim).ravel()
 
 
 def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
@@ -290,19 +265,10 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
         data.g, k, ends[:, 0], ends[:, 1], npoints=len(erule.points)
     )
 
-    layout = DofLayout(
-        space=space,
-        num_triangles=nt,
-        num_edges=mesh.num_edges,
-        interior_edges=np.flatnonzero(~mesh.boundary),
-        boundary_edges=np.flatnonzero(mesh.boundary),
-    )
-
     return LocalBlocks(
         mesh=mesh,
         space=space,
         data=data,
-        layout=layout,
         A=A,
         Bdiv=Bdiv,
         Mc=Mc,
@@ -320,8 +286,7 @@ class FieldTriple:
 
     Operators work on the stacked arrays over a slice of the elements;
     :meth:`normal_flux` evaluates the (numerical) normal flux on their local
-    edges.  ``u_field(t)`` and ``lam_values(e, t)`` are per-element and
-    per-edge views.
+    edges.  ``u_field(t)`` is the per-element view of the potential.
     """
 
     mesh: Mesh
@@ -338,19 +303,15 @@ class FieldTriple:
             self.mesh.element_map(t), self.space.scalar_degree, self.u_coeffs[t]
         )
 
-    def lam_values(self, e, tpar):
-        """Multiplier values on global edge e at parameters along the stored
-        edge direction."""
-        return pj.face_values(self.lam[e], self.mesh.edge_lengths[e], np.asarray(tpar, dtype=float))
-
-    def normal_flux(self, s, rows=slice(None)):
-        """Normal flux on the local edges of the elements ``rows`` at the
-        local edge parameters s, (nb, 3, ns): q_h . n for RT/BDM, the
-        numerical flux q_h . n + tau (u_h - uhat_h) for HDG."""
-        return self._normal_flux(_TraceTables(self.space, np.asarray(s, dtype=float)), rows)
+    def normal_flux(self, s):
+        """Normal flux on the local edges of every element at the local edge
+        parameters s, (nt, 3, ns): q_h . n for RT/BDM, the numerical flux
+        q_h . n + tau (u_h - uhat_h) for HDG."""
+        return self._normal_flux(_TraceTables(self.space, np.asarray(s, dtype=float)), slice(None))
 
     def _normal_flux(self, traces: _TraceTables, rows):
-        """:meth:`normal_flux` at the edge parameters of ``traces``."""
+        """:meth:`normal_flux` of the elements ``rows`` at the edge
+        parameters of ``traces``."""
         vals = pj._normal_traces(self.mesh.geometry.rows(rows), traces.N, self.q_coeffs[rows])
         if self.space.is_hdg:
             gap = _trace_gap(self.mesh, self.u_coeffs[rows], self.lam, traces, rows)
@@ -460,7 +421,7 @@ def _reduce(blocks: LocalBlocks, m):
     Returns (A, rhs, R): the CSC system A x = rhs over the element dofs left
     and the interior multipliers, and R = L11^{-1} [-L12 | load] (nt, m,
     nl + 1), which rebuilds the eliminated dofs from the nl others."""
-    nt = blocks.layout.num_triangles
+    nt = blocks.mesh.num_triangles
     (nw, nq), nf = blocks.Bdiv.shape, blocks.space.face_dim
     n = nq + nw + 3 * nf
     nl = n - m
@@ -481,7 +442,7 @@ def _reduce(blocks: LocalBlocks, m):
     nE, el = nt * (kq + kw), np.arange(nt)[:, None]
     dofs = np.hstack([el * kq + np.arange(kq), nt * kq + el * kw + np.arange(kw),
                       nE + _edge_dofs(blocks.mesh.tri_edges, nf).reshape(nt, -1)])
-    keep = np.concatenate([np.arange(nE), nE + blocks.layout.interior_dofs])
+    keep = np.concatenate([np.arange(nE), nE + blocks.interior_dofs])
     known = np.concatenate([np.zeros(nE), blocks.gdir.ravel()])
     H = _scatter(S, dofs, len(known))
     del S  # before the row selection copies H
@@ -518,7 +479,7 @@ def condensed_system(blocks: LocalBlocks):
     """
     A, rhs, R = _reduce(blocks, blocks.space.flux_dim + blocks.space.scalar_dim)
     K = ((A + A.T) * -0.5).tocsc()
-    return K, -rhs, blocks.gdir.ravel().copy(), blocks.layout.interior_dofs, R[:, :, :-1], R[:, :, -1]
+    return K, -rhs, blocks.gdir.ravel().copy(), blocks.interior_dofs, R[:, :, :-1], R[:, :, -1]
 
 
 _OMEGA = 0.6        # < 2/3 keeps M SPD: three edges per element give lambda_max(D^-1 K) <= 3
@@ -537,21 +498,21 @@ def _edge_blocks(K, nf):
     return D
 
 
-def _coarse_space(mesh: Mesh, interior_edges, nf):
+def _coarse_space(mesh: Mesh, nf):
     """Prolongation (n, nc) from the P1 hats of the interior vertices (the
     ends of interior edges off the boundary; a vertex no triangle uses is
     none) to the interior multiplier dofs.  On an edge of length L the hat
     of the start vertex has the coefficients (1/2, -sqrt(3)/6) sqrt(L) on
     face dofs 0 and 1, the end vertex (1/2, sqrt(3)/6) sqrt(L), and none
     above."""
+    ends = mesh.edges[mesh.interior_edges]                  # (m, 2)
     inner = np.zeros(mesh.num_vertices, dtype=bool)
-    inner[mesh.edges[interior_edges]] = True
+    inner[ends] = True
     inner[mesh.edges[mesh.boundary]] = False
     vid = np.cumsum(inner) - 1
-    ends = mesh.edges[interior_edges]                  # (m, 2)
-    root = np.sqrt(mesh.edge_lengths[interior_edges])  # (m,)
+    root = np.sqrt(mesh.edge_lengths[mesh.interior_edges])  # (m,)
     coef = np.array([[0.5, -np.sqrt(3.0) / 6.0], [0.5, np.sqrt(3.0) / 6.0]])[:, : min(nf, 2)]
-    vals = root[:, None, None] * coef                  # (m, 2 ends, dofs)
+    vals = root[:, None, None] * coef                       # (m, 2 ends, dofs)
     rows, cols, keep = np.broadcast_arrays(
         _edge_dofs(np.arange(len(ends))[:, None], nf)[..., : coef.shape[1]],
         vid[ends][..., None],
@@ -562,7 +523,7 @@ def _coarse_space(mesh: Mesh, interior_edges, nf):
     )
 
 
-def _two_level(K, mesh: Mesh, interior_edges, nf):
+def _two_level(K, mesh: Mesh, nf):
     """Symmetric two-level preconditioner of K: a damped edge-block Jacobi
     sweep, the Galerkin correction in the P1 hats of the interior vertices
     (P^T K P factored by :func:`_factor_spd`), and a second sweep."""
@@ -572,7 +533,7 @@ def _two_level(K, mesh: Mesh, interior_edges, nf):
         raise SingularSystem("condensed system has a singular edge block") from exc
     m = len(Dinv)
     Dinv = sp.bsr_matrix((Dinv, np.arange(m), np.arange(m + 1)), shape=K.shape).tocsr()
-    P = _coarse_space(mesh, interior_edges, nf)
+    P = _coarse_space(mesh, nf)
     PT, KP = P.T.tocsr(), (K @ P).tocsr()
     coarse = _factor_spd((PT @ KP).tocsc(), "coarse system") if P.shape[1] else None
 
@@ -652,7 +613,7 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
         # K is exactly symmetric, so its largest row sum is its largest
         # column sum; taken before the preconditioner and the iterates exist
         K_inf = np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max()
-        M = _two_level(K, blocks.mesh, blocks.layout.interior_edges, nf)
+        M = _two_level(K, blocks.mesh, nf)
         lam, iterations = _pcg(K, rhs, M)
         if lam is None:
             lam, lu_fallback = _factor_spd(K, "condensed system").solve(rhs), True
@@ -685,7 +646,7 @@ def _saddle_matrix(blocks: LocalBlocks):
 
     Returns (A, rhs, interior)."""
     A, rhs, _ = _reduce(blocks, 0)
-    return A, rhs, blocks.layout.interior_dofs
+    return A, rhs, blocks.interior_dofs
 
 
 def _saddle_order(blocks: LocalBlocks):
@@ -694,18 +655,19 @@ def _saddle_order(blocks: LocalBlocks):
     dofs of an edge together, edges in the minimum-degree order of the
     graph in which two interior edges are adjacent when they share an
     element."""
-    layout, nf = blocks.layout, blocks.space.face_dim
-    nt, nQ, nW = layout.num_triangles, layout.n_flux, layout.n_scalar
+    mesh, space = blocks.mesh, blocks.space
+    nt = mesh.num_triangles
+    nQ, nW = nt * space.flux_dim, nt * space.scalar_dim
     elements = np.hstack([np.arange(nQ).reshape(nt, -1), nQ + np.arange(nW).reshape(nt, -1)])
-    m = len(layout.interior_edges)
+    m = len(mesh.interior_edges)
     edges = np.arange(m)
     if m:
-        incidence = (np.ones(3 * nt), (np.repeat(np.arange(nt), 3), blocks.mesh.tri_edges.ravel()))
-        E = sp.csr_matrix(incidence, shape=(nt, layout.num_edges))[:, layout.interior_edges]
+        incidence = (np.ones(3 * nt), (np.repeat(np.arange(nt), 3), mesh.tri_edges.ravel()))
+        E = sp.csr_matrix(incidence, shape=(nt, mesh.num_edges))[:, mesh.interior_edges]
         # E^T E + I is SPD with the pattern of the edge graph; the factor's
         # perm_c gives each edge its position, so the order is its argsort
         edges = np.argsort(_factor_spd((E.T @ E + sp.identity(m)).tocsc(), "edge graph").perm_c)
-    return np.concatenate([elements.ravel(), nQ + nW + _edge_dofs(edges, nf).ravel()])
+    return np.concatenate([elements.ravel(), nQ + nW + _edge_dofs(edges, space.face_dim).ravel()])
 
 
 def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
@@ -733,10 +695,11 @@ def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
         raise SingularSystem("saddle system has a zero pivot")
     sol = np.empty_like(rhs)
     sol[p] = lu.solve(rhs)
-    nQ, nW = blocks.layout.n_flux, blocks.layout.n_scalar
+    nt, space = blocks.mesh.num_triangles, blocks.space
+    nQ, nW = nt * space.flux_dim, nt * space.scalar_dim
     lam_full = blocks.gdir.ravel().copy()
     lam_full[interior] = sol[nQ + nW :]
-    q, u = sol[:nQ].reshape(-1, blocks.space.flux_dim), sol[nQ : nQ + nW].reshape(-1, blocks.space.scalar_dim)
+    q, u = sol[:nQ].reshape(nt, -1), sol[nQ : nQ + nW].reshape(nt, -1)
     return _solved_triple(blocks, "saddle system", q, u, lam_full)
 
 
@@ -750,7 +713,7 @@ def system_residual(blocks: LocalBlocks, triple: FieldTriple) -> float:
     scale = max(float(np.abs(rhs).max()), float(np.abs(blocks.gdir).max()), 1e-30)
     # Boundary group: multiplier equals the Dirichlet projection by
     # construction in both solvers; include it for completeness.
-    bnd = blocks.layout.boundary_edges
+    bnd = blocks.mesh.boundary
     bres = float(np.abs(triple.lam[bnd] - blocks.gdir[bnd]).max(initial=0.0))
     return max(float(np.abs(res).max()), bres) / scale
 
@@ -848,7 +811,7 @@ def flux_jump_norms(triple: FieldTriple):
     moments = _edge_signs(mesh, k + 1) * (triple.normal_flux(rule.points) @ P)
     jump = np.zeros((mesh.num_edges, k + 1))
     np.add.at(jump, mesh.tri_edges.ravel(), moments.reshape(-1, k + 1))
-    inner = ~mesh.boundary
+    inner = mesh.interior_edges
     return np.sqrt(mesh.edge_lengths[inner] * np.sum(jump[inner] ** 2, axis=1))
 
 

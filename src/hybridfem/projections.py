@@ -53,7 +53,6 @@ __all__ = [
     "hdg_project",
     "hdg_project_decoupled",
     "lift_normal_trace",
-    "projection_problem",
     "check_stabilization",
 ]
 
@@ -272,9 +271,6 @@ class ProjectionProblem:
     def solve(self, rhs):
         return _times(rhs, self.inverse)
 
-    def condition(self):
-        return float(np.linalg.cond(self.matrix))
-
 
 def _factor(method, k, M):
     """Invert one system (N, N) or a stack (n, N, N) and check it.
@@ -388,11 +384,6 @@ def _hdiv_ref(method: str, k: int, exactness=None) -> _HdivRef:
     if k < 0 or k > MAX_DEGREE:
         raise UnsupportedDegree(f"degree {k} outside [0, {MAX_DEGREE}]")
     return _HdivRef(method, k, exactness)
-
-
-def projection_problem(method: str, k: int) -> ProjectionProblem:
-    """Checked reference system for the RT or BDM projection."""
-    return _hdiv_ref(method, k).problem
 
 
 def _hdiv_coeffs(method: str, k: int, geo: _AffineMaps, q, exactness=None):

@@ -108,12 +108,11 @@ def element_blocks(blocks):
 def _interior_positions(blocks):
     """Position of every multiplier dof among the interior ones (-1 on the
     boundary) and the interior dof ids."""
-    layout = blocks.layout
-    nf = blocks.space.face_dim
+    mesh, nf = blocks.mesh, blocks.space.face_dim
     interior = np.array(
-        [e * nf + i for e in layout.interior_edges for i in range(nf)], dtype=np.int64
+        [e * nf + i for e in np.flatnonzero(~mesh.boundary) for i in range(nf)], dtype=np.int64
     )
-    face_pos = -np.ones(layout.n_face, dtype=np.int64)
+    face_pos = -np.ones(mesh.num_edges * nf, dtype=np.int64)
     face_pos[interior] = np.arange(len(interior))
     return face_pos, interior
 
@@ -142,15 +141,15 @@ class _Triplets:
 def reference_saddle_matrix(blocks):
     """Saddle system over (Q, U, interior multiplier dofs) and its load,
     assembled element by element and local edge by local edge."""
-    layout, space, mesh = blocks.layout, blocks.space, blocks.mesh
+    space, mesh = blocks.space, blocks.mesh
     nq, nw, nf = space.flux_dim, space.scalar_dim, space.face_dim
-    nQ, nW = layout.n_flux, layout.n_scalar
+    nQ, nW = mesh.num_triangles * nq, mesh.num_triangles * nw
     face_pos, interior = _interior_positions(blocks)
     C, D, Swl = element_blocks(blocks)
     N = nQ + nW + len(interior)
     trip = _Triplets()
     rhs = np.zeros(N)
-    for t in range(layout.num_triangles):
+    for t in range(mesh.num_triangles):
         qs = np.arange(t * nq, (t + 1) * nq)
         us = nQ + np.arange(t * nw, (t + 1) * nw)
         trip.add(qs, qs, blocks.A[t])
@@ -187,9 +186,10 @@ def reference_dirichlet_pieces(blocks):
     """Dirichlet-form matrix and Dirichlet load: one (flux, interior
     multiplier) solve per potential basis function, then the divergence and
     stabilization couplings applied element by element."""
-    layout, space, mesh = blocks.layout, blocks.space, blocks.mesh
+    space, mesh = blocks.space, blocks.mesh
     nq, nw, nf = space.flux_dim, space.scalar_dim, space.face_dim
-    nt, nQ, nW = layout.num_triangles, layout.n_flux, layout.n_scalar
+    nt = mesh.num_triangles
+    nQ, nW = nt * nq, nt * nw
     face_pos, interior = _interior_positions(blocks)
     C, D_elem, Swl = element_blocks(blocks)
     N = nQ + len(interior)
@@ -379,10 +379,10 @@ def hdg_matrices(ref, geo, tau, sign):
 
 
 def hdg_projection_problem(k, tau, emap, sign=1, quad_exactness=None):
-    """The checked coupled HDG system of one element, whose ``condition()``
-    measures unisolvence.  The stabilization enters through its dual-trace
-    transform tau_check = |a| tau, so the reference projection reproduces
-    the physical one exactly."""
+    """The checked coupled HDG system of one element, whose condition
+    number measures unisolvence.  The stabilization enters through its
+    dual-trace transform tau_check = |a| tau, so the reference projection
+    reproduces the physical one exactly."""
     tau = pj.check_stabilization(tau)
     M = hdg_matrices(pj._hdg_ref(k, quad_exactness), pj._batch(emap), tau[None], sign)[0]
     return pj._factor("hdg", k, M)
@@ -436,7 +436,7 @@ def reference_error_norms(triple, case, postprocessed=()):
             tpar = erule.points if mesh.tri_edge_aligned[t, loc] else 1.0 - erule.points
             we = erule.weights * em.edge_lengths[loc]
             pts = em.edge_points(loc, erule.points)
-            lam_h = triple.lam_values(e, tpar)
+            lam_h = pj.face_values(triple.lam[e], mesh.edge_lengths[e], tpar)
             acc["ehat"] += em.h * (we @ (case.u(pts) - lam_h) ** 2)
             lam_p = pj.face_values(lamc[e], mesh.edge_lengths[e], tpar)
             acc["ehat_proj"] += em.h * (we @ (lam_p - lam_h) ** 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hybridfem.polyspaces as ps
+import hybridfem.projections as pj
 from hybridfem.errors import ConfigError, UnsupportedDegree
 from hybridfem.harness import (
     CASES,
@@ -131,7 +132,7 @@ def test_face_norm_definition():
             tri = mesh.triangles[t]
             same = mesh.edges[e, 0] == tri[(loc + 1) % 3]
             tpar = erule.points if same else 1.0 - erule.points
-            diff = case.u(pts) - triple.lam_values(e, tpar)
+            diff = case.u(pts) - pj.face_values(triple.lam[e], mesh.edge_lengths[e], tpar)
             total += em.h * em.edge_lengths[loc] * (erule.weights @ diff**2)
     assert norms["ehat"] == pytest.approx(np.sqrt(total), rel=1e-9)
 
@@ -211,12 +212,23 @@ def test_report_determinism(small_report):
 
 
 def test_dof_bookkeeping(small_report):
-    cfg, report, out = small_report
-    mesh = unit_square(2)
-    row = report.levels[0]
-    assert row["dofs"]["face"] == mesh.num_edges * 1
-    assert row["dofs"]["flux"] == mesh.num_triangles * 3
-    assert row["dofs"]["condensed"] == int((~mesh.boundary).sum())
+    # every count follows from the mesh and the local spaces; the condensed
+    # system keeps the multipliers of the interior edges
+    reports = [small_report[1]] + [
+        run_study(StudyConfig(method=m, degree=k, levels=2, case="smooth"))
+        for m, k in [("bdm", 2), ("hdg", 1)]
+    ]
+    for report in reports:
+        space = SpaceDescriptor(report.config["method"], report.config["degree"])
+        k, mesh = space.degree, unit_square(2)
+        for row in report.levels:
+            nt, ne = mesh.num_triangles, mesh.num_edges
+            assert row["dofs"]["flux"] == nt * space.flux_dim
+            assert row["dofs"]["scalar"] == nt * space.scalar_dim
+            assert row["dofs"]["face"] == ne * (k + 1)
+            interior = int((~mesh.boundary).sum())
+            assert row["dofs"]["condensed"] == row["solver"]["n"] == (k + 1) * interior
+            mesh = uniform_refine(mesh)
 
 
 def test_linear_case_all_levels_tiny(small_report):

@@ -75,14 +75,14 @@ def test_space_descriptor_validation():
 def test_dof_counts_two_triangles():
     mesh = unit_square(1)
     space = SpaceDescriptor("rt", 0)
-    blocks = assemble(mesh, space, LINEAR.data())
-    assert blocks.layout.n_flux == 6      # 3 per element
-    assert blocks.layout.n_scalar == 2
-    assert blocks.layout.n_face == 5      # (k+1) per edge
+    triple = solve_hybridized(assemble(mesh, space, LINEAR.data()))
+    assert triple.q_coeffs.size == 6      # 3 per element
+    assert triple.u_coeffs.size == 2
+    assert triple.lam.size == 5           # (k+1) per edge
     for k in range(3):
         sp = SpaceDescriptor("hdg", k)
-        b = assemble(mesh, sp, LINEAR.data(), tau=make_tau(mesh))
-        assert b.layout.n_face == (k + 1) * mesh.num_edges
+        t = solve_hybridized(assemble(mesh, sp, LINEAR.data(), tau=make_tau(mesh)))
+        assert t.lam.size == (k + 1) * mesh.num_edges
 
 
 def test_assemble_requires_matching_stabilization():
@@ -222,8 +222,8 @@ def test_saddle_matrix_symmetry_after_sign_flip(method, k):
     blocks = assemble(mesh, space, SMOOTH.data(), tau=tau)
     A, rhs, interior = _saddle_matrix(blocks)
     D = np.ones(A.shape[0])
-    nQ = blocks.layout.n_flux
-    D[nQ : nQ + blocks.layout.n_scalar] = -1.0
+    nQ = mesh.num_triangles * space.flux_dim
+    D[nQ : nQ + mesh.num_triangles * space.scalar_dim] = -1.0
     M = A.toarray() * D[None, :]
     assert np.abs(M - M.T).max() < 1e-13 * max(1.0, np.abs(M).max())
 
@@ -651,7 +651,7 @@ def test_pcg_without_coarse_space_matches_lu(method, k, tau):
     blocks = condensed_blocks(mesh, method, k, tau)
     K, rhs, _, interior, _, _ = condensed_system(blocks)
     assert len(interior) == k + 1
-    assert methods._coarse_space(mesh, blocks.layout.interior_edges, k + 1).shape[1] == 0
+    assert methods._coarse_space(mesh, k + 1).shape[1] == 0
     got = solve_hybridized(blocks).lam.ravel()[interior]
     assert rel_diff(got, spla.splu(K).solve(rhs)) <= 1e-12
 
@@ -742,7 +742,7 @@ def test_coarse_space_holds_the_p1_hats():
     mesh, nf = perturbed_mesh(), 4
     edges = np.flatnonzero(~mesh.boundary)
     inner = np.setdiff1d(np.arange(mesh.num_vertices), mesh.edges[mesh.boundary])
-    P = methods._coarse_space(mesh, edges, nf).toarray()
+    P = methods._coarse_space(mesh, nf).toarray()
     want = np.zeros((len(edges) * nf, len(inner)))
     for j, e in enumerate(edges):
         a, b = mesh.vertices[mesh.edges[e]]
@@ -760,7 +760,7 @@ def test_coarse_space_holds_the_p1_hats():
 def test_two_level_preconditioner_spd(method, k, tau):
     blocks = condensed_blocks(perturbed_mesh(), method, k, tau)
     K = condensed_system(blocks)[0]
-    M = methods._two_level(K, blocks.mesh, blocks.layout.interior_edges, k + 1)
+    M = methods._two_level(K, blocks.mesh, k + 1)
     dense = M @ np.eye(K.shape[0])
     assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
     assert la.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
@@ -803,7 +803,8 @@ def test_saddle_schur_complements_are_condensed_and_dirichlet_forms(method, k):
     mesh = perturbed_mesh()
     blocks = condensed_blocks(mesh, method, k, "single-face" if method == "hdg" else None)
     A = _saddle_matrix(blocks)[0].toarray()
-    nQ, nU = blocks.layout.n_flux, blocks.layout.n_flux + blocks.layout.n_scalar
+    nQ = mesh.num_triangles * blocks.space.flux_dim
+    nU = nQ + mesh.num_triangles * blocks.space.scalar_dim
 
     def schur(keep):
         drop = np.setdiff1d(np.arange(len(A)), keep)
@@ -990,7 +991,7 @@ def test_conforming_formulation_equivalence(k):
 
     nt = mesh.num_triangles
     nq, nw, nf = space.flux_dim, space.scalar_dim, space.face_dim
-    nQ, nW = blocks.layout.n_flux, blocks.layout.n_scalar
+    nQ, nW = nt * nq, nt * nw
 
     interior_edges = np.flatnonzero(~mesh.boundary)
     J = np.zeros((len(interior_edges) * nf, nQ))
