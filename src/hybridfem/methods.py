@@ -455,14 +455,20 @@ def _reduce(blocks: LocalBlocks, m):
 
 
 def _factor_spd(K, what):
-    """SuperLU factorization of a sparse SPD matrix in symmetric mode with
-    the minimum-degree ordering of K^T + K, which on the P1 coarse matrix
-    of 8,192 triangles (3,969 interior vertices) makes 211k fill against
-    256k for the default COLAMD."""
+    """Cholesky-equivalent SuperLU factor of a sparse SPD matrix: symmetric
+    mode, diagonal pivots only (so perm_r = perm_c) and the minimum-degree
+    ordering of K^T + K.  The ordering makes 211k fill against 256k for the
+    default COLAMD on the P1 coarse matrix of 8,192 triangles; the diagonal
+    pivots make 147k against 1.14M with partial pivoting on the primal
+    system of 512 BDM k=2 triangles.  A zero pivot, which SuperLU would
+    trade for an off-diagonal one, raises :class:`SingularSystem`."""
     try:
-        return spla.splu(K, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystem(f"{what} is singular") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SingularSystem(f"{what} has a zero pivot")
+    return lu
 
 
 def condensed_system(blocks: LocalBlocks):
@@ -719,47 +725,41 @@ def system_residual(blocks: LocalBlocks, triple: FieldTriple) -> float:
 
 
 def dirichlet_form(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None):
-    """Dense matrix of the discrete Dirichlet form on the potential space:
-    the Schur complement of the diffusion-only three-field system onto the
-    potential (see :func:`_dirichlet_pieces`).  Column j applies the
-    divergence (plus stabilization, for HDG) coupling to the flux and
-    multiplier lifted from the j-th potential basis function with zero
-    Dirichlet data.  The reaction term of ``data`` is not part of the form.
-    Limited to 2000 potential dofs.
-    """
-    diffusion = ProblemData(kappa=data.kappa, f=data.f, g=data.g)
-    return _dirichlet_pieces(mesh, space, diffusion, tau)[0]
+    """Dense Dirichlet form D on the potential space, the Schur complement of
+    the diffusion-only three-field system onto the potential (the reaction
+    term of ``data`` is left out); limited to 2000 potential dofs.
 
-
-def _dirichlet_pieces(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau):
-    """Schur complement D of the three-field system onto the potential and
-    its load b = (f, .) - l_g, within the 2000-dof cap of the dense D.
-
-    :func:`_reduce` eliminates the flux of each element and sums the
-    (potential, interior multiplier) system A [u; lam] = rhs.  One SPD
-    factorization of -A_ii lifts [A_ip | rhs_i] in blocks of columns, and
-    [D | b] = [A_pp | rhs_p] + A_pi (-A_ii)^{-1} [A_ip | rhs_i]."""
+    With the flux eliminated by :func:`_reduce`, D = A_pp + A_pi (-A_ii)^{-1}
+    A_ip: one SPD factorization of -A_ii lifts A_ip in blocks of columns,
+    column j being the flux and multiplier lifted from the j-th potential
+    basis function with zero Dirichlet data."""
     n = mesh.num_triangles * space.scalar_dim
     if n > 2000:
         raise TooLarge(f"the Dirichlet form is limited to 2000 potential dofs, got {n}")
-    A, rhs, _ = _reduce(assemble(mesh, space, data, tau=tau), space.flux_dim)
-    top, bottom = A[:n], A[n:]
-    lu = _factor_spd(-bottom[:, n:].tocsc(), "interior multiplier block")
-    coupling, lift = top[:, n:], sp.hstack([bottom[:, :n], rhs[n:, None]], format="csc")
-    pieces = sp.hstack([top[:, :n], rhs[:n, None]]).toarray()
+    diffusion = ProblemData(kappa=data.kappa, f=data.f, g=data.g)
+    A = _reduce(assemble(mesh, space, diffusion, tau=tau), space.flux_dim)[0]
+    lu = _factor_spd(-A[n:, n:], "interior multiplier block")
+    coupling, lift, D = A[:n, n:], A[n:, :n], A[:n, :n].toarray()
     # 64 columns at a time: the whole dense lift is 26 MB at 512 BDM k=2
     # triangles, and SuperLU solves it faster in column blocks.
-    for j in range(0, lift.shape[1], 64):
-        pieces[:, j : j + 64] += coupling @ lu.solve(lift[:, j : j + 64].toarray())
-    return pieces[:, :-1], pieces[:, -1]
+    for j in range(0, n, 64):
+        D[:, j : j + 64] += coupling @ lu.solve(lift[:, j : j + 64].toarray())
+    return D
 
 
 def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None):
-    """Solve the potential-only (primal) form D u = (f, .) - l_g of the full
-    problem, reaction included, and return the potential coefficients
-    (diagnostic cross-check of the Dirichlet form)."""
-    D, b = _dirichlet_pieces(mesh, space, data, tau)
-    return np.linalg.solve(D, b).reshape(-1, space.scalar_dim)
+    """Potential coefficients of the primal form D u = (f, .) - l_g of the
+    full problem, reaction included (a cross-check of the Dirichlet form).
+
+    D is not formed: one :func:`_factor_spd` solves the (potential, interior
+    multiplier) system of :func:`_reduce`, which is SPD once its multiplier
+    rows are negated: its potential block D_tau + Mc + B A^{-1} B^T is SPD
+    as every local solve is unique, and its multiplier Schur complement is K."""
+    n = mesh.num_triangles * space.scalar_dim
+    A, rhs, _ = _reduce(assemble(mesh, space, data, tau=tau), space.flux_dim)
+    A.data[A.indices >= n] *= -1.0
+    rhs[n:] *= -1.0
+    return _factor_spd(A, "primal system").solve(rhs)[:n].reshape(-1, space.scalar_dim)
 
 
 def _balance(triple: FieldTriple, data: ProblemData, basis: ps.PolyFamily, vol, erule):

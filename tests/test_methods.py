@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import hybridfem.harness as harness
@@ -780,19 +781,24 @@ def test_dirichlet_form_spd(method, k):
 
 
 @pytest.mark.parametrize(
-    "method,k,case",
+    "method,k,case,tau,mesh",
     [
-        pytest.param(method, k, case, id=f"{method}-{k}{suffix}")
+        pytest.param(method, k, case, "constant" if method == "hdg" else None, None, id=f"{method}-{k}{suffix}")
         for case, suffix in [(SMOOTH, ""), (REACTION, "-reaction")]
         for method, k in [("rt", 0), ("rt", 1), ("hdg", 1)]
+    ]
+    + [
+        # Bdiv = 0 at k = 0, so the potential block is the stabilization alone
+        pytest.param("hdg", 0, SMOOTH, "single-face", None, id="hdg-0-single-face"),
+        pytest.param("hdg", 3, REACTION, "single-face", None, id="hdg-3-single-face-reaction"),
+        pytest.param("bdm", 2, SMOOTH, None, "perturbed", id="bdm-2-perturbed"),
     ],
 )
-def test_primal_solve_reproduces_potential(method, k, case):
-    mesh = uniform_refine(unit_square(1))
-    blocks, triple = solve_case(mesh, method, k, case)
-    tau = make_tau(mesh) if method == "hdg" else None
-    u = solve_primal(mesh, SpaceDescriptor(method, k), case.data(), tau=tau)
-    assert np.abs(u - triple.u_coeffs).max() < 1e-8
+def test_primal_solve_reproduces_potential(method, k, case, tau, mesh):
+    mesh = perturbed_mesh() if mesh == "perturbed" else uniform_refine(unit_square(1))
+    blocks = condensed_blocks(mesh, method, k, tau, case=case.name)
+    u = solve_primal(mesh, blocks.space, case.data(), tau=blocks.tau)
+    assert np.abs(u - solve_hybridized(blocks).u_coeffs).max() < 1e-8
 
 
 @pytest.mark.parametrize("method,k", [("rt", 0), ("rt", 2), ("bdm", 2), ("hdg", 1), ("hdg", 3)])
@@ -835,6 +841,23 @@ def test_dirichlet_form_too_large():
     mesh = unit_square(16)
     with pytest.raises(TooLarge):
         dirichlet_form(mesh, SpaceDescriptor("rt", 3), SMOOTH.data())
+
+
+def test_primal_solve_past_the_dirichlet_form_cap():
+    mesh = unit_square(2)
+    for _ in range(4):
+        mesh = uniform_refine(mesh)
+    space = SpaceDescriptor("rt", 0)
+    assert mesh.num_triangles * space.scalar_dim == 2048
+    u = solve_primal(mesh, space, SMOOTH.data())
+    assert rel_diff(u, solve_hybridized(assemble(mesh, space, SMOOTH.data())).u_coeffs) < 1e-9
+    with pytest.raises(TooLarge):
+        dirichlet_form(mesh, space, SMOOTH.data())
+
+
+def test_factor_spd_rejects_a_zero_pivot():
+    with pytest.raises(SingularSystem):
+        methods._factor_spd(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]), "x")
 
 
 # ------------------------------------------------------------- identities
