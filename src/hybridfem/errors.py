@@ -25,7 +25,8 @@ class NonConformingMesh(HybridFEMError):
 
 
 class UnsupportedDegree(HybridFEMError):
-    """Polynomial degree outside the supported range for the requested space."""
+    """Polynomial degree, vector space tag or quadrature size outside the
+    supported range."""
 
 
 class SingularLocalSystem(HybridFEMError):

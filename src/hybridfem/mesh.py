@@ -10,7 +10,7 @@ every element-map determinant positive.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -62,45 +62,6 @@ class ReferenceTriangle:
         return p0 + t[:, None] * (p1 - p0)
 
 
-@dataclass(frozen=True)
-class ElementMap:
-    """Affine map F(xhat) = B xhat + b from the reference triangle: the
-    view of one element of a mesh's stacked geometry.
-
-    ``det`` is the signed determinant of B; ``detJ`` its absolute value.
-    ``edge_jacobians[i]`` is |a| on local edge i, the ratio of physical to
-    reference edge length (the tangential Jacobian, constant per edge).
-    """
-
-    B: np.ndarray
-    b: np.ndarray
-    det: float
-    detJ: float
-    invB: np.ndarray
-    vertices: np.ndarray
-    edge_lengths: np.ndarray
-    edge_jacobians: np.ndarray
-    edge_normals: np.ndarray
-    h: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", float(self.edge_lengths.max()))
-
-    def forward(self, xhat):
-        """Map reference points (n, 2) to physical points."""
-        xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-        return xhat @ self.B.T + self.b
-
-    def inverse(self, x):
-        """Map physical points (n, 2) to reference points."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return (x - self.b) @ self.invB.T
-
-    def edge_points(self, local_edge, t):
-        """Physical points on local edge at parameters ``t`` in [0, 1]."""
-        return self.forward(ReferenceTriangle.edge_points(local_edge, t))
-
-
 @lru_cache(maxsize=None)
 def _edge_xhat(t):
     """Reference points (3 m, 2) at the parameters t (a tuple of m) of the
@@ -110,26 +71,41 @@ def _edge_xhat(t):
     return xhat
 
 
-class _AffineMaps:
-    """Affine maps F(xhat) = B xhat + b of stacked triangles, as arrays over
-    the leading axis.  A mesh builds one for all its elements; an
-    :class:`ElementMap` is the view of one entry.
+@dataclass(frozen=True)
+class ElementMap:
+    """Affine maps F(xhat) = B xhat + b from the reference triangle, with
+    b the first vertex: either stacked over a leading element axis (a
+    mesh's ``geometry``, built once by :meth:`of`) or one element's arrays
+    with no leading axis (a view from :meth:`rows`).
 
     Attributes:
-        corners: (n, 3, 2) vertices.
-        B, invB: (n, 2, 2); det: (n,) signed determinants; detJ: (n,) |det|.
-        edge_lengths, edge_jacobians: (n, 3) per local edge; the Jacobian is
-            the ratio of physical to reference edge length.
-        edge_normals: (n, 3, 2) unit outward normals per local edge.
-
-    Raises DegenerateElement when a triangle is numerically collinear
-    (|det B| below 1e-14 times its squared bounding-box scale).
+        vertices: (..., 3, 2) vertices.
+        B, invB: (..., 2, 2); det: (...) signed determinants; detJ: |det|.
+        edge_lengths, edge_jacobians: (..., 3) per local edge; the Jacobian
+            |a| is the ratio of physical to reference edge length.
+        edge_normals: (..., 3, 2) unit outward normals per local edge.
     """
 
-    def __init__(self, corners):
-        self.corners = v = corners
-        self.B = B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-        self.det = det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+    vertices: np.ndarray
+    B: np.ndarray
+    det: np.ndarray
+    detJ: np.ndarray
+    invB: np.ndarray
+    edge_lengths: np.ndarray
+    edge_jacobians: np.ndarray
+    edge_normals: np.ndarray
+
+    @classmethod
+    def of(cls, vertices) -> ElementMap:
+        """The stacked maps of the triangles ``vertices`` (n, 3, 2), as
+        read-only arrays.
+
+        Raises DegenerateElement when a triangle is numerically collinear
+        (|det B| below 1e-14 times its squared bounding-box scale).
+        """
+        v = vertices
+        B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
         scale = np.maximum(
             np.maximum(np.abs(v).max(axis=(1, 2)), np.ptp(v, axis=1).max(axis=1)), 1e-30
         )
@@ -137,51 +113,60 @@ class _AffineMaps:
         if bad.any():
             t = int(np.argmax(bad))
             raise DegenerateElement(f"triangle with vertices {v[t].tolist()} is degenerate")
-        self.detJ = np.abs(det)
-        self.invB = np.stack(
+        invB = np.stack(
             [B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=-1
         ).reshape(-1, 2, 2) / det[:, None, None]
         ev = ReferenceTriangle.edge_vertices
         tang = v[:, ev[:, 1]] - v[:, ev[:, 0]]
-        self.edge_lengths = lengths = np.linalg.norm(tang, axis=-1)
-        self.edge_jacobians = lengths / ReferenceTriangle.edge_lengths
+        lengths = np.linalg.norm(tang, axis=-1)
         # CCW traversal has the outward normal at -90 degrees from the tangent.
         orient = np.where(det > 0, 1.0, -1.0)[:, None, None]
-        self.edge_normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) * orient / lengths[..., None]
-        for a in vars(self).values():
+        normals = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) * orient / lengths[..., None]
+        maps = cls(v, B, det, np.abs(det), invB, lengths,
+                   lengths / ReferenceTriangle.edge_lengths, normals)
+        for a in vars(maps).values():
             a.flags.writeable = False
+        return maps
 
     def __len__(self):
         return len(self.det)
 
+    @property
+    def b(self):
+        return self.vertices[..., 0, :]
+
+    @property
+    def h(self):
+        """Diameter, the longest edge."""
+        return self.edge_lengths.max(axis=-1)
+
+    def rows(self, sl) -> ElementMap:
+        """Views of these arrays, nothing recomputed: the block of elements
+        ``sl`` (a slice), one element (an int), or, with None, this one
+        element as a batch of one (a field given as a float included)."""
+        return ElementMap(**{name: np.asarray(a)[sl] for name, a in vars(self).items()})
+
     def forward(self, xhat):
-        """Map reference points (m, 2) into every element, (n, m, 2)."""
-        return xhat @ self.B.transpose(0, 2, 1) + self.corners[:, None, 0]
+        """Map reference points (m, 2) into the element, (m, 2), or into
+        every element of a stack, (n, m, 2)."""
+        xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
+        return xhat @ np.swapaxes(self.B, -1, -2) + self.b[..., None, :]
+
+    def inverse(self, x):
+        """Map physical points (m, 2), or (n, m, 2) for a stack, to
+        reference points."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return (x - self.b[..., None, :]) @ np.swapaxes(self.invB, -1, -2)
+
+    def edge_points(self, local_edge, t):
+        """Physical points on local edge at parameters ``t`` in [0, 1]."""
+        return self.forward(ReferenceTriangle.edge_points(local_edge, t))
 
     def edge_forward(self, t):
-        """Points at the parameters t (m,) of every local edge, (n, 3, m, 2)."""
+        """Points at the parameters t (m,) of every local edge of a stack,
+        (n, 3, m, 2)."""
         xhat = _edge_xhat(tuple(np.asarray(t, dtype=float)))
         return self.forward(xhat).reshape(len(self), 3, len(t), 2)
-
-    def rows(self, sl) -> "_AffineMaps":
-        """The maps of the elements ``sl`` (a slice), as views of these
-        arrays: nothing is recomputed."""
-        view = object.__new__(_AffineMaps)
-        view.__dict__.update({name: a[sl] for name, a in vars(self).items()})
-        return view
-
-    def __getitem__(self, t) -> ElementMap:
-        return ElementMap(
-            B=self.B[t],
-            b=self.corners[t, 0],
-            det=float(self.det[t]),
-            detJ=float(self.detJ[t]),
-            invB=self.invB[t],
-            vertices=self.corners[t],
-            edge_lengths=self.edge_lengths[t],
-            edge_jacobians=self.edge_jacobians[t],
-            edge_normals=self.edge_normals[t],
-        )
 
 
 def build_reference_map(triangle_vertices) -> ElementMap:
@@ -196,7 +181,7 @@ def build_reference_map(triangle_vertices) -> ElementMap:
         raise DegenerateElement("expected three 2D vertices")
     if not np.isfinite(v).all():
         raise DegenerateElement(f"triangle with vertices {v.tolist()} is not finite")
-    return _AffineMaps(v[None])[0]
+    return ElementMap.of(v[None]).rows(0)
 
 
 class Mesh:
@@ -217,9 +202,8 @@ class Mesh:
     Attributes:
         vertices: (nv, 2) float array.
         triangles: (nt, 3) int array, counter-clockwise.
-        geometry: affine maps of all elements as stacked arrays (``B``,
-            ``invB``, ``detJ``, and per local edge ``edge_lengths``,
-            ``edge_jacobians`` and ``edge_normals``), computed once; a
+        geometry: the :class:`ElementMap` of all elements, stacked and
+            computed once; ``element_map(t)`` is its view of element t.  A
             degenerate triangle raises DegenerateElement here, as does a
             non-finite vertex.
         edges: (ne, 2) int array of directed vertex pairs.
@@ -257,7 +241,7 @@ class Mesh:
 
         self.vertices = vertices
         self.triangles = triangles
-        self.geometry = _AffineMaps(vertices[triangles])
+        self.geometry = ElementMap.of(vertices[triangles])
 
         # Local edge i runs from local vertex i+1 to i+2 (mod 3); key each
         # by its sorted vertex pair.
@@ -299,7 +283,7 @@ class Mesh:
 
         sides = self.geometry.edge_lengths
         self.areas = 0.5 * self.geometry.detJ
-        self.h = sides.max(axis=1)
+        self.h = self.geometry.h
         self.rho = 2.0 * self.areas / (0.5 * sides.sum(axis=1))
         self.edge_lengths = np.linalg.norm(
             vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]], axis=1
@@ -329,10 +313,10 @@ class Mesh:
 
     def element_maps(self):
         """Per-element views of the affine maps."""
-        return [self.geometry[t] for t in range(self.num_triangles)]
+        return [self.geometry.rows(t) for t in range(self.num_triangles)]
 
     def element_map(self, t):
-        return self.geometry[t]
+        return self.geometry.rows(t)
 
 
 def unit_square(n: int) -> Mesh:

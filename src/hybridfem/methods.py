@@ -454,16 +454,18 @@ def _reduce(blocks: LocalBlocks, m):
     return H[:, keep].tocsc(), summed[keep] - H @ known, R
 
 
-def _factor_spd(K, what):
-    """Cholesky-equivalent SuperLU factor of a sparse SPD matrix: symmetric
-    mode, diagonal pivots only (so perm_r = perm_c) and the minimum-degree
-    ordering of K^T + K.  The ordering makes 211k fill against 256k for the
-    default COLAMD on the P1 coarse matrix of 8,192 triangles; the diagonal
-    pivots make 147k against 1.14M with partial pivoting on the primal
-    system of 512 BDM k=2 triangles.  A zero pivot, which SuperLU would
-    trade for an off-diagonal one, raises :class:`SingularSystem`."""
+def _splu(K, what, order="MMD_AT_PLUS_A"):
+    """SuperLU factor in symmetric mode with diagonal pivots only (so
+    perm_r = perm_c), columns in the order ``order``: by default the
+    minimum-degree ordering of K^T + K, which makes it Cholesky-equivalent
+    on an SPD matrix; "NATURAL" keeps the given order.  The ordering makes
+    211k fill against 256k for the default COLAMD on the P1 coarse matrix
+    of 8,192 triangles; the diagonal pivots make 147k against 1.14M with
+    partial pivoting on the primal system of 512 BDM k=2 triangles.  A zero
+    pivot, which SuperLU would trade for an off-diagonal one, raises
+    :class:`SingularSystem`."""
     try:
-        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        lu = spla.splu(K, permc_spec=order, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystem(f"{what} is singular") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -532,7 +534,7 @@ def _coarse_space(mesh: Mesh, nf):
 def _two_level(K, mesh: Mesh, nf):
     """Symmetric two-level preconditioner of K: a damped edge-block Jacobi
     sweep, the Galerkin correction in the P1 hats of the interior vertices
-    (P^T K P factored by :func:`_factor_spd`), and a second sweep."""
+    (P^T K P factored by :func:`_splu`), and a second sweep."""
     try:
         Dinv = _OMEGA * np.linalg.inv(_edge_blocks(K, nf))
     except np.linalg.LinAlgError as exc:
@@ -541,7 +543,7 @@ def _two_level(K, mesh: Mesh, nf):
     Dinv = sp.bsr_matrix((Dinv, np.arange(m), np.arange(m + 1)), shape=K.shape).tocsr()
     P = _coarse_space(mesh, nf)
     PT, KP = P.T.tocsr(), (K @ P).tocsr()
-    coarse = _factor_spd((PT @ KP).tocsc(), "coarse system") if P.shape[1] else None
+    coarse = _splu((PT @ KP).tocsc(), "coarse system") if P.shape[1] else None
 
     def apply(r):
         x = Dinv @ r
@@ -608,7 +610,7 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
     preconditioner of :func:`_two_level`, from zero, until the residual is
     below 1e-15 of the right-hand side.  A solve that does not get there
     within ``_PCG_MAXITER`` iterations (elements stretched far from
-    shape-regular) factors K by :func:`_factor_spd` instead.  The triple's
+    shape-regular) factors K by :func:`_splu` instead.  The triple's
     ``solve_info`` records the solve."""
     K, rhs, lam_full, interior, X, Y = condensed_system(blocks)
     nf = blocks.space.face_dim
@@ -622,7 +624,7 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
         M = _two_level(K, blocks.mesh, nf)
         lam, iterations = _pcg(K, rhs, M)
         if lam is None:
-            lam, lu_fallback = _factor_spd(K, "condensed system").solve(rhs), True
+            lam, lu_fallback = _splu(K, "condensed system").solve(rhs), True
         res, scale = K @ lam - rhs, _dot(rhs, rhs)
         residual = float(np.sqrt(_dot(res, res) / scale)) if scale else 0.0
         scale = K_inf * np.abs(lam).max() + np.abs(rhs).max()
@@ -645,16 +647,6 @@ def _solved_triple(blocks: LocalBlocks, what, q, u, lam_full, solve_info=None) -
                        quad_exactness=blocks.quad_exactness, solve_info=solve_info)
 
 
-def _saddle_matrix(blocks: LocalBlocks):
-    """Global sparse system over (Q, U, interior multiplier dofs) with the
-    boundary multipliers moved to the right-hand side: :func:`_reduce`
-    with nothing eliminated.
-
-    Returns (A, rhs, interior)."""
-    A, rhs, _ = _reduce(blocks, 0)
-    return A, rhs, blocks.interior_dofs
-
-
 def _saddle_order(blocks: LocalBlocks):
     """Elimination order of the saddle system: element by element its flux
     dofs, then its potential dofs; then the interior multipliers, the nf
@@ -672,15 +664,15 @@ def _saddle_order(blocks: LocalBlocks):
         E = sp.csr_matrix(incidence, shape=(nt, mesh.num_edges))[:, mesh.interior_edges]
         # E^T E + I is SPD with the pattern of the edge graph; the factor's
         # perm_c gives each edge its position, so the order is its argsort
-        edges = np.argsort(_factor_spd((E.T @ E + sp.identity(m)).tocsc(), "edge graph").perm_c)
+        edges = np.argsort(_splu((E.T @ E + sp.identity(m)).tocsc(), "edge graph").perm_c)
     return np.concatenate([elements.ravel(), nQ + nW + _edge_dofs(edges, space.face_dim).ravel()])
 
 
 def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
     """Direct solve of the full three-field system (cross-check path).
 
-    One SuperLU factorization of the system in the order of
-    :func:`_saddle_order` with diagonal pivots only: each element's flux,
+    One :func:`_splu` factorization, in natural order, of the system
+    permuted to the order of :func:`_saddle_order`: each element's flux,
     then its potential, then the interior multipliers.  Every pivot block
     in that order is definite.  The flux mass A is SPD; what the flux
     leaves on the potential, D + B A^{-1} B^T, is SPD for every supported
@@ -690,31 +682,24 @@ def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
     A zero pivot, which SuperLU would trade for an off-diagonal one,
     raises :class:`SingularSystem`, as condensation rejects a singular
     element."""
-    A, rhs, interior = _saddle_matrix(blocks)
+    A, rhs, _ = _reduce(blocks, 0)
     p = _saddle_order(blocks)
     A, rhs = A[p][:, p], rhs[p]  # frees the unpermuted system before SuperLU runs
-    try:
-        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SingularSystem("saddle system is singular") from exc
-    if not np.array_equal(lu.perm_r, np.arange(len(p))):
-        raise SingularSystem("saddle system has a zero pivot")
     sol = np.empty_like(rhs)
-    sol[p] = lu.solve(rhs)
+    sol[p] = _splu(A, "saddle system", "NATURAL").solve(rhs)
     nt, space = blocks.mesh.num_triangles, blocks.space
     nQ, nW = nt * space.flux_dim, nt * space.scalar_dim
     lam_full = blocks.gdir.ravel().copy()
-    lam_full[interior] = sol[nQ + nW :]
+    lam_full[blocks.interior_dofs] = sol[nQ + nW :]
     q, u = sol[:nQ].reshape(nt, -1), sol[nQ : nQ + nW].reshape(nt, -1)
     return _solved_triple(blocks, "saddle system", q, u, lam_full)
 
 
 def system_residual(blocks: LocalBlocks, triple: FieldTriple) -> float:
     """Max-norm residual of all equation groups, relative to the load."""
-    A, rhs, interior = _saddle_matrix(blocks)
-    sol = np.concatenate(
-        [triple.q_coeffs.ravel(), triple.u_coeffs.ravel(), triple.lam.ravel()[interior]]
-    )
+    A, rhs, _ = _reduce(blocks, 0)
+    lam = triple.lam.ravel()[blocks.interior_dofs]
+    sol = np.concatenate([triple.q_coeffs.ravel(), triple.u_coeffs.ravel(), lam])
     res = A @ sol - rhs
     scale = max(float(np.abs(rhs).max()), float(np.abs(blocks.gdir).max()), 1e-30)
     # Boundary group: multiplier equals the Dirichlet projection by
@@ -738,7 +723,7 @@ def dirichlet_form(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=No
         raise TooLarge(f"the Dirichlet form is limited to 2000 potential dofs, got {n}")
     diffusion = ProblemData(kappa=data.kappa, f=data.f, g=data.g)
     A = _reduce(assemble(mesh, space, diffusion, tau=tau), space.flux_dim)[0]
-    lu = _factor_spd(-A[n:, n:], "interior multiplier block")
+    lu = _splu(-A[n:, n:], "interior multiplier block")
     coupling, lift, D = A[:n, n:], A[n:, :n], A[:n, :n].toarray()
     # 64 columns at a time: the whole dense lift is 26 MB at 512 BDM k=2
     # triangles, and SuperLU solves it faster in column blocks.
@@ -751,7 +736,7 @@ def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None
     """Potential coefficients of the primal form D u = (f, .) - l_g of the
     full problem, reaction included (a cross-check of the Dirichlet form).
 
-    D is not formed: one :func:`_factor_spd` solves the (potential, interior
+    D is not formed: one :func:`_splu` solves the (potential, interior
     multiplier) system of :func:`_reduce`, which is SPD once its multiplier
     rows are negated: its potential block D_tau + Mc + B A^{-1} B^T is SPD
     as every local solve is unique, and its multiplier Schur complement is K."""
@@ -759,7 +744,7 @@ def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None
     A, rhs, _ = _reduce(assemble(mesh, space, data, tau=tau), space.flux_dim)
     A.data[A.indices >= n] *= -1.0
     rhs[n:] *= -1.0
-    return _factor_spd(A, "primal system").solve(rhs)[:n].reshape(-1, space.scalar_dim)
+    return _splu(A, "primal system").solve(rhs)[:n].reshape(-1, space.scalar_dim)
 
 
 def _balance(triple: FieldTriple, data: ProblemData, basis: ps.PolyFamily, vol, erule):

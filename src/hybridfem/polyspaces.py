@@ -72,7 +72,7 @@ def vector_dim(tag: str, k: int) -> int:
         return 2 * scalar_dim(k)
     if tag in ("RT", "N"):
         return 0 if k < 0 else rt_dim(k)
-    raise ValueError(f"unknown vector space tag {tag!r}")
+    raise UnsupportedDegree(f"unknown vector space tag {tag!r}")
 
 
 @lru_cache(maxsize=None)
@@ -329,7 +329,7 @@ def triangle_rule(exactness: int) -> QuadratureRule:
     chosen as ceil((exactness + 2) / 2).  All weights are positive.
     """
     if exactness < 0:
-        raise ValueError("exactness must be >= 0")
+        raise UnsupportedDegree("exactness must be >= 0")
     n = (exactness + 3) // 2
     x, w = np.polynomial.legendre.leggauss(n)
     u = 0.5 * (x + 1.0)
@@ -346,6 +346,8 @@ def triangle_rule(exactness: int) -> QuadratureRule:
 @lru_cache(maxsize=None)
 def edge_rule(npoints: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1] with ``npoints`` nodes."""
+    if npoints < 1:
+        raise UnsupportedDegree("an edge rule needs at least one point")
     x, w = np.polynomial.legendre.leggauss(npoints)
     t = 0.5 * (x + 1.0)
     wt = 0.5 * w

@@ -40,7 +40,7 @@ from .errors import (
     SingularLocalSystem,
     UnsupportedDegree,
 )
-from .mesh import ElementMap, ReferenceTriangle, _AffineMaps
+from .mesh import ElementMap, ReferenceTriangle
 
 __all__ = [
     "LocalScalarField",
@@ -126,11 +126,6 @@ class LocalVectorField:
         return (nt @ self.coeffs) / self.emap.edge_jacobians[local_edge]
 
 
-def _batch(emap: ElementMap) -> _AffineMaps:
-    """The element of ``emap`` as a batch of one."""
-    return _AffineMaps(emap.vertices[None])
-
-
 def _at(fn, x):
     """Values of a callable of (N, 2) point arrays at points x (..., 2),
     which must be finite."""
@@ -162,7 +157,7 @@ def _ref_vector_values(coeffs, V):
     return (coeffs @ table.reshape(len(table), -1)).reshape(len(coeffs), len(V), 2)
 
 
-def _vector_values(geo: _AffineMaps, V, coeffs):
+def _vector_values(geo: ElementMap, V, coeffs):
     """Physical values (n, m, 2) of stacked vector fields (coefficients
     (n, dim)) at the images of the reference points of the basis values V
     (m, dim, 2)."""
@@ -176,7 +171,7 @@ def _normal_table(vb: ps.VectorBasis, s):
     return np.stack([vb.normal_trace(e, s) for e in range(3)])
 
 
-def _normal_traces(geo: _AffineMaps, N, coeffs):
+def _normal_traces(geo: ElementMap, N, coeffs):
     """q . n of stacked vector fields on every local edge, from the
     reference table N = _normal_table(vb, s) at the edge parameters s,
     (n, 3, ns)."""
@@ -189,7 +184,7 @@ def _edge_table(basis: ps.PolyFamily, s):
     return np.stack([basis.eval(ReferenceTriangle.edge_points(e, s)) for e in range(3)])
 
 
-def _sample(fns, geo: _AffineMaps, vol, edge):
+def _sample(fns, geo: ElementMap, vol, edge):
     """Values of each data function of ``fns`` on every element at the
     points of the triangle rule ``vol``, (n, ng, ...), and of the edge rule
     ``edge`` on each local edge, (n, 3, ns, ...): what the projection
@@ -216,7 +211,7 @@ def _scalar_coeffs(u, k: int, vol):
 def project_scalar(u, k: int, emap: ElementMap, quad_exactness=None) -> LocalScalarField:
     """Element L2 projection onto the degree-k scalar space."""
     vol = ps.quadrature_rules(k, quad_exactness)[0]
-    coeffs = _scalar_coeffs(_at(u, _batch(emap).forward(vol.points)), k, vol)[0]
+    coeffs = _scalar_coeffs(_at(u, emap.rows(None).forward(vol.points)), k, vol)[0]
     return LocalScalarField(emap, k, coeffs)
 
 
@@ -338,7 +333,7 @@ class _RefRules:
         # the face basis, orthonormal in reference arc length, is P / sqrt(Lhat)
         self.mu_w = _ROOT_LHAT * (self.edge.weights[:, None] * ps.legendre01(k, self.edge.points))
 
-    def flux_moments(self, geo: _AffineMaps, q):
+    def flux_moments(self, geo: ElementMap, q):
         """Interior moments of the pulled-back flux |J| B^-1 q from its
         values q (n, ng, 2) at the volume points, (n, ntest)."""
         qhat = q @ geo.invB.transpose(0, 2, 1)
@@ -349,7 +344,7 @@ class _RefRules:
         return np.einsum("lgi,elg->eli", self.mu_w, vals).reshape(len(vals), -1)
 
 
-def _dual_normal(geo: _AffineMaps, q):
+def _dual_normal(geo: ElementMap, q):
     """The dual trace |a| q . n from the values q (n, 3, ns, 2) at the edge
     points."""
     return geo.edge_jacobians[..., None] * np.vecdot(q, geo.edge_normals[:, :, None])
@@ -386,7 +381,7 @@ def _hdiv_ref(method: str, k: int, exactness=None) -> _HdivRef:
     return _HdivRef(method, k, exactness)
 
 
-def _hdiv_coeffs(method: str, k: int, geo: _AffineMaps, q, exactness=None):
+def _hdiv_coeffs(method: str, k: int, geo: ElementMap, q, exactness=None):
     """RT/BDM projection coefficients (n, dim) of physical data on every
     element from its values q = _sample(data, geo, vol, edge) on the rules
     of ``exactness``: one solve of the shared reference system."""
@@ -396,7 +391,7 @@ def _hdiv_coeffs(method: str, k: int, geo: _AffineMaps, q, exactness=None):
 
 
 def _hdiv_field(method: str, q, k: int, emap: ElementMap, exactness) -> LocalVectorField:
-    ref, geo = _hdiv_ref(method, k, exactness), _batch(emap)
+    ref, geo = _hdiv_ref(method, k, exactness), emap.rows(None)
     coeffs = _hdiv_coeffs(method, k, geo, *_sample([q], geo, ref.vol, ref.edge), exactness)[0]
     return LocalVectorField(emap, ref.vb.tag, k, coeffs)
 
@@ -482,7 +477,7 @@ def _hdg_ref(k: int, exactness=None) -> _HdgRef:
     return _HdgRef(k, exactness)
 
 
-def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=None, div_q=None):
+def _hdg_coeffs(q, u, k: int, geo: ElementMap, tau, sign: int = 1, exactness=None, div_q=None):
     """HDG projection coefficients, vector (n, nq) and scalar (n, nw), of
     every element: interior moments of both components against degree k-1
     plus edgewise moments of q . n + sign * tau * u, solved in decoupled
@@ -526,7 +521,7 @@ def _hdg_coeffs(q, u, k: int, geo: _AffineMaps, tau, sign: int = 1, exactness=No
 
 def _hdg_fields(q, u, k, emap, tau, sign, exactness, div_q=None):
     tau = check_stabilization(tau)
-    ref, geo = _hdg_ref(k, exactness), _batch(emap)
+    ref, geo = _hdg_ref(k, exactness), emap.rows(None)
     if div_q is not None:
         div_q = _at(div_q, geo.forward(ref.vol.points))
     q, u = _sample([q, u], geo, ref.vol, ref.edge)

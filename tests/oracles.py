@@ -384,7 +384,7 @@ def hdg_projection_problem(k, tau, emap, sign=1, quad_exactness=None):
     dual-trace transform tau_check = |a| tau, so the reference projection
     reproduces the physical one exactly."""
     tau = pj.check_stabilization(tau)
-    M = hdg_matrices(pj._hdg_ref(k, quad_exactness), pj._batch(emap), tau[None], sign)[0]
+    M = hdg_matrices(pj._hdg_ref(k, quad_exactness), emap.rows(None), tau[None], sign)[0]
     return pj._factor("hdg", k, M)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -374,12 +375,20 @@ def test_forward_maps_match_per_element_affine_maps():
     t = np.array([0.0, 0.25, 0.9])
     got, got_edges = geo.forward(xhat), geo.edge_forward(t)
     for e in range(m.num_triangles):
-        B, b = geo.B[e], geo.corners[e, 0]
+        B, b = geo.B[e], geo.vertices[e, 0]
         want = np.array([B @ x + b for x in xhat])
         assert np.abs(got[e] - want).max() <= 1e-15 * np.abs(want).max()
         for loc in range(3):
             want = np.array([B @ x + b for x in ReferenceTriangle.edge_points(loc, t)])
             assert np.abs(got_edges[e, loc] - want).max() <= 1e-15 * np.abs(want).max()
+        # the element map is a view of row e, and maps back and forth
+        em = m.element_map(e)
+        for name in ("B", "detJ", "invB", "edge_lengths", "edge_jacobians", "edge_normals", "b", "h"):
+            assert np.array_equal(getattr(em, name), getattr(geo, name)[e]), name
+        assert np.shares_memory(em.B, geo.B)
+        assert np.abs(em.inverse(em.forward(xhat)) - xhat).max() <= 1e-14
+        scaled = dataclasses.replace(em, detJ=2.0 * float(em.detJ))
+        assert scaled.rows(None).detJ[0] == 2.0 * geo.detJ[e]
 
 
 _MESH_TEXT = "9 8\n" + "".join(

@@ -28,7 +28,7 @@ from hybridfem.methods import (
     ProblemData,
     SpaceDescriptor,
     StabilizationFunction,
-    _saddle_matrix,
+    _reduce,
     assemble,
     condensed_system,
     conservation_residuals,
@@ -221,7 +221,7 @@ def test_saddle_matrix_symmetry_after_sign_flip(method, k):
     space = SpaceDescriptor(method, k)
     tau = make_tau(mesh) if method == "hdg" else None
     blocks = assemble(mesh, space, SMOOTH.data(), tau=tau)
-    A, rhs, interior = _saddle_matrix(blocks)
+    A, rhs, _ = _reduce(blocks, 0)
     D = np.ones(A.shape[0])
     nQ = mesh.num_triangles * space.flux_dim
     D[nQ : nQ + mesh.num_triangles * space.scalar_dim] = -1.0
@@ -325,7 +325,8 @@ def test_saddle_matrix_matches_reference(method, k):
     mesh = perturbed_mesh()
     tau = StabilizationFunction.single_face(mesh, 2.0) if method == "hdg" else None
     blocks = assemble(mesh, SpaceDescriptor(method, k), CASES["varkappa"].data(), tau=tau)
-    A, rhs, interior = _saddle_matrix(blocks)
+    A, rhs, _ = _reduce(blocks, 0)
+    interior = blocks.interior_dofs
     A_ref, rhs_ref = reference_saddle_matrix(blocks)
     assert rel_diff(A.toarray(), A_ref.toarray()) < 1e-13
     assert rel_diff(rhs, rhs_ref) < 1e-13
@@ -339,7 +340,8 @@ def test_saddle_matrix_matches_reference(method, k):
 def test_saddle_solve_matches_colamd_lu(method, k, tau, case, mesh_name):
     mesh = perturbed_mesh() if mesh_name == "perturbed" else uniform_refine(unit_square(2))
     blocks = condensed_blocks(mesh, method, k, tau, case)
-    A, rhs, interior = _saddle_matrix(blocks)
+    A, rhs, _ = _reduce(blocks, 0)
+    interior = blocks.interior_dofs
     got = saddle_solution(solve_saddle(blocks), interior)
     assert rel_diff(got, reference_saddle_solve(A, rhs)) <= 1e-12
 
@@ -353,7 +355,8 @@ def test_saddle_order_on_the_smallest_meshes(method, k, tau, mesh):
     """Element by element flux then potential, then the multipliers of the
     interior edge of the square (the one triangle has none)."""
     blocks = condensed_blocks(mesh, method, k, tau)
-    A, rhs, interior = _saddle_matrix(blocks)
+    A, rhs, _ = _reduce(blocks, 0)
+    interior = blocks.interior_dofs
     nt, nq, nw = mesh.num_triangles, blocks.space.flux_dim, blocks.space.scalar_dim
     nQ = nt * nq
     want = [np.r_[t * nq : (t + 1) * nq, nQ + t * nw : nQ + (t + 1) * nw] for t in range(nt)]
@@ -374,7 +377,7 @@ def test_saddle_solve_rejects_a_zero_pivot(element, message):
     # would solve it, but condensation rejects that element too
     blocks = assemble(uniform_refine(unit_square(1)), SpaceDescriptor("rt", 0), SMOOTH.data())
     blocks.A[element] = 0.0
-    A, rhs, _ = _saddle_matrix(blocks)
+    A, rhs, _ = _reduce(blocks, 0)
     assert (np.linalg.matrix_rank(A.toarray()) == len(rhs)) == (element == 3)
     with pytest.raises(SingularSystem, match=message):
         solve_saddle(blocks)
@@ -391,7 +394,7 @@ def test_saddle_order_fills_less_than_colamd(monkeypatch, method, k, tau):
     for _ in range(3):
         mesh = uniform_refine(mesh)
     blocks = condensed_blocks(perturbed_by(mesh, 3, 0.2), method, k, tau)
-    A, _, _ = _saddle_matrix(blocks)
+    A, _, _ = _reduce(blocks, 0)
     factors, splu = [], spla.splu
 
     def spy(*args, **kwargs):
@@ -477,7 +480,7 @@ def test_condensation_independent_of_element_blocks(monkeypatch, method, k, tau)
     data = CASES["varkappa"].data()
 
     def run():
-        (K, *rest), (A, rhs, _) = condensed_system(blocks), _saddle_matrix(blocks)
+        (K, *rest), (A, rhs, _) = condensed_system(blocks), _reduce(blocks, 0)
         D = dirichlet_form(mesh, blocks.space, data, tau=blocks.tau)
         return [K.indptr, K.indices, K.data, *rest, A.indptr, A.indices, A.data, rhs, D]
 
@@ -808,7 +811,7 @@ def test_saddle_schur_complements_are_condensed_and_dirichlet_forms(method, k):
     the potential it is the Dirichlet form (c-free data)."""
     mesh = perturbed_mesh()
     blocks = condensed_blocks(mesh, method, k, "single-face" if method == "hdg" else None)
-    A = _saddle_matrix(blocks)[0].toarray()
+    A = _reduce(blocks, 0)[0].toarray()
     nQ = mesh.num_triangles * blocks.space.flux_dim
     nU = nQ + mesh.num_triangles * blocks.space.scalar_dim
 
@@ -857,7 +860,7 @@ def test_primal_solve_past_the_dirichlet_form_cap():
 
 def test_factor_spd_rejects_a_zero_pivot():
     with pytest.raises(SingularSystem):
-        methods._factor_spd(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]), "x")
+        methods._splu(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]), "x")
 
 
 # ------------------------------------------------------------- identities

@@ -5,6 +5,7 @@ import pytest
 
 import hybridfem.polyspaces as ps
 import oracles
+from hybridfem.errors import UnsupportedDegree
 from hybridfem.mesh import ReferenceTriangle
 
 
@@ -184,6 +185,17 @@ def test_edge_rule_exactness():
     rule = ps.edge_rule(4)
     for p in range(2 * 4):
         assert np.sum(rule.weights * rule.points**p) == pytest.approx(1 / (p + 1), abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: ps.vector_dim("Q", 1), lambda: ps.vector_basis("Q", 1),
+     lambda: ps.triangle_rule(-1), lambda: ps.edge_rule(0)],
+    ids=["vector-dim-tag", "vector-basis-tag", "triangle-rule", "edge-rule"],
+)
+def test_out_of_range_requests_raise_unsupported_degree(call):
+    with pytest.raises(UnsupportedDegree):
+        call()
 
 
 def test_face_basis_orthonormal_per_edge():
