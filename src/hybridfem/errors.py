@@ -50,12 +50,9 @@ class NonPositiveDiffusion(HybridFEMError):
 
 
 class InvalidProblemData(HybridFEMError):
-    """Source, boundary value or reaction coefficient is non-finite, or the
-    reaction coefficient is negative, at a quadrature point."""
-
-
-class TooLarge(HybridFEMError):
-    """Diagnostic operation requested on a problem beyond its size limit."""
+    """A data callable does not give one value per point; or the source,
+    boundary value or reaction coefficient is non-finite, or the reaction
+    coefficient is negative, at a quadrature point."""
 
 
 class ConfigError(HybridFEMError):

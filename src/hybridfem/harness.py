@@ -122,14 +122,6 @@ class ManufacturedCase:
             return self
         return replace(self, name=self.name + "-reaction", c=None)
 
-    def self_check(self, n=64, seed=0) -> float:
-        """Largest strong-form residual at random interior points."""
-        x = np.random.default_rng(seed).random((n, 2))
-        r1 = self.q(x) + np.asarray(self.kappa(x), dtype=float)[:, None] * self.grad_u(x)
-        cu = 0.0 if self.c is None else np.asarray(self.c(x), dtype=float) * self.u(x)
-        r2 = self.div_q(x) + cu - self.f(x)
-        return max(float(np.abs(r1).max()), float(np.abs(r2).max()))
-
 
 def _sin_case(name, kappa, grad_kappa, c=None):
     pi = np.pi
@@ -340,6 +332,8 @@ class StudyConfig:
         raise ConfigError(f"unknown postprocess choice {self.postprocess!r}")
 
     def validate(self):
+        if not isinstance(self.levels, (int, np.integer)):
+            raise ConfigError(f"levels must be an integer, got {self.levels!r}")
         if self.levels < 2:
             raise ConfigError("need at least two levels for an EOC")
         SpaceDescriptor(self.method, self.degree)  # raises UnsupportedDegree
@@ -352,6 +346,9 @@ class StudyConfig:
                 raise ConfigError("tau must be a number or 'single-face'") from None
             if not (tau > 0 and np.isfinite(tau)):
                 raise ConfigError("tau must be positive and finite")
+        unknown = set(self.formats) - {"csv", "json"}
+        if unknown:
+            raise ConfigError(f"unknown output formats {sorted(unknown)}; have ['csv', 'json']")
 
 
 @dataclass

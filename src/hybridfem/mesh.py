@@ -307,10 +307,6 @@ class Mesh:
     def h_max(self):
         return float(self.h.max())
 
-    def shape_regularity(self):
-        """Largest ratio h_K / rho_K over the mesh (reported, never enforced)."""
-        return float((self.h / self.rho).max())
-
     def element_maps(self):
         """Per-element views of the affine maps."""
         return [self.geometry.rows(t) for t in range(self.num_triangles)]

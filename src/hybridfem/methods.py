@@ -35,7 +35,6 @@ from .errors import (
     NonPositiveDiffusion,
     SingularLocalSolver,
     SingularSystem,
-    TooLarge,
     UnsupportedDegree,
 )
 from .mesh import Mesh, ReferenceTriangle
@@ -52,7 +51,6 @@ __all__ = [
     "solve_hybridized",
     "condensed_system",
     "system_residual",
-    "dirichlet_form",
     "solve_primal",
     "energy_identity_residual",
     "conservation_residuals",
@@ -108,7 +106,8 @@ class ProblemData:
 
     ``kappa`` must be strictly positive; ``c`` is the optional nonnegative
     reaction coefficient; ``f`` the volume source; ``g`` the Dirichlet
-    boundary value.  Assembly checks all of them, finite included, at its
+    boundary value.  Each is a callable of (N, 2) point arrays that returns
+    N values; assembly checks all of them, finite included, at its
     quadrature points.
     """
 
@@ -223,22 +222,19 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     vol, erule = ps.quadrature_rules(k, quad_exactness)
 
     geo = mesh.geometry
-    nt = mesh.num_triangles
     Bmat, detJ = geo.B, geo.detJ
 
     # Volume data at all quadrature points of all elements.
-    flat = geo.forward(vol.points).reshape(-1, 2)
-    kap = np.asarray(data.kappa(flat), dtype=float).reshape(nt, -1)
+    xq = geo.forward(vol.points)
+    kap = pj._at(data.kappa, xq, finite=False)  # non-finite kappa is NonPositiveDiffusion
     if not np.all((kap > 0.0) & np.isfinite(kap)):
         raise NonPositiveDiffusion("kappa must be finite and strictly positive")
-    fvals = np.asarray(data.f(flat), dtype=float).reshape(nt, -1)
-    if not np.isfinite(fvals).all():
-        raise InvalidProblemData("f must be finite")
+    fvals = pj._at(data.f, xq)
     cvals = None
     if data.c is not None:
-        cvals = np.asarray(data.c(flat), dtype=float).reshape(nt, -1)
-        if not np.all((cvals >= 0.0) & np.isfinite(cvals)):
-            raise InvalidProblemData("c must be finite and nonnegative")
+        cvals = pj._at(data.c, xq)
+        if not np.all(cvals >= 0.0):
+            raise InvalidProblemData("c must be nonnegative")
 
     Vhat = vb.eval(vol.points)        # (ng, nq, 2)
     What = sb.eval(vol.points)        # (ng, nw)
@@ -709,32 +705,12 @@ def system_residual(blocks: LocalBlocks, triple: FieldTriple) -> float:
     return max(float(np.abs(res).max()), bres) / scale
 
 
-def dirichlet_form(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None):
-    """Dense Dirichlet form D on the potential space, the Schur complement of
-    the diffusion-only three-field system onto the potential (the reaction
-    term of ``data`` is left out); limited to 2000 potential dofs.
-
-    With the flux eliminated by :func:`_reduce`, D = A_pp + A_pi (-A_ii)^{-1}
-    A_ip: one SPD factorization of -A_ii lifts A_ip in blocks of columns,
-    column j being the flux and multiplier lifted from the j-th potential
-    basis function with zero Dirichlet data."""
-    n = mesh.num_triangles * space.scalar_dim
-    if n > 2000:
-        raise TooLarge(f"the Dirichlet form is limited to 2000 potential dofs, got {n}")
-    diffusion = ProblemData(kappa=data.kappa, f=data.f, g=data.g)
-    A = _reduce(assemble(mesh, space, diffusion, tau=tau), space.flux_dim)[0]
-    lu = _splu(-A[n:, n:], "interior multiplier block")
-    coupling, lift, D = A[:n, n:], A[n:, :n], A[:n, :n].toarray()
-    # 64 columns at a time: the whole dense lift is 26 MB at 512 BDM k=2
-    # triangles, and SuperLU solves it faster in column blocks.
-    for j in range(0, n, 64):
-        D[:, j : j + 64] += coupling @ lu.solve(lift[:, j : j + 64].toarray())
-    return D
-
-
 def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None):
     """Potential coefficients of the primal form D u = (f, .) - l_g of the
-    full problem, reaction included (a cross-check of the Dirichlet form).
+    full problem, reaction included.  D, the Schur complement of the
+    three-field system onto the potential, is the Dirichlet form of the
+    primal characterization; the potential equals that of
+    :func:`solve_hybridized`, reached through another factorization.
 
     D is not formed: one :func:`_splu` solves the (potential, interior
     multiplier) system of :func:`_reduce`, which is SPD once its multiplier

@@ -126,11 +126,15 @@ class LocalVectorField:
         return (nt @ self.coeffs) / self.emap.edge_jacobians[local_edge]
 
 
-def _at(fn, x):
-    """Values of a callable of (N, 2) point arrays at points x (..., 2),
-    which must be finite."""
-    vals = np.asarray(fn(x.reshape(-1, 2)), dtype=float)
-    if not np.isfinite(vals).all():
+def _at(fn, x, finite=True):
+    """Values of a callable of (N, 2) point arrays at points x (..., 2), one
+    scalar or 2-vector per point, which must be finite unless ``finite`` is
+    False."""
+    n = x.size // 2
+    vals = np.asarray(fn(x.reshape(n, 2)), dtype=float)
+    if vals.shape not in ((n,), (n, 2)):
+        raise InvalidProblemData(f"data must give one value per point: shape {vals.shape} at {n} points")
+    if finite and not np.isfinite(vals).all():
         raise InvalidProblemData("data must be finite at the quadrature points")
     return vals.reshape(x.shape[:-1] + vals.shape[1:])
 

@@ -245,6 +245,15 @@ def reference_dirichlet_pieces(blocks):
     return D, apply_coupling(lu.solve(rhs), blocks.gdir)
 
 
+def dense_dirichlet_form(blocks):
+    """Dirichlet form D of a small system, dense: the Schur complement
+    A_pp - A_pi A_ii^{-1} A_ip of the (potential, interior multiplier)
+    system left by the library's flux elimination."""
+    n = blocks.mesh.num_triangles * blocks.space.scalar_dim
+    A = methods._reduce(blocks, blocks.space.flux_dim)[0].toarray()
+    return A[:n, :n] - A[:n, n:] @ np.linalg.solve(A[n:, n:], A[n:, :n])
+
+
 # --------------------------------------------------------------------------
 # Element-by-element references for the batched operators: the mesh
 # connectivity builder, the projections of an exact solution, the error

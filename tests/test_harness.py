@@ -25,7 +25,13 @@ from hybridfem.methods import SpaceDescriptor, assemble, solve_hybridized
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_case_self_consistency(name):
-    assert CASES[name].self_check() < 1e-12
+    """Strong-form residuals at random interior points."""
+    case = CASES[name]
+    x = np.random.default_rng(0).random((64, 2))
+    r1 = case.q(x) + np.asarray(case.kappa(x), dtype=float)[:, None] * case.grad_u(x)
+    cu = 0.0 if case.c is None else np.asarray(case.c(x), dtype=float) * case.u(x)
+    r2 = case.div_q(x) + cu - case.f(x)
+    assert max(np.abs(r1).max(), np.abs(r2).max()) < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -83,6 +89,11 @@ def test_config_validation():
         StudyConfig(case="nope").validate()
     with pytest.raises(ConfigError):
         StudyConfig(levels=1).validate()
+    for levels in (2.5, "3"):
+        with pytest.raises(ConfigError):
+            StudyConfig(levels=levels).validate()
+    with pytest.raises(ConfigError):
+        StudyConfig(formats=("csv", "xml")).validate()
     with pytest.raises(UnsupportedDegree):
         StudyConfig(method="bdm", degree=0).validate()
     with pytest.raises(ConfigError):

@@ -17,7 +17,6 @@ from hybridfem.errors import (
     NonPositiveDiffusion,
     SingularLocalSolver,
     SingularSystem,
-    TooLarge,
     UnsupportedDegree,
 )
 from hybridfem.harness import CASES, compute_error_norms
@@ -32,7 +31,6 @@ from hybridfem.methods import (
     assemble,
     condensed_system,
     conservation_residuals,
-    dirichlet_form,
     energy_identity_residual,
     flux_jump_norms,
     solve_hybridized,
@@ -41,7 +39,13 @@ from hybridfem.methods import (
     system_residual,
 )
 
-from oracles import element_blocks, reference_dirichlet_pieces, reference_saddle_matrix, reference_saddle_solve
+from oracles import (
+    dense_dirichlet_form,
+    element_blocks,
+    reference_dirichlet_pieces,
+    reference_saddle_matrix,
+    reference_saddle_solve,
+)
 from test_batched import perturbed as perturbed_by, project_elements
 
 SMOOTH = CASES["smooth"]
@@ -160,6 +164,25 @@ def test_assemble_rejects_nonfinite_data(name, value):
     mesh = unit_square(2)
     with pytest.raises(InvalidProblemData):
         assemble(mesh, SpaceDescriptor("hdg", 1), data, tau=make_tau(mesh))
+
+
+@pytest.mark.parametrize("name", ["kappa", "f", "g", "c"])
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        pytest.param(lambda x: 1.0, id="float"),
+        pytest.param(lambda x: np.ones(len(x) + 1), id="one-too-many"),
+        pytest.param(lambda x: np.ones((len(x), 1)), id="column"),
+    ],
+)
+def test_assemble_rejects_wrong_shaped_data(name, wrong):
+    def one(x):
+        return np.ones(len(x))
+
+    data = ProblemData(kappa=one, f=one, g=one, c=one)
+    setattr(data, name, wrong)
+    with pytest.raises(InvalidProblemData):
+        assemble(unit_square(2), SpaceDescriptor("rt", 1), data)
 
 
 def test_assemble_rejects_negative_reaction():
@@ -473,16 +496,18 @@ def block_bytes(space, elements):
 @pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
 def test_condensation_independent_of_element_blocks(monkeypatch, method, k, tau):
     """128 elements streamed 7 at a time (the last block holds 2) give the
-    one-block condensed system, saddle system and Dirichlet form bit for
+    one-block condensed system, saddle system and primal system bit for
     bit."""
     mesh = perturbed_mesh(levels=2)
     blocks = condensed_blocks(mesh, method, k, tau)
-    data = CASES["varkappa"].data()
 
     def run():
-        (K, *rest), (A, rhs, _) = condensed_system(blocks), _reduce(blocks, 0)
-        D = dirichlet_form(mesh, blocks.space, data, tau=blocks.tau)
-        return [K.indptr, K.indices, K.data, *rest, A.indptr, A.indices, A.data, rhs, D]
+        K, *out = condensed_system(blocks)
+        out += [K.indptr, K.indices, K.data]
+        for m in (0, blocks.space.flux_dim):
+            A, rhs, R = _reduce(blocks, m)
+            out += [A.indptr, A.indices, A.data, rhs, R]
+        return out
 
     monkeypatch.setattr(methods, "_BLOCK_BYTES", block_bytes(blocks.space, mesh.num_triangles))
     one = run()
@@ -777,7 +802,7 @@ def test_two_level_preconditioner_spd(method, k, tau):
 def test_dirichlet_form_spd(method, k):
     mesh = uniform_refine(unit_square(1))
     tau = make_tau(mesh) if method == "hdg" else None
-    D = dirichlet_form(mesh, SpaceDescriptor(method, k), SMOOTH.data(), tau=tau)
+    D = dense_dirichlet_form(assemble(mesh, SpaceDescriptor(method, k), SMOOTH.data(), tau=tau))
     assert np.abs(D - D.T).max() < 1e-11 * max(1.0, np.abs(D).max())
     eigs = np.linalg.eigvalsh(0.5 * (D + D.T))
     assert eigs.min() > 0.0
@@ -822,8 +847,7 @@ def test_saddle_schur_complements_are_condensed_and_dirichlet_forms(method, k):
 
     K = condensed_system(blocks)[0].toarray()
     assert rel_diff(schur(np.arange(nU, len(A))), -K) < 1e-12
-    D = dirichlet_form(mesh, blocks.space, CASES["varkappa"].data(), tau=blocks.tau)
-    assert rel_diff(schur(np.arange(nQ, nU)), D) < 1e-12
+    assert rel_diff(schur(np.arange(nQ, nU)), dense_dirichlet_form(blocks)) < 1e-12
 
 
 @pytest.mark.parametrize("method,k", GLOBAL_SYSTEM_CASES)
@@ -835,18 +859,12 @@ def test_dirichlet_form_and_primal_match_reference(method, k):
     diffusion_only = ProblemData(kappa=data.kappa, f=data.f, g=data.g)
     blocks = assemble(mesh, space, diffusion_only, tau=tau)
     D_ref, lg_ref = reference_dirichlet_pieces(blocks)
-    assert rel_diff(dirichlet_form(mesh, space, data, tau=tau), D_ref) < 1e-13
+    assert rel_diff(dense_dirichlet_form(blocks), D_ref) < 1e-13
     u_ref = np.linalg.solve(D_ref, blocks.F.ravel() - lg_ref)
     assert rel_diff(solve_primal(mesh, space, data, tau=tau).ravel(), u_ref) < 1e-13
 
 
-def test_dirichlet_form_too_large():
-    mesh = unit_square(16)
-    with pytest.raises(TooLarge):
-        dirichlet_form(mesh, SpaceDescriptor("rt", 3), SMOOTH.data())
-
-
-def test_primal_solve_past_the_dirichlet_form_cap():
+def test_primal_solve_on_2048_potential_dofs():
     mesh = unit_square(2)
     for _ in range(4):
         mesh = uniform_refine(mesh)
@@ -854,8 +872,6 @@ def test_primal_solve_past_the_dirichlet_form_cap():
     assert mesh.num_triangles * space.scalar_dim == 2048
     u = solve_primal(mesh, space, SMOOTH.data())
     assert rel_diff(u, solve_hybridized(assemble(mesh, space, SMOOTH.data())).u_coeffs) < 1e-9
-    with pytest.raises(TooLarge):
-        dirichlet_form(mesh, space, SMOOTH.data())
 
 
 def test_factor_spd_rejects_a_zero_pivot():
