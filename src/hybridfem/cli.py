@@ -15,6 +15,7 @@ import sys
 
 from .errors import HybridFEMError
 from .harness import CASES, StudyConfig, run_study
+from .polyspaces import _SUPPORTED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hybridfem",
         description="Mixed/hybridized FEM convergence studies on the unit square",
     )
-    parser.add_argument("--method", choices=("rt", "bdm", "hdg"), default="rt")
+    parser.add_argument("--method", choices=tuple(_SUPPORTED), default="rt")
     parser.add_argument("--degree", type=int, default=0, metavar="K")
     parser.add_argument("--levels", type=int, default=5, metavar="N")
     parser.add_argument("--case", choices=sorted(CASES), default="smooth")

@@ -217,7 +217,6 @@ class Mesh:
         tri_edge_aligned: (nt, 3) bool array; True where local edge i runs
             along the stored direction of its global edge.
         h: (nt,) triangle diameters (longest edge).
-        rho: (nt,) inscribed-circle diameters, 2*area/semiperimeter.
         areas: (nt,) triangle areas.
     """
 
@@ -281,10 +280,8 @@ class Mesh:
             )
         self.tri_edge_aligned = self.edges[self.tri_edges, 0] == start
 
-        sides = self.geometry.edge_lengths
         self.areas = 0.5 * self.geometry.detJ
         self.h = self.geometry.h
-        self.rho = 2.0 * self.areas / (0.5 * sides.sum(axis=1))
         self.edge_lengths = np.linalg.norm(
             vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]], axis=1
         )

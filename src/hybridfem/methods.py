@@ -35,9 +35,9 @@ from .errors import (
     NonPositiveDiffusion,
     SingularLocalSolver,
     SingularSystem,
-    UnsupportedDegree,
 )
 from .mesh import Mesh, ReferenceTriangle
+from .polyspaces import SpaceDescriptor
 
 __all__ = [
     "SpaceDescriptor",
@@ -56,48 +56,6 @@ __all__ = [
     "conservation_residuals",
     "flux_jump_norms",
 ]
-
-_SUPPORTED = {"rt": range(0, 4), "bdm": range(1, 4), "hdg": range(0, 4)}
-
-
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    """Method tag plus degree; fixes all three local spaces."""
-
-    method: str
-    degree: int
-
-    def __post_init__(self):
-        if self.method not in _SUPPORTED:
-            raise UnsupportedDegree(f"unknown method {self.method!r}")
-        if self.degree not in _SUPPORTED[self.method]:
-            raise UnsupportedDegree(
-                f"{self.method} supports degrees {list(_SUPPORTED[self.method])}, got {self.degree}"
-            )
-
-    @property
-    def flux_space(self) -> str:
-        return "RT" if self.method == "rt" else "P"
-
-    @property
-    def scalar_degree(self) -> int:
-        return self.degree - 1 if self.method == "bdm" else self.degree
-
-    @property
-    def flux_dim(self) -> int:
-        return ps.vector_dim(self.flux_space, self.degree)
-
-    @property
-    def scalar_dim(self) -> int:
-        return ps.scalar_dim(self.scalar_degree)
-
-    @property
-    def face_dim(self) -> int:
-        return self.degree + 1
-
-    @property
-    def is_hdg(self) -> bool:
-        return self.method == "hdg"
 
 
 @dataclass
@@ -368,7 +326,7 @@ def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
     elements at a time."""
     space, mesh = blocks.space, blocks.mesh
     (nw, nq), nf = blocks.Bdiv.shape, space.face_dim
-    Cref, Sref, Tref = pj._edge_tables(space.method, space.degree)
+    Cref, Sref, Tref = pj._edge_tables(space)
     sign, edge_len = _edge_signs(mesh, nf, rows), mesh.edge_lengths[mesh.tri_edges[rows]]
     nb, m = len(edge_len), nq + nw
     C = (ReferenceTriangle.edge_lengths / np.sqrt(edge_len))[..., None, None] * sign[..., None] * Cref
@@ -784,7 +742,7 @@ def _project_elements(triple: FieldTriple, q, u, quad_exactness, rows=slice(None
     k, geo = space.degree, triple.mesh.geometry.rows(rows)
     if space.is_hdg:
         return pj._hdg_coeffs(q, u, k, geo, triple.tau[rows], exactness=quad_exactness)
-    qc = pj._hdiv_coeffs(space.method, k, geo, q, quad_exactness)
+    qc = pj._hdiv_coeffs(space, geo, q, quad_exactness)
     return qc, pj._scalar_coeffs(u[0], space.scalar_degree, ps.quadrature_rules(k, quad_exactness)[0])
 
 

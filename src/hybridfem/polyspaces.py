@@ -30,6 +30,7 @@ __all__ = [
     "face_space_dim",
     "rt_dim",
     "vector_dim",
+    "SpaceDescriptor",
     "PolyFamily",
     "ScalarBasis",
     "VectorBasis",
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 MAX_SCALAR_DEGREE = 6
+_SUPPORTED = {"rt": range(0, 4), "bdm": range(1, 4), "hdg": range(0, 4)}
 
 
 def scalar_dim(k: int) -> int:
@@ -73,6 +75,46 @@ def vector_dim(tag: str, k: int) -> int:
     if tag in ("RT", "N"):
         return 0 if k < 0 else rt_dim(k)
     raise UnsupportedDegree(f"unknown vector space tag {tag!r}")
+
+
+@dataclass(frozen=True)
+class SpaceDescriptor:
+    """Method tag plus degree; fixes all three local spaces."""
+
+    method: str
+    degree: int
+
+    def __post_init__(self):
+        if self.method not in _SUPPORTED:
+            raise UnsupportedDegree(f"unknown method {self.method!r}")
+        if self.degree not in _SUPPORTED[self.method]:
+            raise UnsupportedDegree(
+                f"{self.method} supports degrees {list(_SUPPORTED[self.method])}, got {self.degree}"
+            )
+
+    @property
+    def flux_space(self) -> str:
+        return "RT" if self.method == "rt" else "P"
+
+    @property
+    def scalar_degree(self) -> int:
+        return self.degree - 1 if self.method == "bdm" else self.degree
+
+    @property
+    def flux_dim(self) -> int:
+        return vector_dim(self.flux_space, self.degree)
+
+    @property
+    def scalar_dim(self) -> int:
+        return scalar_dim(self.scalar_degree)
+
+    @property
+    def face_dim(self) -> int:
+        return self.degree + 1
+
+    @property
+    def is_hdg(self) -> bool:
+        return self.method == "hdg"
 
 
 @lru_cache(maxsize=None)

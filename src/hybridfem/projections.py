@@ -11,11 +11,12 @@ conventions of :class:`LocalVectorField` / :class:`LocalScalarField`:
 * scalar fields: u(x) = uhat(G(x)) (plain composition).
 
 The element L2 projection and the face L2 projection diagonalize in the
-orthonormal bases; RT/BDM systems are built and checked once per degree.
-The HDG projection is computed in its decoupled form (Cockburn,
-Gopalakrishnan & Sayas 2010): the complement part of the potential solves
-a (k+1) x (k+1) system per element, and the flux one of three reference
-systems checked once per degree (:func:`_hdg_coeffs`).
+orthonormal bases; RT/BDM systems are built and checked once per space
+descriptor (:class:`~hybridfem.polyspaces.SpaceDescriptor`, which fixes the
+local spaces).  The HDG projection is computed in its decoupled form
+(Cockburn, Gopalakrishnan & Sayas 2010): the complement part of the
+potential solves a (k+1) x (k+1) system per element, and the flux one of
+three reference systems checked once per descriptor (:func:`_hdg_coeffs`).
 
 Every system is applied through its checked inverse
 (:class:`ProjectionProblem`), and every per-element product is a stacked
@@ -56,7 +57,6 @@ __all__ = [
     "check_stabilization",
 ]
 
-MAX_DEGREE = 3
 _ROOT_LHAT = np.sqrt(ReferenceTriangle.edge_lengths)[:, None, None]
 
 
@@ -290,10 +290,10 @@ def _factor(method, k, M):
 
 
 @lru_cache(maxsize=None)
-def _edge_tables(method: str, k: int):
-    """Read-only reference edge tables (C, S, T) of the spaces of ``method``
-    at degree k: with P the Legendre basis of degree k on [0, 1], v the flux
-    basis and W_l the scalar basis on reference edge l,
+def _edge_tables(space: ps.SpaceDescriptor):
+    """Read-only reference edge tables (C, S, T) of the spaces of the
+    descriptor ``space`` of degree k: with P the Legendre basis of degree k
+    on [0, 1], v the flux basis and W_l the scalar basis on reference edge l,
 
         C[l] = sum_g w_g P_i (v . nhat_l)_q    (3, k+1, nq)
         S[l] = sum_g w_g W_l,j P_i             (3, nw, k+1)
@@ -302,8 +302,9 @@ def _edge_tables(method: str, k: int):
     The integrands have degree at most 2k, which the (k+1)-point Gauss rule
     integrates exactly.  Every physical edge block is one of these tables
     times per-element scalars and the orientation signs of its edges."""
-    vb = ps.vector_basis("RT" if method == "rt" else "P", k)
-    sb = ps.scalar_basis(k - 1 if method == "bdm" else k)
+    k = space.degree
+    vb = ps.vector_basis(space.flux_space, k)
+    sb = ps.scalar_basis(space.scalar_degree)
     rule = ps.edge_rule(k + 1)
     wP = rule.weights[:, None] * ps.legendre01(k, rule.points)
     N = _normal_table(vb, rule.points)
@@ -325,17 +326,23 @@ def _moment_rows(vb, test_vb, rule):
 
 
 class _RefRules:
-    """Quadrature rules and test functions of a projection system;
-    ``test_w`` folds the volume weights into the interior test functions
-    (see :func:`_flat_moments`), ``mu_w`` the edge weights and reference
-    lengths into the edge test functions."""
+    """Quadrature rules, test functions and flux rows of the projection of
+    the spaces of ``space``: ``q_moments``, the interior moments of the flux
+    basis against P_{k-1}^2 (RT, HDG) or the rotated N_{k-2} (BDM), and
+    ``trace_q``, its edge moments.  ``test_w`` folds the volume weights into
+    the interior test functions (see :func:`_flat_moments`), ``mu_w`` the
+    edge weights and reference lengths into the edge test functions."""
 
-    def __init__(self, k, test_vb, exactness):
-        self.test_vb = test_vb
+    def __init__(self, space: ps.SpaceDescriptor, exactness):
+        k = space.degree
+        self.vb = ps.vector_basis(space.flux_space, k)
+        self.test_vb = ps.vector_basis("N", k - 2) if space.method == "bdm" else ps.vector_basis("P", k - 1)
         self.vol, self.edge = ps.quadrature_rules(k, exactness)
-        self.test_w = _flat_moments(self.vol.weights, test_vb.eval(self.vol.points))
+        self.test_w = _flat_moments(self.vol.weights, self.test_vb.eval(self.vol.points))
         # the face basis, orthonormal in reference arc length, is P / sqrt(Lhat)
         self.mu_w = _ROOT_LHAT * (self.edge.weights[:, None] * ps.legendre01(k, self.edge.points))
+        self.q_moments = _moment_rows(self.vb, self.test_vb, self.vol)
+        self.trace_q = _ROOT_LHAT * _edge_tables(space)[0]  # <v . nhat, mu>_e, (3, k+1, nq)
 
     def flux_moments(self, geo: ElementMap, q):
         """Interior moments of the pulled-back flux |J| B^-1 q from its
@@ -357,59 +364,37 @@ def _dual_normal(geo: ElementMap, q):
 class _HdivRef(_RefRules):
     """Cached reference data shared by the RT/BDM projection and lifting."""
 
-    def __init__(self, method, k, exactness=None):
-        if method == "rt":
-            self.vb = ps.vector_basis("RT", k)
-            test_vb = ps.vector_basis("P", k - 1)
-        else:
-            if k < 1:
-                raise UnsupportedDegree("BDM requires degree k >= 1")
-            self.vb = ps.vector_basis("P", k)
-            test_vb = ps.vector_basis("N", k - 2)
-        super().__init__(k, test_vb, exactness)
-        M = np.vstack(
-            [
-                _moment_rows(self.vb, self.test_vb, self.vol),
-                (_ROOT_LHAT * _edge_tables(method, k)[0]).reshape(-1, self.vb.dim),
-            ]
-        )
-        self.problem = _factor(method, k, M)
+    def __init__(self, space: ps.SpaceDescriptor, exactness):
+        super().__init__(space, exactness)
+        M = np.vstack([self.q_moments, self.trace_q.reshape(-1, self.vb.dim)])
+        self.problem = _factor(space.method, space.degree, M)
 
 
-@lru_cache(maxsize=None)
-def _hdiv_ref(method: str, k: int, exactness=None) -> _HdivRef:
-    if method not in ("rt", "bdm"):
-        raise UnsupportedDegree(f"unknown method {method!r}")
-    if k < 0 or k > MAX_DEGREE:
-        raise UnsupportedDegree(f"degree {k} outside [0, {MAX_DEGREE}]")
-    return _HdivRef(method, k, exactness)
-
-
-def _hdiv_coeffs(method: str, k: int, geo: ElementMap, q, exactness=None):
+def _hdiv_coeffs(space: ps.SpaceDescriptor, geo: ElementMap, q, exactness=None):
     """RT/BDM projection coefficients (n, dim) of physical data on every
     element from its values q = _sample(data, geo, vol, edge) on the rules
     of ``exactness``: one solve of the shared reference system."""
-    ref = _hdiv_ref(method, k, exactness)
+    ref = _ref(space, exactness)
     rhs = np.hstack([ref.flux_moments(geo, q[0]), ref.edge_moments(_dual_normal(geo, q[1]))])
     return ref.problem.solve(rhs)
 
 
-def _hdiv_field(method: str, q, k: int, emap: ElementMap, exactness) -> LocalVectorField:
-    ref, geo = _hdiv_ref(method, k, exactness), emap.rows(None)
-    coeffs = _hdiv_coeffs(method, k, geo, *_sample([q], geo, ref.vol, ref.edge), exactness)[0]
-    return LocalVectorField(emap, ref.vb.tag, k, coeffs)
+def _hdiv_field(space: ps.SpaceDescriptor, q, emap: ElementMap, exactness) -> LocalVectorField:
+    ref, geo = _ref(space, exactness), emap.rows(None)
+    coeffs = _hdiv_coeffs(space, geo, *_sample([q], geo, ref.vol, ref.edge), exactness)[0]
+    return LocalVectorField(emap, space.flux_space, space.degree, coeffs)
 
 
 def rt_project(q, k: int, emap: ElementMap, quad_exactness=None) -> LocalVectorField:
     """Raviart-Thomas projection: interior moments against full vector
     polynomials of degree k-1 plus edgewise normal-trace moments."""
-    return _hdiv_field("rt", q, k, emap, quad_exactness)
+    return _hdiv_field(ps.SpaceDescriptor("rt", k), q, emap, quad_exactness)
 
 
 def bdm_project(q, k: int, emap: ElementMap, quad_exactness=None) -> LocalVectorField:
     """BDM projection: interior moments against the rotated space of degree
     k-2 (void for k = 1) plus edgewise normal-trace moments."""
-    return _hdiv_field("bdm", q, k, emap, quad_exactness)
+    return _hdiv_field(ps.SpaceDescriptor("bdm", k), q, emap, quad_exactness)
 
 
 def _checked_tau(values, shape) -> np.ndarray:
@@ -448,14 +433,12 @@ class _HdgRef(_RefRules):
       edges other than s], one :class:`ProjectionProblem` per skipped edge s.
     """
 
-    def __init__(self, k, exactness=None):
-        self.vb = ps.vector_basis("P", k)
+    def __init__(self, space: ps.SpaceDescriptor, exactness):
+        super().__init__(space, exactness)
+        k = space.degree
         self.sb = ps.scalar_basis(k)
-        super().__init__(k, ps.vector_basis("P", k - 1), exactness)
-        self.q_moments = _moment_rows(self.vb, self.test_vb, self.vol)
         low = self.sdim_low = ps.scalar_dim(k - 1)
-        C, S, T = _edge_tables("hdg", k)
-        self.trace_q = _ROOT_LHAT * C  # <v . nhat, mu>_e, (3, k+1, nq)
+        _, S, T = _edge_tables(space)
         self.trace_u = _ROOT_LHAT * S.transpose(0, 2, 1)  # <w, mu>_e without tau
         self.edge_mass = ReferenceTriangle.edge_lengths[:, None, None] * T[:, low:]
         sb_vals = self.sb.eval(self.vol.points)
@@ -475,10 +458,10 @@ class _HdgRef(_RefRules):
 
 
 @lru_cache(maxsize=None)
-def _hdg_ref(k: int, exactness=None) -> _HdgRef:
-    if k < 0 or k > MAX_DEGREE:
-        raise UnsupportedDegree(f"degree {k} outside [0, {MAX_DEGREE}]")
-    return _HdgRef(k, exactness)
+def _ref(space: ps.SpaceDescriptor, exactness=None) -> _RefRules:
+    """Reference data of the projection of ``space`` on the rules of
+    ``exactness``, built and checked once."""
+    return (_HdgRef if space.is_hdg else _HdivRef)(space, exactness)
 
 
 def _hdg_coeffs(q, u, k: int, geo: ElementMap, tau, sign: int = 1, exactness=None, div_q=None):
@@ -497,7 +480,7 @@ def _hdg_coeffs(q, u, k: int, geo: ElementMap, tau, sign: int = 1, exactness=Non
     3. The flux solves its moments and its trace equations on the two
        edges other than the one of largest tau (ties to the lowest index).
     """
-    ref = _hdg_ref(k, exactness)
+    ref = _ref(ps.SpaceDescriptor("hdg", k), exactness)
     n, low = len(geo), ref.sdim_low
     tau_check = sign * tau * geo.edge_jacobians
     u_edge = tau_check[..., None] * u[1]
@@ -524,8 +507,8 @@ def _hdg_coeffs(q, u, k: int, geo: ElementMap, tau, sign: int = 1, exactness=Non
 
 
 def _hdg_fields(q, u, k, emap, tau, sign, exactness, div_q=None):
+    ref, geo = _ref(ps.SpaceDescriptor("hdg", k), exactness), emap.rows(None)
     tau = check_stabilization(tau)
-    ref, geo = _hdg_ref(k, exactness), emap.rows(None)
     if div_q is not None:
         div_q = _at(div_q, geo.forward(ref.vol.points))
     q, u = _sample([q, u], geo, ref.vol, ref.edge)
@@ -554,7 +537,10 @@ def lift_normal_trace(mu, method: str, k: int, emap: ElementMap) -> LocalVectorF
     trace parametrization, or a (3, k+1) coefficient array in the physical
     orthonormal edge bases of this element.
     """
-    ref = _hdiv_ref(method, k)
+    space = ps.SpaceDescriptor(method, k)
+    if space.is_hdg:
+        raise UnsupportedDegree("unknown method 'hdg' for a normal-trace lifting (rt or bdm)")
+    ref = _ref(space)
     if not callable(mu):
         coeffs = np.asarray(mu, dtype=float)
         if coeffs.shape != (3, k + 1):
@@ -569,5 +555,4 @@ def lift_normal_trace(mu, method: str, k: int, emap: ElementMap) -> LocalVectorF
         raise InvalidProblemData("the trace to lift must be finite")
     trace = ref.edge_moments((emap.edge_jacobians[:, None] * vals)[None])[0]
     coeffs = ref.problem.solve(np.concatenate([np.zeros(ref.test_vb.dim), trace]))
-    space = "RT" if method == "rt" else "P"
-    return LocalVectorField(emap, space, k, coeffs)
+    return LocalVectorField(emap, space.flux_space, k, coeffs)

@@ -393,14 +393,14 @@ def hdg_projection_problem(k, tau, emap, sign=1, quad_exactness=None):
     dual-trace transform tau_check = |a| tau, so the reference projection
     reproduces the physical one exactly."""
     tau = pj.check_stabilization(tau)
-    M = hdg_matrices(pj._hdg_ref(k, quad_exactness), emap.rows(None), tau[None], sign)[0]
+    M = hdg_matrices(pj._ref(ps.SpaceDescriptor("hdg", k), quad_exactness), emap.rows(None), tau[None], sign)[0]
     return pj._factor("hdg", k, M)
 
 
 def reference_hdg_coeffs(q, u, k, geo, tau, sign=1, exactness=None):
     """HDG projection coefficients of stacked elements from the coupled
     (n, N, N) systems, each checked and solved as a whole by LU."""
-    ref = pj._hdg_ref(k, exactness)
+    ref = pj._ref(ps.SpaceDescriptor("hdg", k), exactness)
     problem = pj._factor("hdg", k, hdg_matrices(ref, geo, tau, sign))
     xq, xe = geo.forward(ref.vol.points), geo.edge_forward(ref.edge.points)
     trace = pj._dual_normal(geo, pj._at(q, xe)) + (sign * tau * geo.edge_jacobians)[..., None] * pj._at(u, xe)

@@ -113,7 +113,38 @@ def test_unknown_method_is_rejected():
     with pytest.raises(UnsupportedDegree, match="unknown method"):
         pj.lift_normal_trace(np.ones((3, 2)), "xx", 1, EM)
     with pytest.raises(UnsupportedDegree, match="unknown method"):
-        pj._hdiv_ref("hdg", 1)
+        pj.lift_normal_trace(np.ones((3, 2)), "hdg", 1, EM)
+
+
+ONES = lambda x: np.ones(len(x))
+ONES2 = lambda x: np.ones((len(x), 2))
+UNSUPPORTED = [("rt", 4), ("bdm", 0), ("hdg", 4), ("xx", 1)]
+# each entry point, and the method it projects onto (None: any)
+ENTRY_POINTS = [
+    ("SpaceDescriptor", None, lambda m, k: ps.SpaceDescriptor(m, k)),
+    ("rt_project", "rt", lambda m, k: pj.rt_project(ONES2, k, EM)),
+    ("bdm_project", "bdm", lambda m, k: pj.bdm_project(ONES2, k, EM)),
+    ("hdg_project", "hdg", lambda m, k: pj.hdg_project(ONES2, ONES, k, EM, np.ones(3))),
+    ("hdg_project_decoupled", "hdg", lambda m, k: pj.hdg_project_decoupled(ONES2, ONES, ONES, k, EM, np.ones(3))),
+    ("lift_normal_trace", None, lambda m, k: pj.lift_normal_trace(np.ones((3, k + 1)), m, k, EM)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, method, k",
+    [
+        pytest.param(call, m, k, id=f"{name}-{m}{k}")
+        for name, own, call in ENTRY_POINTS
+        for m, k in UNSUPPORTED
+        if own in (None, m)
+    ],
+)
+def test_unsupported_space_is_rejected_by_the_descriptor(call, method, k):
+    with pytest.raises(UnsupportedDegree) as want:
+        ps.SpaceDescriptor(method, k)
+    with pytest.raises(UnsupportedDegree) as got:
+        call(method, k)
+    assert str(got.value) == str(want.value)
 
 
 def _nan(x):
@@ -215,13 +246,8 @@ def test_bdm_fixes_full_space(k):
 def test_bdm_degree_one_is_pure_edge_moments():
     # dim P_1^2 = 6 equals the 6 edge equations; the system matrix has no
     # interior-moment rows
-    prob = pj._hdiv_ref("bdm", 1).problem
+    prob = pj._ref(ps.SpaceDescriptor("bdm", 1)).problem
     assert prob.matrix.shape == (6, 6)
-
-
-def test_bdm_rejects_k0():
-    with pytest.raises(UnsupportedDegree):
-        pj.bdm_project(lambda x: np.ones((len(x), 2)), 0, EM)
 
 
 def test_bdm_commutativity():
@@ -397,7 +423,7 @@ def test_hdg_stack_solve_matches_per_element_solve(k, tau, sign):
         mesh.vertices, (0.0, 1.0)
     )
     geo = Mesh(verts, mesh.triangles).geometry
-    M = hdg_matrices(pj._hdg_ref(k), geo, np.tile(tau, (len(geo), 1)), sign)
+    M = hdg_matrices(pj._ref(ps.SpaceDescriptor("hdg", k)), geo, np.tile(tau, (len(geo), 1)), sign)
     rhs = rng.standard_normal(M.shape[:2])
     got = pj._factor("hdg", k, M).solve(rhs)
     # each row of the stack gets the bits of its element's own checked inverse
@@ -408,7 +434,7 @@ def test_hdg_stack_solve_matches_per_element_solve(k, tau, sign):
 
 def assert_kernel_matches_coupled(geo, k, tau, sign):
     case = CASES["smooth"]
-    ref = pj._hdg_ref(k)
+    ref = pj._ref(ps.SpaceDescriptor("hdg", k))
     got = pj._hdg_coeffs(*pj._sample([case.q, case.u], geo, ref.vol, ref.edge), k, geo, tau, sign)
     want = reference_hdg_coeffs(case.q, case.u, k, geo, tau, sign)
     for g, w in zip(got, want):
@@ -579,9 +605,9 @@ def test_lifting_norm_bound_recorded():
 
 def test_unisolvence_condition_numbers():
     for k in range(4):
-        assert np.linalg.cond(pj._hdiv_ref("rt", k).problem.matrix) < 1e8
+        assert np.linalg.cond(pj._ref(ps.SpaceDescriptor("rt", k)).problem.matrix) < 1e8
         if k >= 1:
-            assert np.linalg.cond(pj._hdiv_ref("bdm", k).problem.matrix) < 1e8
+            assert np.linalg.cond(pj._ref(ps.SpaceDescriptor("bdm", k)).problem.matrix) < 1e8
         prob = hdg_projection_problem(k, np.ones(3), EM)
         assert np.linalg.cond(prob.matrix) < 1e8
 
