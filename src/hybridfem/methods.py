@@ -21,7 +21,9 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,8 +110,8 @@ _BLOCK_BYTES = 1 << 20  # per block of the bytes per element that each element p
 
 
 def _blocks(nt, bytes_per_element):
-    """Consecutive slices of the nt elements (or edges), each of
-    ``_BLOCK_BYTES`` at ``bytes_per_element`` (one element at least).
+    """Consecutive slices of the nt elements (or edges, or matrix slots),
+    each of ``_BLOCK_BYTES`` at ``bytes_per_element`` (one element at least).
     Every element pass runs over them: the reduction declares its element
     matrices, the quadrature passes :func:`_pass_bytes`.  A pass that sums
     over elements sums per block and then the block sums in element
@@ -133,12 +135,17 @@ def _pass_bytes(vol, erule):
 class LocalBlocks:
     """Element data of the three-field system, stacked over elements: the
     flux and reaction masses, the load and the Dirichlet data.  The edge
-    blocks exist only in :func:`_local_matrices`, per streamed block."""
+    blocks exist only in :func:`_local_matrices`, per streamed block.
+
+    The flux mass is symmetric, so ``A`` holds only its upper triangle: row
+    t packs the nq (nq + 1) / 2 entries (i, j), i <= j, of element t row by
+    row, in the order of ``np.triu_indices(nq)``.  :func:`_flux_mass`
+    unpacks it."""
 
     mesh: Mesh
     space: SpaceDescriptor
     data: ProblemData
-    A: np.ndarray          # (nt, nq, nq) weighted flux mass
+    A: np.ndarray          # (nt, nq (nq + 1) / 2) weighted flux mass, packed
     Bdiv: np.ndarray       # (nw, nq) reference divergence coupling, shared
     Mc: np.ndarray | None  # (nt, nw, nw) reaction mass, or None without reaction
     tau: np.ndarray | None # (nt, 3) or None
@@ -150,6 +157,34 @@ class LocalBlocks:
     def interior_dofs(self):
         """Multiplier dof ids on the interior edges, edge by edge."""
         return _edge_dofs(self.mesh.interior_edges, self.space.face_dim).ravel()
+
+
+@lru_cache(maxsize=None)
+def _packed_positions(nq):
+    """Position (nq, nq) of every entry of a flux mass in its packed row."""
+    i, j = np.triu_indices(nq)
+    at = np.empty((nq, nq), dtype=int)
+    at[i, j] = at[j, i] = np.arange(len(i))
+    at.setflags(write=False)  # shared by every caller
+    return at
+
+
+def _flux_mass(blocks: LocalBlocks, rows=slice(None)):
+    """The flux masses (nb, nq, nq) of the elements ``rows``, unpacked from
+    the upper triangles that ``blocks.A`` stores."""
+    return blocks.A[rows][:, _packed_positions(blocks.space.flux_dim)]
+
+
+def _packed_gram_table(V):
+    """Reference table (3 ng, nq (nq + 1) / 2) of the packed flux mass from
+    the basis values V (ng, nq, 2): at each point the products V_i^c V_j^d
+    for the metric entries (0, 0), (1, 1) and (0, 1), the last with (1, 0)
+    merged in, since the metric B^T B is symmetric."""
+    i, j = np.triu_indices(V.shape[1])
+    Vi, Vj = V[:, i], V[:, j]
+    products = [Vi[..., 0] * Vj[..., 0], Vi[..., 1] * Vj[..., 1],
+                Vi[..., 0] * Vj[..., 1] + Vi[..., 1] * Vj[..., 0]]
+    return np.stack(products, axis=1).reshape(-1, len(i))
 
 
 def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
@@ -198,9 +233,9 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     What = sb.eval(vol.points)        # (ng, nw)
     divhat = vb.div(vol.points)       # (ng, nq)
 
-    T = np.einsum("edc,edb->ecb", Bmat, Bmat)  # B^T B, (nt, 2, 2)
+    T = np.einsum("edc,edb->ecb", Bmat, Bmat)[:, [0, 1, 0], [0, 1, 1]]  # B^T B entries, (nt, 3)
     wk = vol.weights / (kap * detJ[:, None])
-    A = ps.weighted_gram(wk[:, :, None, None] * T[:, None], ps.gram_table(Vhat))
+    A = (wk[:, :, None] * T[:, None]).reshape(len(T), -1) @ _packed_gram_table(Vhat)
 
     Bdiv = np.einsum("g,gq,gi->iq", vol.weights, divhat, What)
 
@@ -332,7 +367,7 @@ def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
     C = (ReferenceTriangle.edge_lengths / np.sqrt(edge_len))[..., None, None] * sign[..., None] * Cref
     C = C.reshape(nb, 3 * nf, nq)
     L = np.zeros((nb, m + 3 * nf, m + 3 * nf))
-    L[:, :nq, :nq] = blocks.A[rows]
+    L[:, :nq, :nq] = _flux_mass(blocks, rows)
     L[:, :nq, nq:m] = -blocks.Bdiv.T
     L[:, :nq, m:] = C.transpose(0, 2, 1)
     L[:, nq:m, :nq] = blocks.Bdiv
@@ -351,14 +386,131 @@ def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
     return L
 
 
-def _scatter(local, dofs, N):
-    """Sum the stacked element matrices ``local`` (nt, n, n) into an N x N
-    CSR matrix, element t at rows and columns ``dofs[t]``."""
-    nt, n = dofs.shape
-    dofs = dofs.astype(np.int32 if N < 2**31 else np.int64)
-    rows = np.broadcast_to(dofs[:, :, None], (nt, n, n)).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], (nt, n, n)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(N, N)).tocsr()
+class _Pattern:
+    """Sparsity pattern of a system that :func:`_reduce` leaves, from the
+    element-edge incidence: each element couples the ko = kq + kw flux and
+    potential dofs it keeps with the multipliers of its interior edges.
+    Rows and columns number the kept flux dofs element by element, then the
+    kept potential dofs, then the interior multipliers edge by edge, in the
+    order of ``LocalBlocks.interior_dofs``.  The pattern is symmetric, so
+    (indptr, indices) are its CSR and its CSC arrays at once.  Boundary
+    multipliers have no row or column: ``dofs`` (nt, nl), the row of every
+    kept local dof (own dofs first, then the 3 nf multipliers), holds n for
+    them."""
+
+    def __init__(self, mesh: Mesh, kq, kw, nf):
+        nt, ni = mesh.num_triangles, len(mesh.interior_edges)
+        self.nt, ko, f = nt, kq + kw, np.arange(nf)
+        self.n = n = nt * ko + ni * nf
+        edges, el = mesh.tri_edges, np.arange(nt)[:, None]
+        inner = ~mesh.boundary[edges]
+        pos = np.full(mesh.num_edges, ni)
+        pos[mesh.interior_edges] = np.arange(ni)
+
+        # own rows hold the element's kept dofs; the rows of an interior
+        # edge those of both its elements, its own multipliers once
+        n_inner = inner.sum(axis=1)
+        own_len = ko + nf * n_inner
+        edge_len = 2 * ko + nf * (n_inner[mesh.edge_tris[mesh.interior_edges]].sum(axis=1) - 1)
+        lengths = np.concatenate([np.repeat(own_len, kq), np.repeat(own_len, kw), np.repeat(edge_len, nf)])
+        self.nnz = int(lengths.sum())
+        index = np.int32 if 2 * (self.nnz + n + 1) < 2**31 else np.int64  # two drop markers fit
+        self.indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(lengths, out=self.indptr[1:])
+
+        own = np.hstack([el * kq + np.arange(kq), nt * kq + el * kw + np.arange(kw)])
+        mult = np.repeat(inner, nf, axis=1)
+        epos = pos[edges]
+        mult_dofs = np.where(mult, (nt * ko + epos[..., None] * nf + f).reshape(nt, -1), n)
+        self.dofs = np.hstack([own, mult_dofs]).astype(index)
+
+        # Slot of local entry (a, b) of element t: the start of row a plus the
+        # offset of column b in it, which depends on the row's group (the own
+        # rows, or the rows of local edge l) and on b.  Columns are sorted:
+        # flux before potential dofs, the lower element first, and the
+        # multipliers by rank among the row's interior edges.  Dropped rows
+        # and columns carry -(nnz + 1), so their sums are negative.
+        drop = -(self.nnz + 1)
+        self.start = np.where(self.dofs < n, self.indptr[np.minimum(self.dofs, n - 1)], drop).astype(index)
+
+        def count(less):  # of the true entries along the last axis, of length 3
+            less = less.view(np.int8)
+            return (less[..., 0] + less[..., 1] + less[..., 2]).astype(index)
+
+        rank = count(epos[:, None, :] < epos[:, :, None])  # among the element's interior edges
+        owners = mesh.edge_tris[edges]
+        other = np.where(inner, owners[..., 0] + owners[..., 1] - el, el)
+        side = (other < el)[..., None]  # the neighbour across comes first
+        across = edges[other]  # the edges of the neighbour across each local edge
+        across = np.where(across == edges[:, :, None], ni, pos[across])
+        union_rank = rank[:, None, :] + count(across[:, :, None, :] < epos[:, None, :, None])  # among both's
+        off = np.empty((nt, 4, ko + 3 * nf), dtype=index)
+        off[:, 0, :ko] = np.arange(ko)
+        off[:, 0, ko:] = (ko + nf * rank[..., None] + f).reshape(nt, -1)
+        off[:, 1:, :ko] = np.concatenate([side * kq + np.arange(kq), 2 * kq + side * kw + np.arange(kw)], axis=2)
+        off[:, 1:, ko:] = (2 * ko + nf * union_rank[..., None] + f).reshape(nt, 3, -1)
+        off[:, :, ko:][~np.broadcast_to(mult[:, None], (nt, 4, 3 * nf))] = drop
+        self.offset = off
+        self.group = np.concatenate([np.zeros(ko, int), 1 + np.repeat(np.arange(3), nf)])
+
+        indices = np.empty(self.nnz + 1, dtype=index)
+        for rows in self._chunks():
+            indices[self.slots(rows)] = self.dofs[rows, None, :]
+        self.indices = indices[:-1]
+
+    def _chunks(self):
+        return _blocks(self.nt, 16 * self.dofs.shape[1] ** 2)
+
+    def slots(self, rows):
+        """Positions (nb, nl, nl) in the pattern's CSR arrays of the entries
+        of the kept element matrices of ``rows``; -1 where a boundary
+        multiplier drops the entry."""
+        slots = self.start[rows][:, :, None] + self.offset[rows][:, self.group]
+        return np.maximum(slots, -1, out=slots)
+
+    def transposed(self):
+        """Slot of the transposed entry (nnz,) for every slot."""
+        swap = np.empty(self.nnz + 1, dtype=self.indices.dtype)
+        for rows in self._chunks():
+            slots = self.slots(rows)
+            swap[slots] = slots.transpose(0, 2, 1)
+        return swap[:-1]
+
+    def matrix(self, data):
+        """The n x n CSC matrix of the slot values ``data``."""
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def _sum_complements(blocks: LocalBlocks, m):
+    """The work of :func:`_reduce`: returns (pattern, data, rhs, R) with
+    the summed system as the CSC slot values ``data`` of ``pattern``, exact
+    zeros still stored."""
+    nt, tri_edges = blocks.mesh.num_triangles, blocks.mesh.tri_edges
+    (nw, nq), nf = blocks.Bdiv.shape, blocks.space.face_dim
+    n = nq + nw + 3 * nf
+    nl = n - m
+    pattern = _Pattern(blocks.mesh, max(nq - m, 0), nq + nw - max(m, nq), nf)
+    data, rhs = np.zeros(pattern.nnz + 1), np.zeros(pattern.n + 1)
+    R = np.empty((nt, m, nl + 1))
+    for rows in _blocks(nt, 8 * n * n):
+        L = _local_matrices(blocks, rows)
+        nb = len(L)
+        load = np.zeros((nb, n))
+        load[:, nq : nq + nw] = blocks.F[rows]
+        rhs_m = np.concatenate([-L[:, :m, m:], load[:, :m, None]], axis=2)
+        try:
+            R[rows] = np.linalg.solve(L[:, :m, :m], rhs_m)
+        except np.linalg.LinAlgError as exc:
+            raise SingularLocalSolver("element solver is singular") from exc
+        LR = L[:, m:, :m] @ R[rows]
+        S = np.add(LR[:, :, :nl], L[:, m:, m:])
+        # the boundary multipliers are the Dirichlet values (gdir is zero elsewhere)
+        known = blocks.gdir[tri_edges[rows]].reshape(nb, -1)
+        local = load[:, m:] - LR[:, :, -1] - (S[:, :, nl - 3 * nf :] @ known[..., None])[..., 0]
+        # CSC slots: entry (a, b) of an element matrix sits at the CSR slot of (b, a)
+        np.add.at(data, pattern.slots(rows).transpose(0, 2, 1).ravel(), S.ravel())
+        np.add.at(rhs, pattern.dofs[rows].ravel(), local.ravel())
+    return pattern, data[:-1], rhs[:-1], R
 
 
 def _reduce(blocks: LocalBlocks, m):
@@ -368,44 +520,22 @@ def _reduce(blocks: LocalBlocks, m):
 
     Streams over the element blocks of :func:`_blocks`, counting the local
     matrices, with one batched solve per block.  The element dofs that are
-    left are numbered group by group (flux, then potential, element by element in
-    each) and the multipliers follow; the boundary multipliers are the
-    Dirichlet values ``gdir`` and move to the right-hand side.
+    left are numbered group by group (flux, then potential, element by
+    element in each) and the interior multipliers follow.  Each block's
+    Schur complements are added, in element order, straight into the data
+    of the CSC pattern of :class:`_Pattern`, and the boundary multipliers,
+    fixed to the Dirichlet values ``gdir``, move to the right-hand side
+    element by element; no (nt, nl, nl) stack and no COO copy is formed.
 
     Returns (A, rhs, R): the CSC system A x = rhs over the element dofs left
     and the interior multipliers, and R = L11^{-1} [-L12 | load] (nt, m,
     nl + 1), which rebuilds the eliminated dofs from the nl others."""
-    nt = blocks.mesh.num_triangles
-    (nw, nq), nf = blocks.Bdiv.shape, blocks.space.face_dim
-    n = nq + nw + 3 * nf
-    nl = n - m
-    R, S, load = np.empty((nt, m, nl + 1)), np.empty((nt, nl, nl)), np.zeros((nt, n))
-    load[:, nq : nq + nw] = blocks.F
-    for rows in _blocks(nt, 8 * n * n):
-        L = _local_matrices(blocks, rows)
-        rhs = np.concatenate([-L[:, :m, m:], load[rows, :m, None]], axis=2)
-        try:
-            R[rows] = np.linalg.solve(L[:, :m, :m], rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularLocalSolver("element solver is singular") from exc
-        LR = L[:, m:, :m] @ R[rows]
-        np.add(LR[:, :, :nl], L[:, m:, m:], out=S[rows])
-        load[rows, m:] -= LR[:, :, -1]
-
-    kq, kw = max(nq - m, 0), nq + nw - max(m, nq)  # flux, potential dofs left per element
-    nE, el = nt * (kq + kw), np.arange(nt)[:, None]
-    dofs = np.hstack([el * kq + np.arange(kq), nt * kq + el * kw + np.arange(kw),
-                      nE + _edge_dofs(blocks.mesh.tri_edges, nf).reshape(nt, -1)])
-    keep = np.concatenate([np.arange(nE), nE + blocks.interior_dofs])
-    known = np.concatenate([np.zeros(nE), blocks.gdir.ravel()])
-    H = _scatter(S, dofs, len(known))
-    del S  # before the row selection copies H
+    pattern, data, rhs, R = _sum_complements(blocks, m)
+    A = pattern.matrix(data)
     # Stored zeros (the empty blocks of RT/BDM, off-diagonal multiplier
     # entries) steer the LU ordering and would double its fill.
-    H.eliminate_zeros()
-    H = H[keep]
-    summed = np.bincount(dofs.ravel(), weights=load[:, m:].ravel(), minlength=len(known))
-    return H[:, keep].tocsc(), summed[keep] - H @ known, R
+    A.eliminate_zeros()
+    return A, rhs, R
 
 
 def _splu(K, what, order="MMD_AT_PLUS_A"):
@@ -432,32 +562,34 @@ def condensed_system(blocks: LocalBlocks):
     symmetrized as (K + K^T)/2: the element Schur complements are symmetric
     only up to round-off.  :func:`_reduce` eliminates flux and potential
     one element block at a time, never holding all element matrices at
-    once; K is the negated sum of the element complements.
+    once; K is the negated sum of the element complements, symmetrized
+    through the transposed slots of its pattern.
 
     Returns (K, rhs, lam_full, interior, X, Y): ``lam_full`` holds the
     Dirichlet values on boundary dofs and zeros elsewhere, ``interior`` the
     interior dof ids, and (X, Y) the local reconstruction operators
     [q; u]_K = X_K lam_K + Y_K.
     """
-    A, rhs, R = _reduce(blocks, blocks.space.flux_dim + blocks.space.scalar_dim)
-    K = ((A + A.T) * -0.5).tocsc()
-    return K, -rhs, blocks.gdir.ravel().copy(), blocks.interior_dofs, R[:, :, :-1], R[:, :, -1]
+    lam_full = blocks.gdir.ravel().copy()  # outlives the reduction, so allocated before it
+    pattern, data, rhs, R = _sum_complements(blocks, blocks.space.flux_dim + blocks.space.scalar_dim)
+    # K = -(H + H^T) / 2 in place, since a second array of K's size would
+    # raise the solve's peak: the first slot p <= q of each transposed pair
+    # (p, q) writes both
+    swap = pattern.transposed()
+    for chunk in _blocks(pattern.nnz, 40):
+        q = swap[chunk]
+        p = np.arange(chunk.start, chunk.start + len(q))
+        first = p <= q
+        p, q = p[first], q[first]
+        data[p] = data[q] = (data[p] + data[q]) * -0.5
+    K = pattern.matrix(data)
+    K.eliminate_zeros()
+    return K, -rhs, lam_full, blocks.interior_dofs, R[:, :, :-1], R[:, :, -1]
 
 
 _OMEGA = 0.6        # < 2/3 keeps M SPD: three edges per element give lambda_max(D^-1 K) <= 3
 _PCG_RTOL = 1e-15   # stop once ||rhs - K lam|| <= _PCG_RTOL ||rhs||
 _PCG_MAXITER = 200  # shape-regular meshes take 19-42 iterations, 10:1 stretched ones ~150
-
-
-def _edge_blocks(K, nf):
-    """The nf x nf diagonal blocks of the CSC matrix K, one per interior
-    edge, (m, nf, nf)."""
-    cols = np.repeat(np.arange(K.shape[1]), np.diff(K.indptr))
-    rows = K.indices
-    same = rows // nf == cols // nf
-    D = np.zeros((K.shape[0] // nf, nf, nf))
-    D[cols[same] // nf, rows[same] % nf, cols[same] % nf] = K.data[same]
-    return D
 
 
 def _coarse_space(mesh: Mesh, nf):
@@ -488,9 +620,13 @@ def _coarse_space(mesh: Mesh, nf):
 def _two_level(K, mesh: Mesh, nf):
     """Symmetric two-level preconditioner of K: a damped edge-block Jacobi
     sweep, the Galerkin correction in the P1 hats of the interior vertices
-    (P^T K P factored by :func:`_splu`), and a second sweep."""
+    (P^T K P factored by :func:`_splu`), and a second sweep.  The edge
+    blocks are read from K entry by entry, a search in each sorted column,
+    not by a pass over all its nonzeros."""
+    dofs = _edge_dofs(np.arange(K.shape[0] // nf), nf)
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
     try:
-        Dinv = _OMEGA * np.linalg.inv(_edge_blocks(K, nf))
+        Dinv = _OMEGA * np.linalg.inv(np.asarray(K[rows.ravel(), cols.ravel()]).reshape(rows.shape))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("condensed system has a singular edge block") from exc
     m = len(Dinv)
@@ -546,7 +682,11 @@ class SolveInfo:
     iteration count, the final relative residual ||K lam - rhs|| / ||rhs||,
     the normwise backward error ||K lam - rhs||_inf / (||K||_inf
     ||lam||_inf + ||rhs||_inf), and whether PCG passed its cap and K was
-    factored instead."""
+    factored instead.  The wall times, in seconds, of its phases close the
+    record and take no part in comparisons: forming K (``condense_s``), the
+    preconditioner (``precondition_s``), the iteration with its residual
+    checks and any fallback factorization (``iterate_s``), and the local
+    reconstruction of flux and potential (``reconstruct_s``)."""
 
     n: int
     nnz: int
@@ -554,6 +694,10 @@ class SolveInfo:
     residual: float
     backward_error: float = 0.0
     lu_fallback: bool = False
+    condense_s: float = field(default=0.0, compare=False)
+    precondition_s: float = field(default=0.0, compare=False)
+    iterate_s: float = field(default=0.0, compare=False)
+    reconstruct_s: float = field(default=0.0, compare=False)
 
 
 def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
@@ -565,17 +709,23 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
     below 1e-15 of the right-hand side.  A solve that does not get there
     within ``_PCG_MAXITER`` iterations (elements stretched far from
     shape-regular) factors K by :func:`_splu` instead.  The triple's
-    ``solve_info`` records the solve."""
+    ``solve_info`` records the solve and times its phases."""
+    t0 = time.perf_counter()
+    # the output is allocated before the reduction's temporaries, so that
+    # it does not keep the heap they free from returning to the system
+    qu = np.empty((blocks.mesh.num_triangles, blocks.space.flux_dim + blocks.space.scalar_dim))
     K, rhs, lam_full, interior, X, Y = condensed_system(blocks)
     nf = blocks.space.face_dim
     if not (np.isfinite(K.data).all() and np.isfinite(rhs).all()):
         raise SingularSystem("condensed system is not finite")
+    t1 = t2 = t3 = time.perf_counter()
     iterations, residual, backward_error, lu_fallback = 0, 0.0, 0.0, False
     if len(interior):
         # K is exactly symmetric, so its largest row sum is its largest
         # column sum; taken before the preconditioner and the iterates exist
         K_inf = np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max()
         M = _two_level(K, blocks.mesh, nf)
+        t2 = time.perf_counter()
         lam, iterations = _pcg(K, rhs, M)
         if lam is None:
             lam, lu_fallback = _splu(K, "condensed system").solve(rhs), True
@@ -584,9 +734,12 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
         scale = K_inf * np.abs(lam).max() + np.abs(rhs).max()
         backward_error = float(np.abs(res).max() / scale) if scale else 0.0
         lam_full[interior] = lam
-    qu = np.einsum("eij,ej->ei", X, lam_full[_edge_dofs(blocks.mesh.tri_edges, nf)].reshape(len(X), -1)) + Y
+        t3 = time.perf_counter()
+    np.einsum("eij,ej->ei", X, lam_full[_edge_dofs(blocks.mesh.tri_edges, nf)].reshape(len(X), -1), out=qu)
+    qu += Y
     nq = blocks.space.flux_dim
-    info = SolveInfo(len(interior), K.nnz, iterations, residual, backward_error, lu_fallback)
+    info = SolveInfo(len(interior), K.nnz, iterations, residual, backward_error, lu_fallback,
+                     t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3)
     return _solved_triple(blocks, "condensed system", qu[:, :nq], qu[:, nq:], lam_full, info)
 
 

@@ -146,13 +146,14 @@ def reference_saddle_matrix(blocks):
     nQ, nW = mesh.num_triangles * nq, mesh.num_triangles * nw
     face_pos, interior = _interior_positions(blocks)
     C, D, Swl = element_blocks(blocks)
+    A = methods._flux_mass(blocks)
     N = nQ + nW + len(interior)
     trip = _Triplets()
     rhs = np.zeros(N)
     for t in range(mesh.num_triangles):
         qs = np.arange(t * nq, (t + 1) * nq)
         us = nQ + np.arange(t * nw, (t + 1) * nw)
-        trip.add(qs, qs, blocks.A[t])
+        trip.add(qs, qs, A[t])
         trip.add(qs, us, -blocks.Bdiv.T)
         trip.add(us, qs, blocks.Bdiv)
         trip.add(us, us, D[t])
@@ -192,11 +193,12 @@ def reference_dirichlet_pieces(blocks):
     nQ, nW = nt * nq, nt * nw
     face_pos, interior = _interior_positions(blocks)
     C, D_elem, Swl = element_blocks(blocks)
+    A = methods._flux_mass(blocks)
     N = nQ + len(interior)
     trip = _Triplets()
     for t in range(nt):
         qs = np.arange(t * nq, (t + 1) * nq)
-        trip.add(qs, qs, blocks.A[t])
+        trip.add(qs, qs, A[t])
         for loc in range(3):
             pos = _edge_positions(face_pos, mesh.tri_edges[t, loc], nf)
             if pos[0] < 0:

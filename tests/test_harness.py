@@ -177,7 +177,8 @@ def test_report_solver_blocks(small_report):
     data = json.loads((out / "rt_k0_smooth.json").read_text())
     for row in data["levels"]:
         solver = row["solver"]
-        assert set(solver) == {"n", "nnz", "iterations", "residual", "backward_error", "lu_fallback"}
+        assert set(solver) == {"n", "nnz", "iterations", "residual", "backward_error", "lu_fallback",
+                               "condense_s", "precondition_s", "iterate_s", "reconstruct_s"}
         assert solver["lu_fallback"] is False
         assert solver["n"] == row["dofs"]["condensed"]
         assert solver["nnz"] > solver["n"]
