@@ -110,7 +110,7 @@ _BLOCK_BYTES = 1 << 20  # per block of the bytes per element that each element p
 
 
 def _blocks(nt, bytes_per_element):
-    """Consecutive slices of the nt elements (or edges, or matrix slots),
+    """Consecutive slices of the nt elements (or edges),
     each of ``_BLOCK_BYTES`` at ``bytes_per_element`` (one element at least).
     Every element pass runs over them: the reduction declares its element
     matrices, the quadrature passes :func:`_pass_bytes`.  A pass that sums
@@ -393,14 +393,14 @@ class _Pattern:
     Rows and columns number the kept flux dofs element by element, then the
     kept potential dofs, then the interior multipliers edge by edge, in the
     order of ``LocalBlocks.interior_dofs``.  The pattern is symmetric, so
-    (indptr, indices) are its CSR and its CSC arrays at once.  Boundary
-    multipliers have no row or column: ``dofs`` (nt, nl), the row of every
-    kept local dof (own dofs first, then the 3 nf multipliers), holds n for
-    them."""
+    (indptr, indices) are its CSR and its CSC arrays at once; a matrix on it
+    is symmetric when its element terms are.  Boundary multipliers have no
+    row or column: ``dofs`` (nt, nl), the row of every kept local dof (own
+    dofs first, then the 3 nf multipliers), holds n for them."""
 
     def __init__(self, mesh: Mesh, kq, kw, nf):
         nt, ni = mesh.num_triangles, len(mesh.interior_edges)
-        self.nt, ko, f = nt, kq + kw, np.arange(nf)
+        ko, f = kq + kw, np.arange(nf)
         self.n = n = nt * ko + ni * nf
         edges, el = mesh.tri_edges, np.arange(nt)[:, None]
         inner = ~mesh.boundary[edges]
@@ -454,12 +454,9 @@ class _Pattern:
         self.group = np.concatenate([np.zeros(ko, int), 1 + np.repeat(np.arange(3), nf)])
 
         indices = np.empty(self.nnz + 1, dtype=index)
-        for rows in self._chunks():
+        for rows in _blocks(nt, 16 * self.dofs.shape[1] ** 2):
             indices[self.slots(rows)] = self.dofs[rows, None, :]
         self.indices = indices[:-1]
-
-    def _chunks(self):
-        return _blocks(self.nt, 16 * self.dofs.shape[1] ** 2)
 
     def slots(self, rows):
         """Positions (nb, nl, nl) in the pattern's CSR arrays of the entries
@@ -468,23 +465,13 @@ class _Pattern:
         slots = self.start[rows][:, :, None] + self.offset[rows][:, self.group]
         return np.maximum(slots, -1, out=slots)
 
-    def transposed(self):
-        """Slot of the transposed entry (nnz,) for every slot."""
-        swap = np.empty(self.nnz + 1, dtype=self.indices.dtype)
-        for rows in self._chunks():
-            slots = self.slots(rows)
-            swap[slots] = slots.transpose(0, 2, 1)
-        return swap[:-1]
 
-    def matrix(self, data):
-        """The n x n CSC matrix of the slot values ``data``."""
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-
-
-def _sum_complements(blocks: LocalBlocks, m):
-    """The work of :func:`_reduce`: returns (pattern, data, rhs, R) with
-    the summed system as the CSC slot values ``data`` of ``pattern``, exact
-    zeros still stored."""
+def _sum_complements(blocks: LocalBlocks, m, symmetrize=False):
+    """The work of :func:`_reduce`: returns (A, rhs, R, defect), the summed
+    CSC system A with its exact zeros still stored.  With ``symmetrize``
+    (the condensed system) each element complement S is added as -(S +
+    S^T)/2, so that the sum is exactly symmetric, and ``defect`` is the
+    largest ||S - S^T||_F / ||S||_F (else 0); rhs and R come from S."""
     nt, tri_edges = blocks.mesh.num_triangles, blocks.mesh.tri_edges
     (nw, nq), nf = blocks.Bdiv.shape, blocks.space.face_dim
     n = nq + nw + 3 * nf
@@ -492,6 +479,7 @@ def _sum_complements(blocks: LocalBlocks, m):
     pattern = _Pattern(blocks.mesh, max(nq - m, 0), nq + nw - max(m, nq), nf)
     data, rhs = np.zeros(pattern.nnz + 1), np.zeros(pattern.n + 1)
     R = np.empty((nt, m, nl + 1))
+    defect = 0.0
     for rows in _blocks(nt, 8 * n * n):
         L = _local_matrices(blocks, rows)
         nb = len(L)
@@ -507,10 +495,15 @@ def _sum_complements(blocks: LocalBlocks, m):
         # the boundary multipliers are the Dirichlet values (gdir is zero elsewhere)
         known = blocks.gdir[tri_edges[rows]].reshape(nb, -1)
         local = load[:, m:] - LR[:, :, -1] - (S[:, :, nl - 3 * nf :] @ known[..., None])[..., 0]
+        if symmetrize:
+            St = S.transpose(0, 2, 1)
+            defect = max(defect, float((np.linalg.norm(S - St, axis=(1, 2)) / np.linalg.norm(S, axis=(1, 2))).max()))
+            S = (S + St) * -0.5
         # CSC slots: entry (a, b) of an element matrix sits at the CSR slot of (b, a)
         np.add.at(data, pattern.slots(rows).transpose(0, 2, 1).ravel(), S.ravel())
         np.add.at(rhs, pattern.dofs[rows].ravel(), local.ravel())
-    return pattern, data[:-1], rhs[:-1], R
+    A = sp.csc_matrix((data[:-1], pattern.indices, pattern.indptr), shape=(pattern.n, pattern.n))
+    return A, rhs[:-1], R, defect
 
 
 def _reduce(blocks: LocalBlocks, m):
@@ -530,10 +523,19 @@ def _reduce(blocks: LocalBlocks, m):
     Returns (A, rhs, R): the CSC system A x = rhs over the element dofs left
     and the interior multipliers, and R = L11^{-1} [-L12 | load] (nt, m,
     nl + 1), which rebuilds the eliminated dofs from the nl others."""
-    pattern, data, rhs, R = _sum_complements(blocks, m)
-    A = pattern.matrix(data)
+    A, rhs, R, _ = _sum_complements(blocks, m)
     # Stored zeros (the empty blocks of RT/BDM, off-diagonal multiplier
-    # entries) steer the LU ordering and would double its fill.
+    # entries) steer the LU ordering and would double its fill.  What cancels
+    # in exact arithmetic is 0 or round-off (up to about 50 eps of the row and
+    # column scale) as the last bits fall, so every entry below 128 eps times
+    # the geometric mean of its row's and column's largest magnitudes goes.
+    # The systems are symmetric in magnitude, so the largest magnitude of a
+    # column (each holds its diagonal slot) is that of its row as well.
+    big = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1])
+    A.eliminate_zeros()
+    limit = np.repeat(big * (128 * np.finfo(float).eps) ** 2, np.diff(A.indptr))
+    limit *= big[A.indices]
+    A.data[A.data**2 <= limit] = 0.0
     A.eliminate_zeros()
     return A, rhs, R
 
@@ -558,33 +560,28 @@ def _splu(K, what, order="MMD_AT_PLUS_A"):
 
 
 def condensed_system(blocks: LocalBlocks):
-    """Statically condensed SPD system on the interior multiplier dofs, with K
-    symmetrized as (K + K^T)/2: the element Schur complements are symmetric
-    only up to round-off.  :func:`_reduce` eliminates flux and potential
-    one element block at a time, never holding all element matrices at
-    once; K is the negated sum of the element complements, symmetrized
-    through the transposed slots of its pattern.
+    """Statically condensed SPD system on the interior multiplier dofs.
+    :func:`_sum_complements` eliminates flux and potential one element
+    block at a time, never holding all element matrices at once, and adds
+    each element's Schur complement H_e as its negated symmetric part
+    -(H_e + H_e^T)/2: H_e is symmetric only up to round-off, and K, the sum
+    of these terms in element order, is exactly symmetric.
 
-    Returns (K, rhs, lam_full, interior, X, Y): ``lam_full`` holds the
-    Dirichlet values on boundary dofs and zeros elsewhere, ``interior`` the
-    interior dof ids, and (X, Y) the local reconstruction operators
-    [q; u]_K = X_K lam_K + Y_K.
+    Returns (K, rhs, lam_full, interior, X, Y): K in CSC, ``lam_full``
+    holds the Dirichlet values on boundary dofs and zeros elsewhere,
+    ``interior`` the interior dof ids, and (X, Y) the local reconstruction
+    operators [q; u]_K = X_K lam_K + Y_K.
     """
+    return _condense(blocks)[:-1]
+
+
+def _condense(blocks: LocalBlocks):
+    """:func:`condensed_system` and the largest symmetry defect
+    ||H_e - H_e^T||_F / ||H_e||_F of its element complements."""
     lam_full = blocks.gdir.ravel().copy()  # outlives the reduction, so allocated before it
-    pattern, data, rhs, R = _sum_complements(blocks, blocks.space.flux_dim + blocks.space.scalar_dim)
-    # K = -(H + H^T) / 2 in place, since a second array of K's size would
-    # raise the solve's peak: the first slot p <= q of each transposed pair
-    # (p, q) writes both
-    swap = pattern.transposed()
-    for chunk in _blocks(pattern.nnz, 40):
-        q = swap[chunk]
-        p = np.arange(chunk.start, chunk.start + len(q))
-        first = p <= q
-        p, q = p[first], q[first]
-        data[p] = data[q] = (data[p] + data[q]) * -0.5
-    K = pattern.matrix(data)
+    K, rhs, R, defect = _sum_complements(blocks, blocks.space.flux_dim + blocks.space.scalar_dim, symmetrize=True)
     K.eliminate_zeros()
-    return K, -rhs, lam_full, blocks.interior_dofs, R[:, :, :-1], R[:, :, -1]
+    return K, -rhs, lam_full, blocks.interior_dofs, R[:, :, :-1], R[:, :, -1], defect
 
 
 _OMEGA = 0.6        # < 2/3 keeps M SPD: three edges per element give lambda_max(D^-1 K) <= 3
@@ -621,8 +618,8 @@ def _two_level(K, mesh: Mesh, nf):
     """Symmetric two-level preconditioner of K: a damped edge-block Jacobi
     sweep, the Galerkin correction in the P1 hats of the interior vertices
     (P^T K P factored by :func:`_splu`), and a second sweep.  The edge
-    blocks are read from K entry by entry, a search in each sorted column,
-    not by a pass over all its nonzeros."""
+    blocks are read from K entry by entry, a search in each sorted row of
+    its CSR arrays, not by a pass over all its nonzeros."""
     dofs = _edge_dofs(np.arange(K.shape[0] // nf), nf)
     rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
     try:
@@ -681,12 +678,13 @@ class SolveInfo:
     """Facts of one condensed solve: the size n and nonzeros of K, the PCG
     iteration count, the final relative residual ||K lam - rhs|| / ||rhs||,
     the normwise backward error ||K lam - rhs||_inf / (||K||_inf
-    ||lam||_inf + ||rhs||_inf), and whether PCG passed its cap and K was
-    factored instead.  The wall times, in seconds, of its phases close the
-    record and take no part in comparisons: forming K (``condense_s``), the
-    preconditioner (``precondition_s``), the iteration with its residual
-    checks and any fallback factorization (``iterate_s``), and the local
-    reconstruction of flux and potential (``reconstruct_s``)."""
+    ||lam||_inf + ||rhs||_inf), whether PCG passed its cap and K was
+    factored instead, and the symmetry defect of :func:`_condense` (0, as
+    the others, without interior dofs).  The wall times, in seconds, of its
+    phases close the record and take no part in comparisons: forming K
+    (``condense_s``), the preconditioner (``precondition_s``), the
+    iteration with its residual checks and any fallback factorization
+    (``iterate_s``), and the local reconstruction (``reconstruct_s``)."""
 
     n: int
     nnz: int
@@ -694,6 +692,7 @@ class SolveInfo:
     residual: float
     backward_error: float = 0.0
     lu_fallback: bool = False
+    symmetry_defect: float = 0.0
     condense_s: float = field(default=0.0, compare=False)
     precondition_s: float = field(default=0.0, compare=False)
     iterate_s: float = field(default=0.0, compare=False)
@@ -708,14 +707,15 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
     preconditioner of :func:`_two_level`, from zero, until the residual is
     below 1e-15 of the right-hand side.  A solve that does not get there
     within ``_PCG_MAXITER`` iterations (elements stretched far from
-    shape-regular) factors K by :func:`_splu` instead.  The triple's
-    ``solve_info`` records the solve and times its phases."""
+    shape-regular) factors K by :func:`_splu` instead.  K is exactly
+    symmetric, so the iteration runs on its faster CSR view K^T.  The
+    triple's ``solve_info`` records the solve and times its phases."""
     t0 = time.perf_counter()
     # the output is allocated before the reduction's temporaries, so that
     # it does not keep the heap they free from returning to the system
     qu = np.empty((blocks.mesh.num_triangles, blocks.space.flux_dim + blocks.space.scalar_dim))
-    K, rhs, lam_full, interior, X, Y = condensed_system(blocks)
-    nf = blocks.space.face_dim
+    K, rhs, lam_full, interior, X, Y, defect = _condense(blocks)
+    K, nf = K.T, blocks.space.face_dim
     if not (np.isfinite(K.data).all() and np.isfinite(rhs).all()):
         raise SingularSystem("condensed system is not finite")
     t1 = t2 = t3 = time.perf_counter()
@@ -728,7 +728,7 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
         t2 = time.perf_counter()
         lam, iterations = _pcg(K, rhs, M)
         if lam is None:
-            lam, lu_fallback = _splu(K, "condensed system").solve(rhs), True
+            lam, lu_fallback = _splu(K.T, "condensed system").solve(rhs), True
         res, scale = K @ lam - rhs, _dot(rhs, rhs)
         residual = float(np.sqrt(_dot(res, res) / scale)) if scale else 0.0
         scale = K_inf * np.abs(lam).max() + np.abs(rhs).max()
@@ -739,7 +739,7 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
     qu += Y
     nq = blocks.space.flux_dim
     info = SolveInfo(len(interior), K.nnz, iterations, residual, backward_error, lu_fallback,
-                     t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3)
+                     defect if len(interior) else 0.0, t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3)
     return _solved_triple(blocks, "condensed system", qu[:, :nq], qu[:, nq:], lam_full, info)
 
 
@@ -755,34 +755,33 @@ def _solved_triple(blocks: LocalBlocks, what, q, u, lam_full, solve_info=None) -
 
 
 def _saddle_order(blocks: LocalBlocks):
-    """Elimination order of the saddle system: element by element its flux
-    dofs, then its potential dofs; then the interior multipliers, the nf
-    dofs of an edge together, edges in the minimum-degree order of the
-    graph in which two interior edges are adjacent when they share an
-    element."""
+    """Elimination order of the saddle system: the element dofs in the
+    numbering of :func:`_reduce`, all flux dofs, then all potential dofs;
+    then the interior multipliers, the nf dofs of an edge together, edges
+    in the minimum-degree order of the graph in which two interior edges
+    are adjacent when they share an element."""
     mesh, space = blocks.mesh, blocks.space
-    nt = mesh.num_triangles
-    nQ, nW = nt * space.flux_dim, nt * space.scalar_dim
-    elements = np.hstack([np.arange(nQ).reshape(nt, -1), nQ + np.arange(nW).reshape(nt, -1)])
-    m = len(mesh.interior_edges)
-    edges = np.arange(m)
+    nt, m = mesh.num_triangles, len(mesh.interior_edges)
+    edges, own = np.arange(m), nt * (space.flux_dim + space.scalar_dim)
     if m:
         incidence = (np.ones(3 * nt), (np.repeat(np.arange(nt), 3), mesh.tri_edges.ravel()))
         E = sp.csr_matrix(incidence, shape=(nt, mesh.num_edges))[:, mesh.interior_edges]
         # E^T E + I is SPD with the pattern of the edge graph; the factor's
         # perm_c gives each edge its position, so the order is its argsort
         edges = np.argsort(_splu((E.T @ E + sp.identity(m)).tocsc(), "edge graph").perm_c)
-    return np.concatenate([elements.ravel(), nQ + nW + _edge_dofs(edges, space.face_dim).ravel()])
+    return np.concatenate([np.arange(own), own + _edge_dofs(edges, space.face_dim).ravel()])
 
 
 def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
     """Direct solve of the full three-field system (cross-check path).
 
     One :func:`_splu` factorization, in natural order, of the system
-    permuted to the order of :func:`_saddle_order`: each element's flux,
-    then its potential, then the interior multipliers.  Every pivot block
-    in that order is definite.  The flux mass A is SPD; what the flux
-    leaves on the potential, D + B A^{-1} B^T, is SPD for every supported
+    permuted to the order of :func:`_saddle_order`: every flux dof, then
+    every potential dof, then the interior multipliers.  Every pivot block
+    in that order is definite.  The flux dofs of different elements are not
+    coupled, so each flux pivot lies in an element's flux mass A, which is
+    SPD; what the flux leaves on the potential is block diagonal too, with
+    the element Schur complements D + B A^{-1} B^T, SPD for every supported
     space (BDM has D = 0, HDG with single-face tau a semidefinite D); and
     the multiplier block that remains is -K, with K the SPD condensed
     matrix.  So the factorization is as stable as static condensation.
@@ -803,8 +802,8 @@ def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
 
 
 def system_residual(blocks: LocalBlocks, triple: FieldTriple) -> float:
-    """Max-norm residual of all equation groups, relative to the load."""
-    A, rhs, _ = _reduce(blocks, 0)
+    """Max-norm residual of all equation groups of the summed saddle system, relative to the load."""
+    A, rhs, _, _ = _sum_complements(blocks, 0)
     lam = triple.lam.ravel()[blocks.interior_dofs]
     sol = np.concatenate([triple.q_coeffs.ravel(), triple.u_coeffs.ravel(), lam])
     res = A @ sol - rhs

@@ -177,6 +177,26 @@ def reference_saddle_matrix(blocks):
     return trip.matrix(N), rhs
 
 
+def reference_condensed_matrix(blocks):
+    """Condensed matrix, dense: the flux and potential of each of the
+    library's element matrices eliminated on its own, and the symmetric part
+    -(H + H^T)/2 of its complement H on the multipliers summed over the
+    elements in element order."""
+    space, mesh = blocks.space, blocks.mesh
+    m, nf = space.flux_dim + space.scalar_dim, space.face_dim
+    face_pos, interior = _interior_positions(blocks)
+    K = np.zeros((len(interior), len(interior)))
+    for t, L in enumerate(methods._local_matrices(blocks)[:, None]):
+        load = np.zeros((1, m, 1))
+        load[0, space.flux_dim :, 0] = blocks.F[t]
+        R = np.linalg.solve(L[:, :m, :m], np.concatenate([-L[:, :m, m:], load], axis=2))
+        H = ((L[:, m:, :m] @ R)[:, :, :-1] + L[:, m:, m:])[0]
+        pos = np.concatenate([_edge_positions(face_pos, e, nf) for e in mesh.tri_edges[t]])
+        kept = pos >= 0
+        K[np.ix_(pos[kept], pos[kept])] += ((H + H.T) * -0.5)[np.ix_(kept, kept)]
+    return K
+
+
 def reference_saddle_solve(A, rhs):
     """Solution of the saddle system by SuperLU with its default COLAMD
     column order and partial pivoting (the library's former solve)."""

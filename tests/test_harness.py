@@ -178,12 +178,14 @@ def test_report_solver_blocks(small_report):
     for row in data["levels"]:
         solver = row["solver"]
         assert set(solver) == {"n", "nnz", "iterations", "residual", "backward_error", "lu_fallback",
-                               "condense_s", "precondition_s", "iterate_s", "reconstruct_s"}
+                               "symmetry_defect", "condense_s", "precondition_s", "iterate_s",
+                               "reconstruct_s"}
         assert solver["lu_fallback"] is False
         assert solver["n"] == row["dofs"]["condensed"]
         assert solver["nnz"] > solver["n"]
         assert 0 < solver["iterations"] <= 35
         assert 0.0 <= solver["residual"] < 1e-13
+        assert 0.0 <= solver["symmetry_defect"] < 1e-12
     assert "iterations" not in (out / "rt_k0_smooth.csv").read_text()
 
 
