@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,17 +136,19 @@ class LocalBlocks:
     flux and reaction masses, the load and the Dirichlet data.  The edge
     blocks exist only in :func:`_local_matrices`, per streamed block.
 
-    The flux mass is symmetric, so ``A`` holds only its upper triangle: row
-    t packs the nq (nq + 1) / 2 entries (i, j), i <= j, of element t row by
-    row, in the order of ``np.triu_indices(nq)``.  :func:`_flux_mass`
-    unpacks it."""
+    Both masses are symmetric, so ``A`` and ``Mc`` hold only their upper
+    triangles, formed by ``ps.packed_gram_table``: row t packs the
+    n (n + 1) / 2 entries (i, j), i <= j, of element t row by row, in the
+    order of ``np.triu_indices(n)``.  :func:`_flux_mass` unpacks ``A`` and
+    :func:`_local_matrices` unpacks ``Mc``, per block, by
+    ``ps.packed_positions``."""
 
     mesh: Mesh
     space: SpaceDescriptor
     data: ProblemData
     A: np.ndarray          # (nt, nq (nq + 1) / 2) weighted flux mass, packed
     Bdiv: np.ndarray       # (nw, nq) reference divergence coupling, shared
-    Mc: np.ndarray | None  # (nt, nw, nw) reaction mass, or None without reaction
+    Mc: np.ndarray | None  # (nt, nw (nw + 1) / 2) reaction mass, packed, or None without reaction
     tau: np.ndarray | None # (nt, 3) or None
     quad_exactness: int    # exactness of the data rule the load was integrated with
     F: np.ndarray          # (nt, nw) load
@@ -159,32 +160,10 @@ class LocalBlocks:
         return _edge_dofs(self.mesh.interior_edges, self.space.face_dim).ravel()
 
 
-@lru_cache(maxsize=None)
-def _packed_positions(nq):
-    """Position (nq, nq) of every entry of a flux mass in its packed row."""
-    i, j = np.triu_indices(nq)
-    at = np.empty((nq, nq), dtype=int)
-    at[i, j] = at[j, i] = np.arange(len(i))
-    at.setflags(write=False)  # shared by every caller
-    return at
-
-
 def _flux_mass(blocks: LocalBlocks, rows=slice(None)):
-    """The flux masses (nb, nq, nq) of the elements ``rows``, unpacked from
-    the upper triangles that ``blocks.A`` stores."""
-    return blocks.A[rows][:, _packed_positions(blocks.space.flux_dim)]
-
-
-def _packed_gram_table(V):
-    """Reference table (3 ng, nq (nq + 1) / 2) of the packed flux mass from
-    the basis values V (ng, nq, 2): at each point the products V_i^c V_j^d
-    for the metric entries (0, 0), (1, 1) and (0, 1), the last with (1, 0)
-    merged in, since the metric B^T B is symmetric."""
-    i, j = np.triu_indices(V.shape[1])
-    Vi, Vj = V[:, i], V[:, j]
-    products = [Vi[..., 0] * Vj[..., 0], Vi[..., 1] * Vj[..., 1],
-                Vi[..., 0] * Vj[..., 1] + Vi[..., 1] * Vj[..., 0]]
-    return np.stack(products, axis=1).reshape(-1, len(i))
+    """The flux masses (nb, nq, nq) of the elements ``rows``, unpacked by
+    ``ps.packed_positions`` from the upper triangles in ``blocks.A``."""
+    return blocks.A[rows][:, ps.packed_positions(blocks.space.flux_dim)]
 
 
 def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
@@ -235,7 +214,7 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
 
     T = np.einsum("edc,edb->ecb", Bmat, Bmat)[:, [0, 1, 0], [0, 1, 1]]  # B^T B entries, (nt, 3)
     wk = vol.weights / (kap * detJ[:, None])
-    A = (wk[:, :, None] * T[:, None]).reshape(len(T), -1) @ _packed_gram_table(Vhat)
+    A = (wk[:, :, None] * T[:, None]).reshape(len(T), -1) @ ps.packed_gram_table(Vhat)
 
     Bdiv = np.einsum("g,gq,gi->iq", vol.weights, divhat, What)
 
@@ -243,8 +222,7 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
 
     Mc = None
     if cvals is not None:
-        Mc = ps.weighted_gram((vol.weights * cvals * detJ[:, None])[:, :, None, None],
-                              ps.gram_table(What[:, :, None]))
+        Mc = (vol.weights * cvals * detJ[:, None]) @ ps.packed_gram_table(What)
 
     # Dirichlet data on boundary edges, in the global edge bases;
     # project_face rejects g that is not finite at its quadrature points.
@@ -356,6 +334,8 @@ def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
     the elements.  D is the reaction mass plus the stabilization; C, S and
     the stabilization are the reference edge tables scaled by the edge
     lengths (and tau) and signed by the edge orientations of each element.
+    No product runs across elements, so their bits do not depend on the
+    block.
     The condensed, saddle and Dirichlet-form systems are all Schur
     complements of their sum, which :func:`_reduce` builds one block of
     elements at a time."""
@@ -373,12 +353,12 @@ def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
     L[:, nq:m, :nq] = blocks.Bdiv
     L[:, m:, :nq] = C
     if blocks.Mc is not None:
-        L[:, nq:m, nq:m] = blocks.Mc[rows]
+        L[:, nq:m, nq:m] = blocks.Mc[rows][:, ps.packed_positions(nw)]
     if blocks.tau is not None:
         tau = blocks.tau[rows]
         S = (tau * np.sqrt(edge_len))[:, None, :, None] * sign[:, None] * Sref.transpose(1, 0, 2)
         S = S.reshape(nb, nw, 3 * nf)
-        L[:, nq:m, nq:m] += ((tau * edge_len) @ Tref.reshape(3, -1)).reshape(nb, nw, nw)
+        L[:, nq:m, nq:m] += np.einsum("el,lij->eij", tau * edge_len, Tref)
         L[:, nq:m, m:] = -S
         L[:, m:, nq:m] = S.transpose(0, 2, 1)
         idx = np.arange(m, m + 3 * nf)

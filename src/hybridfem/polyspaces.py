@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial
 
 import numpy as np
 
@@ -43,8 +43,8 @@ __all__ = [
     "triangle_rule",
     "edge_rule",
     "quadrature_rules",
-    "gram_table",
-    "weighted_gram",
+    "packed_gram_table",
+    "packed_positions",
     "compose_affine",
     "boundary_decomposition_check",
     "divergence_surjectivity_check",
@@ -409,20 +409,33 @@ def quadrature_rules(k: int, exactness=None):
     return triangle_rule(exactness), edge_rule(max(k + 3, (exactness + 2) // 2))
 
 
-def gram_table(basis):
-    """Reference product table (ng nc^2, n^2) of the basis values (ng, n,
-    nc) at ng points, which :func:`weighted_gram` contracts."""
-    n = basis.shape[1]
-    return np.einsum("gic,gjd->gcdij", basis, basis).reshape(-1, n * n)
+def packed_gram_table(values):
+    """Reference table of the packed Gram matrices of basis values (ng, n)
+    or (ng, n, 2) at ng points.  Column p holds the products for the entry
+    (i, j), i <= j, at position p of ``np.triu_indices(n)``: per point
+    v_i v_j for scalars; for vectors three rows, v_i^c v_j^d for the metric
+    entries (0, 0), (1, 1) and (0, 1), the last with (1, 0) merged in, since
+    the metric is symmetric.  The packed element matrices are the weights
+    (nt, ng) or (nt, 3 ng) times this table."""
+    i, j = np.triu_indices(values.shape[1])
+    Vi, Vj = values[:, i], values[:, j]
+    if values.ndim == 2:
+        return Vi * Vj
+    products = [Vi[..., 0] * Vj[..., 0], Vi[..., 1] * Vj[..., 1],
+                Vi[..., 0] * Vj[..., 1] + Vi[..., 1] * Vj[..., 0]]
+    return np.stack(products, axis=1).reshape(-1, len(i))
 
 
-def weighted_gram(weights, table):
-    """Element matrices sum_{g,c,d} weights[e, g, c, d] basis[g, i, c] basis[g, j, d]
-    as one GEMM of the weights (nt, ng nc^2), a pointwise weight times a
-    per-element metric, against the reference product table
-    ``gram_table(basis)``."""
-    nt, n = weights.shape[0], isqrt(table.shape[1])
-    return (weights.reshape(nt, -1) @ table).reshape(nt, n, n)
+@lru_cache(maxsize=None)
+def packed_positions(n):
+    """Position (n, n) of every entry of a symmetric n x n matrix in its
+    packed row (see :func:`packed_gram_table`): ``packed[..., at]``
+    unpacks.  Cached and read-only, as every caller shares it."""
+    i, j = np.triu_indices(n)
+    at = np.empty((n, n), dtype=int)
+    at[i, j] = at[j, i] = np.arange(len(i))
+    at.setflags(write=False)
+    return at
 
 
 def compose_affine(exps, coeffs, B, b):

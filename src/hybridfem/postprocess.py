@@ -11,6 +11,7 @@ constant coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -44,12 +45,14 @@ class PostprocessedField:
 
 def _stiffness(geo, table, vol, weight):
     """Stiffness matrices (nb, dim, dim) of the physical gradients with a
-    pointwise weight (nb, ng): the reference gradient products ``table``
-    (``ps.gram_table`` of the basis gradients at the points of ``vol``)
-    under the metric invB invB^T."""
-    metric = np.einsum("ead,ebd->eab", geo.invB, geo.invB)    # (nb, 2, 2)
+    pointwise weight (nb, ng): the packed reference gradient products
+    ``table`` (``ps.packed_gram_table`` of the basis gradients at the points
+    of ``vol``) under the metric entries (0, 0), (1, 1) and (0, 1) of
+    invB invB^T, unpacked per block."""
+    metric = np.einsum("ead,ebd->eab", geo.invB, geo.invB)[:, [0, 1, 0], [0, 1, 1]]  # (nb, 3)
     wk = geo.detJ[:, None] * weight * vol.weights
-    return ps.weighted_gram(wk[:, :, None, None] * metric[:, None], table)
+    packed = (wk[:, :, None] * metric[:, None]).reshape(len(wk), -1) @ table
+    return packed[:, ps.packed_positions(isqrt(2 * table.shape[1]))]  # isqrt(n (n + 1)) = n
 
 
 def _solve_elements(S, rhs, mean_coeff):
@@ -76,7 +79,7 @@ def stenberg(triple: FieldTriple, data: ProblemData) -> PostprocessedField:
     mesh, k = triple.mesh, triple.space.degree
     nt, sb = mesh.num_triangles, ps.scalar_basis(k + 1)
     vol, erule = ps.quadrature_rules(k + 1)
-    table = ps.gram_table(sb.grad(vol.points))
+    table = ps.packed_gram_table(sb.grad(vol.points))
     balance = _balance(triple, data, sb, vol, erule)
     defect = np.abs(conservation_residuals(triple, data))
     coeffs, decomposed = np.empty((nt, sb.dim)), np.empty(nt, dtype=bool)
@@ -102,7 +105,7 @@ def gradient_postprocess(triple: FieldTriple, data: ProblemData) -> Postprocesse
     nt, sb = mesh.num_triangles, ps.scalar_basis(kp)
     vol = ps.quadrature_rules(kp)[0]
     grads = sb.grad(vol.points)
-    table, moments = ps.gram_table(grads), pj._flat_moments(vol.weights, grads)
+    table, moments = ps.packed_gram_table(grads), pj._flat_moments(vol.weights, grads)
     V = ps.vector_basis(space.flux_space, space.degree).eval(vol.points)
     coeffs = np.empty((nt, sb.dim))
 

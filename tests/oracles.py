@@ -522,6 +522,21 @@ def reference_element_masses(blocks, quad_exactness=None):
     return A, D
 
 
+def reference_reaction_mass(blocks):
+    """Reaction mass sum_g w_g c(x_g) |J| W_i W_j of every element, summed
+    point by point over the triangle rule the assembly integrated with."""
+    mesh, space = blocks.mesh, blocks.space
+    vol = ps.triangle_rule(blocks.quad_exactness)
+    What = ps.scalar_basis(space.scalar_degree).eval(vol.points)
+    M = np.zeros((mesh.num_triangles, space.scalar_dim, space.scalar_dim))
+    for t in range(mesh.num_triangles):
+        em = mesh.element_map(t)
+        c = np.asarray(blocks.data.c(em.forward(vol.points)), dtype=float)
+        for g in range(len(vol.weights)):
+            M[t] += vol.weights[g] * c[g] * em.detJ * np.outer(What[g], What[g])
+    return M
+
+
 def reference_edge_blocks(blocks, quad_exactness=None):
     """Trace coupling C and stabilization coupling Swl of every element,
     summed point by point over each local edge, with the multiplier basis

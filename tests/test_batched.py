@@ -145,7 +145,7 @@ def test_element_matrices_match_quadrature_loop(method, k, tau, quad_exactness, 
     vol = ps.triangle_rule(quad_exactness or 2 * (k + 1) + 4)
     kappa = case.kappa(mesh.geometry.forward(vol.points).reshape(-1, 2)).reshape(mesh.num_triangles, -1)
     want = oracles.reference_stiffness(mesh, k + 1, case.kappa, vol)
-    table = ps.gram_table(ps.scalar_basis(k + 1).grad(vol.points))
+    table = ps.packed_gram_table(ps.scalar_basis(k + 1).grad(vol.points))
     assert_close(_stiffness(mesh.geometry, table, vol, kappa), want, rtol=1e-13)
 
 

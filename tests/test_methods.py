@@ -45,6 +45,7 @@ from oracles import (
     element_blocks,
     reference_condensed_matrix,
     reference_dirichlet_pieces,
+    reference_reaction_mass,
     reference_saddle_matrix,
     reference_saddle_solve,
 )
@@ -511,9 +512,9 @@ def block_bytes(space, elements):
 
 @pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
 def test_condensation_independent_of_element_blocks(monkeypatch, method, k, tau):
-    """128 elements streamed 7 at a time (the last block holds 2) give the
-    one-block condensed system, saddle system and primal system bit for
-    bit."""
+    """128 elements streamed 7 at a time (the last block holds 2) and 127 at
+    a time (the last block holds 1) give the one-block condensed system,
+    saddle system and primal system bit for bit."""
     mesh = perturbed_mesh(levels=2)
     blocks = condensed_blocks(mesh, method, k, tau)
 
@@ -527,9 +528,10 @@ def test_condensation_independent_of_element_blocks(monkeypatch, method, k, tau)
 
     monkeypatch.setattr(methods, "_BLOCK_BYTES", block_bytes(blocks.space, mesh.num_triangles))
     one = run()
-    monkeypatch.setattr(methods, "_BLOCK_BYTES", block_bytes(blocks.space, 7))
-    for a, b in zip(one, run(), strict=True):
-        assert np.array_equal(a, b)
+    for elements in (7, 127):
+        monkeypatch.setattr(methods, "_BLOCK_BYTES", block_bytes(blocks.space, elements))
+        for a, b in zip(one, run(), strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_singular_element_in_last_block_rejected(monkeypatch):
@@ -538,6 +540,17 @@ def test_singular_element_in_last_block_rejected(monkeypatch):
     blocks.A[-1] = 0.0
     with pytest.raises(SingularLocalSolver):
         condensed_system(blocks)
+
+
+@pytest.mark.parametrize("method,k", [(m, k) for m in ("rt", "hdg") for k in range(4)])
+def test_reaction_mass_matches_quadrature_loop(method, k):
+    """The packed reaction mass, unpacked, against its sum over the points
+    of every element."""
+    mesh = perturbed_mesh(levels=2)
+    tau = make_tau(mesh) if method == "hdg" else None
+    blocks = assemble(mesh, SpaceDescriptor(method, k), REACTION.data(), tau=tau)
+    got = blocks.Mc[:, ps.packed_positions(blocks.space.scalar_dim)]
+    assert rel_diff(got, reference_reaction_mass(blocks)) <= 1e-13
 
 
 @pytest.mark.parametrize("method", ["rt", "bdm", "hdg"])

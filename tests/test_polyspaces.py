@@ -187,6 +187,35 @@ def test_edge_rule_exactness():
         assert np.sum(rule.weights * rule.points**p) == pytest.approx(1 / (p + 1), abs=1e-14)
 
 
+def rel_diff(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", range(1, 31))  # up to the RT k=3 flux dimension
+def test_packed_gram_table_matches_dense_sums(n):
+    """Random weights and values: the packed table, unpacked, gives
+    sum_g w_g v_i v_j for scalars and sum_g sum_cd w_g M_cd v_i^c v_j^d for
+    vectors under a symmetric metric M."""
+    rng = np.random.default_rng(n)
+    at, w = ps.packed_positions(n), rng.uniform(0.1, 1.0, 9)
+    v = rng.standard_normal((9, n))
+    got = (w @ ps.packed_gram_table(v))[at]
+    assert rel_diff(got, np.einsum("g,gi,gj->ij", w, v, v)) <= 1e-14
+    V, M = rng.standard_normal((9, n, 2)), rng.standard_normal((2, 2))
+    M = M + M.T
+    metric = w[:, None] * M[[0, 1, 0], [0, 1, 1]]  # (ng, 3), the table's row order
+    got = (metric.ravel() @ ps.packed_gram_table(V))[at]
+    assert rel_diff(got, np.einsum("g,cd,gic,gjd->ij", w, M, V, V)) <= 1e-14
+
+
+def test_packed_positions_symmetric_and_read_only():
+    for n in range(1, 31):
+        at = ps.packed_positions(n)
+        assert np.array_equal(at, at.T)
+        assert np.array_equal(at[np.triu_indices(n)], np.arange(n * (n + 1) // 2))
+        assert not at.flags.writeable
+
+
 @pytest.mark.parametrize(
     "call",
     [lambda: ps.vector_dim("Q", 1), lambda: ps.vector_basis("Q", 1),

@@ -173,7 +173,7 @@ def test_local_stiffness_spd():
     sb = ps.scalar_basis(2)
     vol = ps.triangle_rule(8)
     weight = np.ones((mesh.num_triangles, len(vol.points)))
-    for S in pp._stiffness(mesh.geometry, ps.gram_table(sb.grad(vol.points)), vol, weight):
+    for S in pp._stiffness(mesh.geometry, ps.packed_gram_table(sb.grad(vol.points)), vol, weight):
         inner = S[1:, 1:]
         assert np.abs(inner - inner.T).max() < 1e-12
         assert np.linalg.eigvalsh(inner).min() > 0.0
