@@ -336,9 +336,9 @@ def _local_matrices(blocks: LocalBlocks, rows=slice(None)):
     lengths (and tau) and signed by the edge orientations of each element.
     No product runs across elements, so their bits do not depend on the
     block.
-    The condensed, saddle and Dirichlet-form systems are all Schur
-    complements of their sum, which :func:`_reduce` builds one block of
-    elements at a time."""
+    The condensed, saddle and primal systems are all Schur complements of
+    their sum, which :func:`_reduce` builds one block of elements at a
+    time."""
     space, mesh = blocks.space, blocks.mesh
     (nw, nq), nf = blocks.Bdiv.shape, space.face_dim
     Cref, Sref, Tref = pj._edge_tables(space)
@@ -446,16 +446,34 @@ class _Pattern:
         return np.maximum(slots, -1, out=slots)
 
 
-def _sum_complements(blocks: LocalBlocks, m, symmetrize=False):
-    """The work of :func:`_reduce`: returns (A, rhs, R, defect), the summed
-    CSC system A with its exact zeros still stored.  With ``symmetrize``
-    (the condensed system) each element complement S is added as -(S +
-    S^T)/2, so that the sum is exactly symmetric, and ``defect`` is the
-    largest ||S - S^T||_F / ||S||_F (else 0); rhs and R come from S."""
+def _reduce(blocks: LocalBlocks, m):
+    """Eliminate the leading m dofs (none, the flux, or flux and potential)
+    of every element matrix under the load [0 | F | 0], and sum what is left
+    into one global system.
+
+    Streams over the element blocks of :func:`_blocks`, counting the local
+    matrices, with one batched solve per block.  The element dofs that are
+    left are numbered group by group (flux, then potential, element by
+    element in each) and the interior multipliers follow.  Each block's
+    Schur complements are added, in element order, straight into the data
+    of the CSC pattern of :class:`_Pattern`, and the boundary multipliers,
+    fixed to the Dirichlet values ``gdir``, move to the right-hand side
+    element by element; no (nt, nl, nl) stack and no COO copy is formed.
+
+    Returns (A, rhs, R, defect): the CSC system A x = rhs over the element
+    dofs left and the interior multipliers, R = L11^{-1} [-L12 | load] (nt,
+    m, nl + 1), which rebuilds the eliminated dofs from the nl others, and
+    the symmetry defect.  When only the multipliers are left (m = nq + nw),
+    each element complement H is added as its negated symmetric part
+    -(H + H^T)/2, so that A is the exactly symmetric condensed matrix K,
+    rhs is negated with it, the exact zeros are eliminated, and ``defect``
+    is the largest ||H - H^T||_F / ||H||_F; H is symmetric only up to
+    round-off.  Otherwise A keeps its stored zeros (:func:`_drop_roundoff`
+    removes them before a factorization) and ``defect`` is 0."""
     nt, tri_edges = blocks.mesh.num_triangles, blocks.mesh.tri_edges
     (nw, nq), nf = blocks.Bdiv.shape, blocks.space.face_dim
     n = nq + nw + 3 * nf
-    nl = n - m
+    nl, condensed = n - m, m == nq + nw
     pattern = _Pattern(blocks.mesh, max(nq - m, 0), nq + nw - max(m, nq), nf)
     data, rhs = np.zeros(pattern.nnz + 1), np.zeros(pattern.n + 1)
     R = np.empty((nt, m, nl + 1))
@@ -475,7 +493,7 @@ def _sum_complements(blocks: LocalBlocks, m, symmetrize=False):
         # the boundary multipliers are the Dirichlet values (gdir is zero elsewhere)
         known = blocks.gdir[tri_edges[rows]].reshape(nb, -1)
         local = load[:, m:] - LR[:, :, -1] - (S[:, :, nl - 3 * nf :] @ known[..., None])[..., 0]
-        if symmetrize:
+        if condensed:
             St = S.transpose(0, 2, 1)
             defect = max(defect, float((np.linalg.norm(S - St, axis=(1, 2)) / np.linalg.norm(S, axis=(1, 2))).max()))
             S = (S + St) * -0.5
@@ -483,41 +501,28 @@ def _sum_complements(blocks: LocalBlocks, m, symmetrize=False):
         np.add.at(data, pattern.slots(rows).transpose(0, 2, 1).ravel(), S.ravel())
         np.add.at(rhs, pattern.dofs[rows].ravel(), local.ravel())
     A = sp.csc_matrix((data[:-1], pattern.indices, pattern.indptr), shape=(pattern.n, pattern.n))
+    if condensed:
+        A.eliminate_zeros()
+        rhs *= -1.0
     return A, rhs[:-1], R, defect
 
 
-def _reduce(blocks: LocalBlocks, m):
-    """Eliminate the leading m dofs (none, the flux, or flux and potential)
-    of every element matrix under the load [0 | F | 0], and sum what is left
-    into one global system.
-
-    Streams over the element blocks of :func:`_blocks`, counting the local
-    matrices, with one batched solve per block.  The element dofs that are
-    left are numbered group by group (flux, then potential, element by
-    element in each) and the interior multipliers follow.  Each block's
-    Schur complements are added, in element order, straight into the data
-    of the CSC pattern of :class:`_Pattern`, and the boundary multipliers,
-    fixed to the Dirichlet values ``gdir``, move to the right-hand side
-    element by element; no (nt, nl, nl) stack and no COO copy is formed.
-
-    Returns (A, rhs, R): the CSC system A x = rhs over the element dofs left
-    and the interior multipliers, and R = L11^{-1} [-L12 | load] (nt, m,
-    nl + 1), which rebuilds the eliminated dofs from the nl others."""
-    A, rhs, R, _ = _sum_complements(blocks, m)
-    # Stored zeros (the empty blocks of RT/BDM, off-diagonal multiplier
-    # entries) steer the LU ordering and would double its fill.  What cancels
-    # in exact arithmetic is 0 or round-off (up to about 50 eps of the row and
-    # column scale) as the last bits fall, so every entry below 128 eps times
-    # the geometric mean of its row's and column's largest magnitudes goes.
-    # The systems are symmetric in magnitude, so the largest magnitude of a
-    # column (each holds its diagonal slot) is that of its row as well.
+def _drop_roundoff(A):
+    """A system of :func:`_reduce` without what cancels in exact arithmetic,
+    in place.  Stored zeros (the empty blocks of RT/BDM, off-diagonal
+    multiplier entries) steer the LU ordering and would double its fill.
+    What cancels is 0 or round-off (up to about 50 eps of the row and
+    column scale) as the last bits fall, so every entry below 128 eps times
+    the geometric mean of its row's and column's largest magnitudes goes.
+    The systems are symmetric in magnitude, so the largest magnitude of a
+    column (each holds its diagonal slot) is that of its row as well."""
     big = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1])
     A.eliminate_zeros()
     limit = np.repeat(big * (128 * np.finfo(float).eps) ** 2, np.diff(A.indptr))
     limit *= big[A.indices]
     A.data[A.data**2 <= limit] = 0.0
     A.eliminate_zeros()
-    return A, rhs, R
+    return A
 
 
 def _splu(K, what, order="MMD_AT_PLUS_A"):
@@ -540,28 +545,21 @@ def _splu(K, what, order="MMD_AT_PLUS_A"):
 
 
 def condensed_system(blocks: LocalBlocks):
-    """Statically condensed SPD system on the interior multiplier dofs.
-    :func:`_sum_complements` eliminates flux and potential one element
-    block at a time, never holding all element matrices at once, and adds
-    each element's Schur complement H_e as its negated symmetric part
-    -(H_e + H_e^T)/2: H_e is symmetric only up to round-off, and K, the sum
-    of these terms in element order, is exactly symmetric.
+    """Statically condensed SPD system on the interior multiplier dofs:
+    :func:`_reduce` eliminates flux and potential one element block at a
+    time, never holding all element matrices at once, and sums the negated
+    symmetric parts of the element complements into K, which is exactly
+    symmetric.
 
-    Returns (K, rhs, lam_full, interior, X, Y): K in CSC, ``lam_full``
-    holds the Dirichlet values on boundary dofs and zeros elsewhere,
-    ``interior`` the interior dof ids, and (X, Y) the local reconstruction
-    operators [q; u]_K = X_K lam_K + Y_K.
+    Returns (K, rhs, lam_full, interior, X, Y, defect): K in CSC,
+    ``lam_full`` holds the Dirichlet values on boundary dofs and zeros
+    elsewhere, ``interior`` the interior dof ids, (X, Y) the local
+    reconstruction operators [q; u]_K = X_K lam_K + Y_K, and ``defect``
+    the largest ||H_e - H_e^T||_F / ||H_e||_F of the element complements.
     """
-    return _condense(blocks)[:-1]
-
-
-def _condense(blocks: LocalBlocks):
-    """:func:`condensed_system` and the largest symmetry defect
-    ||H_e - H_e^T||_F / ||H_e||_F of its element complements."""
     lam_full = blocks.gdir.ravel().copy()  # outlives the reduction, so allocated before it
-    K, rhs, R, defect = _sum_complements(blocks, blocks.space.flux_dim + blocks.space.scalar_dim, symmetrize=True)
-    K.eliminate_zeros()
-    return K, -rhs, lam_full, blocks.interior_dofs, R[:, :, :-1], R[:, :, -1], defect
+    K, rhs, R, defect = _reduce(blocks, blocks.space.flux_dim + blocks.space.scalar_dim)
+    return K, rhs, lam_full, blocks.interior_dofs, R[:, :, :-1], R[:, :, -1], defect
 
 
 _OMEGA = 0.6        # < 2/3 keeps M SPD: three edges per element give lambda_max(D^-1 K) <= 3
@@ -659,9 +657,9 @@ class SolveInfo:
     iteration count, the final relative residual ||K lam - rhs|| / ||rhs||,
     the normwise backward error ||K lam - rhs||_inf / (||K||_inf
     ||lam||_inf + ||rhs||_inf), whether PCG passed its cap and K was
-    factored instead, and the symmetry defect of :func:`_condense` (0, as
-    the others, without interior dofs).  The wall times, in seconds, of its
-    phases close the record and take no part in comparisons: forming K
+    factored instead, and the symmetry defect of :func:`condensed_system`
+    (0, as the others, without interior dofs).  The wall times, in seconds,
+    of its phases close the record and take no part in comparisons: forming K
     (``condense_s``), the preconditioner (``precondition_s``), the
     iteration with its residual checks and any fallback factorization
     (``iterate_s``), and the local reconstruction (``reconstruct_s``)."""
@@ -694,7 +692,7 @@ def solve_hybridized(blocks: LocalBlocks) -> FieldTriple:
     # the output is allocated before the reduction's temporaries, so that
     # it does not keep the heap they free from returning to the system
     qu = np.empty((blocks.mesh.num_triangles, blocks.space.flux_dim + blocks.space.scalar_dim))
-    K, rhs, lam_full, interior, X, Y, defect = _condense(blocks)
+    K, rhs, lam_full, interior, X, Y, defect = condensed_system(blocks)
     K, nf = K.T, blocks.space.face_dim
     if not (np.isfinite(K.data).all() and np.isfinite(rhs).all()):
         raise SingularSystem("condensed system is not finite")
@@ -768,8 +766,8 @@ def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
     A zero pivot, which SuperLU would trade for an off-diagonal one,
     raises :class:`SingularSystem`, as condensation rejects a singular
     element."""
-    A, rhs, _ = _reduce(blocks, 0)
-    p = _saddle_order(blocks)
+    A, rhs, _, _ = _reduce(blocks, 0)
+    A, p = _drop_roundoff(A), _saddle_order(blocks)
     A, rhs = A[p][:, p], rhs[p]  # frees the unpermuted system before SuperLU runs
     sol = np.empty_like(rhs)
     sol[p] = _splu(A, "saddle system", "NATURAL").solve(rhs)
@@ -783,7 +781,7 @@ def solve_saddle(blocks: LocalBlocks) -> FieldTriple:
 
 def system_residual(blocks: LocalBlocks, triple: FieldTriple) -> float:
     """Max-norm residual of all equation groups of the summed saddle system, relative to the load."""
-    A, rhs, _, _ = _sum_complements(blocks, 0)
+    A, rhs, _, _ = _reduce(blocks, 0)
     lam = triple.lam.ravel()[blocks.interior_dofs]
     sol = np.concatenate([triple.q_coeffs.ravel(), triple.u_coeffs.ravel(), lam])
     res = A @ sol - rhs
@@ -807,7 +805,8 @@ def solve_primal(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None
     rows are negated: its potential block D_tau + Mc + B A^{-1} B^T is SPD
     as every local solve is unique, and its multiplier Schur complement is K."""
     n = mesh.num_triangles * space.scalar_dim
-    A, rhs, _ = _reduce(assemble(mesh, space, data, tau=tau), space.flux_dim)
+    A, rhs, _, _ = _reduce(assemble(mesh, space, data, tau=tau), space.flux_dim)
+    A = _drop_roundoff(A)
     A.data[A.indices >= n] *= -1.0
     rhs[n:] *= -1.0
     return _splu(A, "primal system").solve(rhs)[:n].reshape(-1, space.scalar_dim)

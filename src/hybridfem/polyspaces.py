@@ -79,7 +79,7 @@ def vector_dim(tag: str, k: int) -> int:
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """Method tag plus degree; fixes all three local spaces."""
+    """Method tag plus integer degree (not a bool); fixes all three local spaces."""
 
     method: str
     degree: int
@@ -87,7 +87,7 @@ class SpaceDescriptor:
     def __post_init__(self):
         if self.method not in _SUPPORTED:
             raise UnsupportedDegree(f"unknown method {self.method!r}")
-        if self.degree not in _SUPPORTED[self.method]:
+        if not np.issubdtype(type(self.degree), np.integer) or self.degree not in _SUPPORTED[self.method]:
             raise UnsupportedDegree(
                 f"{self.method} supports degrees {list(_SUPPORTED[self.method])}, got {self.degree}"
             )

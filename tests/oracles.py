@@ -177,11 +177,10 @@ def reference_saddle_matrix(blocks):
     return trip.matrix(N), rhs
 
 
-def reference_condensed_matrix(blocks):
-    """Condensed matrix, dense: the flux and potential of each of the
-    library's element matrices eliminated on its own, and the symmetric part
-    -(H + H^T)/2 of its complement H on the multipliers summed over the
-    elements in element order."""
+def _summed_complements(blocks, part):
+    """Dense sum over the elements, in element order, of ``part(H)`` for
+    the complement H on the multipliers of each of the library's element
+    matrices, its flux and potential eliminated on its own."""
     space, mesh = blocks.space, blocks.mesh
     m, nf = space.flux_dim + space.scalar_dim, space.face_dim
     face_pos, interior = _interior_positions(blocks)
@@ -193,8 +192,20 @@ def reference_condensed_matrix(blocks):
         H = ((L[:, m:, :m] @ R)[:, :, :-1] + L[:, m:, m:])[0]
         pos = np.concatenate([_edge_positions(face_pos, e, nf) for e in mesh.tri_edges[t]])
         kept = pos >= 0
-        K[np.ix_(pos[kept], pos[kept])] += ((H + H.T) * -0.5)[np.ix_(kept, kept)]
+        K[np.ix_(pos[kept], pos[kept])] += part(H)[np.ix_(kept, kept)]
     return K
+
+
+def reference_condensed_matrix(blocks):
+    """Condensed matrix, dense: the symmetric part -(H + H^T)/2 of every
+    element complement H summed."""
+    return _summed_complements(blocks, lambda H: (H + H.T) * -0.5)
+
+
+def raw_complement_sum(blocks):
+    """The sum of the element complements H as they come, before any
+    symmetrization: symmetric only up to round-off."""
+    return _summed_complements(blocks, lambda H: H)
 
 
 def reference_saddle_solve(A, rhs):

@@ -94,8 +94,9 @@ def test_config_validation():
             StudyConfig(levels=levels).validate()
     with pytest.raises(ConfigError):
         StudyConfig(formats=("csv", "xml")).validate()
-    with pytest.raises(UnsupportedDegree):
-        StudyConfig(method="bdm", degree=0).validate()
+    for method, degree in (("bdm", 0), ("rt", 1.0), ("hdg", True)):
+        with pytest.raises(UnsupportedDegree):
+            StudyConfig(method=method, degree=degree).validate()
     with pytest.raises(ConfigError):
         StudyConfig(postprocess="everything").validate()
     with pytest.raises(ConfigError):

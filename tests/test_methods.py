@@ -43,6 +43,7 @@ from hybridfem.methods import (
 from oracles import (
     dense_dirichlet_form,
     element_blocks,
+    raw_complement_sum,
     reference_condensed_matrix,
     reference_dirichlet_pieces,
     reference_reaction_mass,
@@ -247,7 +248,7 @@ def test_saddle_matrix_symmetry_after_sign_flip(method, k):
     space = SpaceDescriptor(method, k)
     tau = make_tau(mesh) if method == "hdg" else None
     blocks = assemble(mesh, space, SMOOTH.data(), tau=tau)
-    A, rhs, _ = _reduce(blocks, 0)
+    A, rhs, _, _ = _reduce(blocks, 0)
     D = np.ones(A.shape[0])
     nQ = mesh.num_triangles * space.flux_dim
     D[nQ : nQ + mesh.num_triangles * space.scalar_dim] = -1.0
@@ -351,7 +352,7 @@ def test_saddle_matrix_matches_reference(method, k):
     mesh = perturbed_mesh()
     tau = StabilizationFunction.single_face(mesh, 2.0) if method == "hdg" else None
     blocks = assemble(mesh, SpaceDescriptor(method, k), CASES["varkappa"].data(), tau=tau)
-    A, rhs, _ = _reduce(blocks, 0)
+    A, rhs, _, _ = _reduce(blocks, 0)
     interior = blocks.interior_dofs
     A_ref, rhs_ref = reference_saddle_matrix(blocks)
     assert rel_diff(A.toarray(), A_ref.toarray()) < 1e-13
@@ -366,7 +367,7 @@ def test_saddle_matrix_matches_reference(method, k):
 def test_saddle_solve_matches_colamd_lu(method, k, tau, case, mesh_name):
     mesh = perturbed_mesh() if mesh_name == "perturbed" else uniform_refine(unit_square(2))
     blocks = condensed_blocks(mesh, method, k, tau, case)
-    A, rhs, _ = _reduce(blocks, 0)
+    A, rhs, _, _ = _reduce(blocks, 0)
     interior = blocks.interior_dofs
     got = saddle_solution(solve_saddle(blocks), interior)
     assert rel_diff(got, reference_saddle_solve(A, rhs)) <= 1e-12
@@ -382,7 +383,7 @@ def test_saddle_order_on_the_smallest_meshes(method, k, tau, mesh):
     interior edge of the square (the one triangle has none): the order of
     the reduced saddle system itself."""
     blocks = condensed_blocks(mesh, method, k, tau)
-    A, rhs, _ = _reduce(blocks, 0)
+    A, rhs, _, _ = _reduce(blocks, 0)
     interior = blocks.interior_dofs
     assert len(interior) == (0 if mesh.num_triangles == 1 else k + 1)
     assert np.array_equal(methods._saddle_order(blocks), np.arange(len(rhs)))
@@ -400,7 +401,7 @@ def test_saddle_solve_rejects_a_zero_pivot(element, message):
     # would solve it, but condensation rejects that element too
     blocks = assemble(uniform_refine(unit_square(1)), SpaceDescriptor("rt", 0), SMOOTH.data())
     blocks.A[element] = 0.0
-    A, rhs, _ = _reduce(blocks, 0)
+    A, rhs, _, _ = _reduce(blocks, 0)
     assert (np.linalg.matrix_rank(A.toarray()) == len(rhs)) == (element == 3)
     with pytest.raises(SingularSystem, match=message):
         solve_saddle(blocks)
@@ -417,7 +418,7 @@ def test_saddle_order_fills_less_than_colamd(monkeypatch, method, k, tau):
     for _ in range(3):
         mesh = uniform_refine(mesh)
     blocks = condensed_blocks(perturbed_by(mesh, 3, 0.2), method, k, tau)
-    A, _, _ = _reduce(blocks, 0)
+    A, _, _, _ = _reduce(blocks, 0)
     factors, splu = [], spla.splu
 
     def spy(*args, **kwargs):
@@ -444,7 +445,7 @@ def test_condensed_matrix_symmetric_positive_definite(method, k):
     space = SpaceDescriptor(method, k)
     tau = make_tau(mesh) if method == "hdg" else None
     blocks = assemble(mesh, space, SMOOTH.data(), tau=tau)
-    K, rhs, lam_full, interior, X, Y = condensed_system(blocks)
+    K, rhs, lam_full, interior, X, Y, _ = condensed_system(blocks)
     Kd = K.toarray()
     assert np.abs(Kd - Kd.T).max() < 1e-12 * max(1.0, np.abs(Kd).max())
     eigs = np.linalg.eigvalsh(0.5 * (Kd + Kd.T))
@@ -454,13 +455,13 @@ def test_condensed_matrix_symmetric_positive_definite(method, k):
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
 def test_condensed_asymmetry_is_roundoff(method, k, tau, perturbed):
-    """Before it is symmetrized, K - K^T is round-off of the element Schur
-    complements, and the returned K sums their symmetric parts in element
+    """The plain sum of the element Schur complements is symmetric up to
+    round-off, and the returned K sums their symmetric parts in element
     order."""
     mesh = perturbed_mesh() if perturbed else uniform_refine(unit_square(2))
     blocks = condensed_blocks(mesh, method, k, tau)
     K = condensed_system(blocks)[0]
-    raw = -_reduce(blocks, blocks.space.flux_dim + blocks.space.scalar_dim)[0].toarray()
+    raw = raw_complement_sum(blocks)
     assert np.abs(raw - raw.T).max() <= 1e-12 * np.abs(raw).max()
     assert np.array_equal(K.toarray(), reference_condensed_matrix(blocks))
 
@@ -480,6 +481,26 @@ def test_symmetry_defect_is_roundoff(method, k, tau):
     assert defect < 1e-12
 
 
+@pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
+def test_solve_runs_the_public_condensed_system(monkeypatch, method, k, tau):
+    """The solve forms K through the public ``condensed_system`` (the
+    function the benchmark's tracer wraps) and reports its defect; the
+    saddle and primal reductions report a defect of 0."""
+    blocks = condensed_blocks(perturbed_mesh(), method, k, tau)
+    calls, condense = [], methods.condensed_system
+
+    def counted(b):
+        calls.append(condense(b))
+        return calls[-1]
+
+    monkeypatch.setattr(methods, "condensed_system", counted)
+    info = solve_hybridized(blocks).solve_info
+    assert len(calls) == 1
+    assert info.symmetry_defect == calls[0][6]
+    for m in (0, blocks.space.flux_dim):
+        assert _reduce(blocks, m)[3] == 0.0
+
+
 @pytest.mark.parametrize("method,k,tau", [("bdm", 1, None), ("hdg", 0, "constant"), ("hdg", 0, "single-face"),
                                           ("hdg", 1, "constant"), ("hdg", 1, "single-face")])
 def test_reduced_pattern_independent_of_roundoff(method, k, tau):
@@ -489,7 +510,10 @@ def test_reduced_pattern_independent_of_roundoff(method, k, tau):
     to 992 entries for BDM k=1 here)."""
     blocks = condensed_blocks(uniform_refine(unit_square(2)), method, k, tau)
     scale = 1.0 + 1e-15 * np.random.default_rng(7).uniform(-1.0, 1.0, blocks.A.shape)
-    A, B = (_reduce(b, blocks.space.flux_dim)[0] for b in (blocks, replace(blocks, A=blocks.A * scale)))
+    A, B = (
+        methods._drop_roundoff(_reduce(b, blocks.space.flux_dim)[0])
+        for b in (blocks, replace(blocks, A=blocks.A * scale))
+    )
     assert np.array_equal(A.indptr, B.indptr)
     assert np.array_equal(A.indices, B.indices)
 
@@ -497,7 +521,7 @@ def test_reduced_pattern_independent_of_roundoff(method, k, tau):
 @pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
 def test_hybridized_solve_matches_default_lu(method, k, tau):
     blocks = condensed_blocks(perturbed_mesh(), method, k, tau)
-    K, rhs, _, interior, _, _ = condensed_system(blocks)
+    K, rhs, _, interior, _, _, _ = condensed_system(blocks)
     want = spla.splu(K).solve(rhs)
     got = solve_hybridized(blocks).lam.ravel()[interior]
     assert rel_diff(got, want) <= 1e-12
@@ -514,7 +538,8 @@ def block_bytes(space, elements):
 def test_condensation_independent_of_element_blocks(monkeypatch, method, k, tau):
     """128 elements streamed 7 at a time (the last block holds 2) and 127 at
     a time (the last block holds 1) give the one-block condensed system,
-    saddle system and primal system bit for bit."""
+    saddle system and primal system bit for bit, each as reduced and, for
+    the last two, with the round-off dropped."""
     mesh = perturbed_mesh(levels=2)
     blocks = condensed_blocks(mesh, method, k, tau)
 
@@ -522,8 +547,9 @@ def test_condensation_independent_of_element_blocks(monkeypatch, method, k, tau)
         K, *out = condensed_system(blocks)
         out += [K.indptr, K.indices, K.data]
         for m in (0, blocks.space.flux_dim):
-            A, rhs, R = _reduce(blocks, m)
-            out += [A.indptr, A.indices, A.data, rhs, R]
+            A, rhs, R, defect = _reduce(blocks, m)
+            D = methods._drop_roundoff(A.copy())
+            out += [A.indptr, A.indices, A.data, rhs, R, defect, D.indptr, D.indices, D.data]
         return out
 
     monkeypatch.setattr(methods, "_BLOCK_BYTES", block_bytes(blocks.space, mesh.num_triangles))
@@ -600,7 +626,7 @@ def test_condensation_peak_memory_near_its_output():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        K, _, _, _, X, _ = condensed_system(blocks)
+        K, _, _, _, X, _, _ = condensed_system(blocks)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -748,7 +774,7 @@ def test_pcg_without_coarse_space_matches_lu(method, k, tau):
     # two triangles: one interior edge, whose ends both lie on the boundary
     mesh = unit_square(1)
     blocks = condensed_blocks(mesh, method, k, tau)
-    K, rhs, _, interior, _, _ = condensed_system(blocks)
+    K, rhs, _, interior, _, _, _ = condensed_system(blocks)
     assert len(interior) == k + 1
     assert methods._coarse_space(mesh, k + 1).shape[1] == 0
     got = solve_hybridized(blocks).lam.ravel()[interior]
@@ -769,7 +795,7 @@ def test_mesh_without_interior_edge_solves(method, k, tau):
 @pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
 def test_solve_info_reports_the_condensed_solve(method, k, tau):
     blocks = condensed_blocks(perturbed_mesh(), method, k, tau)
-    K, rhs, _, interior, _, _ = condensed_system(blocks)
+    K, rhs, _, interior, _, _, _ = condensed_system(blocks)
     triple = solve_hybridized(blocks)
     info = triple.solve_info
     lam = triple.lam.ravel()[interior]
@@ -792,7 +818,7 @@ def test_solve_info_backward_error(method, k, tau, perturbed):
     ||lam||_inf + ||rhs||_inf) of the solve reads round-off."""
     mesh = perturbed_mesh(levels=2) if perturbed else uniform_refine(uniform_refine(unit_square(2)))
     blocks = condensed_blocks(mesh, method, k, tau)
-    K, rhs, _, interior, _, _ = condensed_system(blocks)
+    K, rhs, _, interior, _, _, _ = condensed_system(blocks)
     triple = solve_hybridized(blocks)
     lam = triple.lam.ravel()[interior]
     want = np.abs(K @ lam - rhs).max() / (spla.norm(K, np.inf) * np.abs(lam).max() + np.abs(rhs).max())
@@ -808,7 +834,7 @@ def test_stretched_mesh_falls_back_to_lu():
         mesh = uniform_refine(mesh)
     mesh = Mesh(mesh.vertices * [1.0, 0.01], mesh.triangles)
     blocks = condensed_blocks(mesh, "bdm", 2, None)
-    K, rhs, _, interior, _, _ = condensed_system(blocks)
+    K, rhs, _, interior, _, _, _ = condensed_system(blocks)
     triple = solve_hybridized(blocks)
     assert triple.solve_info.lu_fallback
     assert triple.solve_info.iterations == methods._PCG_MAXITER
@@ -819,7 +845,7 @@ def test_stretched_mesh_falls_back_to_lu():
 def test_pcg_past_the_cap_factors_k(monkeypatch, method, k, tau):
     monkeypatch.setattr(methods, "_PCG_MAXITER", 1)
     blocks = condensed_blocks(perturbed_mesh(), method, k, tau)
-    K, rhs, _, interior, _, _ = condensed_system(blocks)
+    K, rhs, _, interior, _, _, _ = condensed_system(blocks)
     triple = solve_hybridized(blocks)
     assert (triple.solve_info.iterations, triple.solve_info.lu_fallback) == (1, True)
     assert triple.solve_info.residual < 1e-13

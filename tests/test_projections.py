@@ -118,7 +118,7 @@ def test_unknown_method_is_rejected():
 
 ONES = lambda x: np.ones(len(x))
 ONES2 = lambda x: np.ones((len(x), 2))
-UNSUPPORTED = [("rt", 4), ("bdm", 0), ("hdg", 4), ("xx", 1)]
+UNSUPPORTED = [("rt", 4), ("bdm", 0), ("hdg", 4), ("xx", 1), ("rt", 1.0), ("hdg", True)]
 # each entry point, and the method it projects onto (None: any)
 ENTRY_POINTS = [
     ("SpaceDescriptor", None, lambda m, k: ps.SpaceDescriptor(m, k)),
@@ -126,7 +126,7 @@ ENTRY_POINTS = [
     ("bdm_project", "bdm", lambda m, k: pj.bdm_project(ONES2, k, EM)),
     ("hdg_project", "hdg", lambda m, k: pj.hdg_project(ONES2, ONES, k, EM, np.ones(3))),
     ("hdg_project_decoupled", "hdg", lambda m, k: pj.hdg_project_decoupled(ONES2, ONES, ONES, k, EM, np.ones(3))),
-    ("lift_normal_trace", None, lambda m, k: pj.lift_normal_trace(np.ones((3, k + 1)), m, k, EM)),
+    ("lift_normal_trace", None, lambda m, k: pj.lift_normal_trace(np.ones((3, 2)), m, k, EM)),
 ]
 
 
