@@ -464,12 +464,10 @@ def _reduce(blocks: LocalBlocks, m):
     dofs left and the interior multipliers, R = L11^{-1} [-L12 | load] (nt,
     m, nl + 1), which rebuilds the eliminated dofs from the nl others, and
     the symmetry defect.  When only the multipliers are left (m = nq + nw),
-    each element complement H is added as its negated symmetric part
-    -(H + H^T)/2, so that A is the exactly symmetric condensed matrix K,
-    rhs is negated with it, the exact zeros are eliminated, and ``defect``
-    is the largest ||H - H^T||_F / ||H||_F; H is symmetric only up to
-    round-off.  Otherwise A keeps its stored zeros (:func:`_drop_roundoff`
-    removes them before a factorization) and ``defect`` is 0."""
+    each element complement H, symmetric only up to round-off, is added as
+    its symmetric part (H + H^T)/2, so that A is exactly symmetric, and
+    ``defect`` is the largest ||H - H^T||_F / ||H||_F; otherwise it is 0.
+    A keeps its stored zeros."""
     nt, tri_edges = blocks.mesh.num_triangles, blocks.mesh.tri_edges
     (nw, nq), nf = blocks.Bdiv.shape, blocks.space.face_dim
     n = nq + nw + 3 * nf
@@ -496,14 +494,11 @@ def _reduce(blocks: LocalBlocks, m):
         if condensed:
             St = S.transpose(0, 2, 1)
             defect = max(defect, float((np.linalg.norm(S - St, axis=(1, 2)) / np.linalg.norm(S, axis=(1, 2))).max()))
-            S = (S + St) * -0.5
+            S = (S + St) * 0.5
         # CSC slots: entry (a, b) of an element matrix sits at the CSR slot of (b, a)
         np.add.at(data, pattern.slots(rows).transpose(0, 2, 1).ravel(), S.ravel())
         np.add.at(rhs, pattern.dofs[rows].ravel(), local.ravel())
     A = sp.csc_matrix((data[:-1], pattern.indices, pattern.indptr), shape=(pattern.n, pattern.n))
-    if condensed:
-        A.eliminate_zeros()
-        rhs *= -1.0
     return A, rhs[:-1], R, defect
 
 
@@ -547,9 +542,9 @@ def _splu(K, what, order="MMD_AT_PLUS_A"):
 def condensed_system(blocks: LocalBlocks):
     """Statically condensed SPD system on the interior multiplier dofs:
     :func:`_reduce` eliminates flux and potential one element block at a
-    time, never holding all element matrices at once, and sums the negated
-    symmetric parts of the element complements into K, which is exactly
-    symmetric.
+    time, never holding all element matrices at once, and sums the
+    symmetric parts of the element complements, whose negation is K,
+    exactly symmetric and without stored zeros.
 
     Returns (K, rhs, lam_full, interior, X, Y, defect): K in CSC,
     ``lam_full`` holds the Dirichlet values on boundary dofs and zeros
@@ -559,7 +554,9 @@ def condensed_system(blocks: LocalBlocks):
     """
     lam_full = blocks.gdir.ravel().copy()  # outlives the reduction, so allocated before it
     K, rhs, R, defect = _reduce(blocks, blocks.space.flux_dim + blocks.space.scalar_dim)
-    return K, rhs, lam_full, blocks.interior_dofs, R[:, :, :-1], R[:, :, -1], defect
+    K.data *= -1.0
+    K.eliminate_zeros()
+    return K, -rhs, lam_full, blocks.interior_dofs, R[:, :, :-1], R[:, :, -1], defect
 
 
 _OMEGA = 0.6        # < 2/3 keeps M SPD: three edges per element give lambda_max(D^-1 K) <= 3

@@ -242,13 +242,20 @@ def test_tau_dependence_localized_to_stabilization_blocks():
 # ------------------------------------------------------------- saddle solve
 
 
+def saddle_system(blocks):
+    """The summed saddle system as the saddle solve factors it: its
+    round-off dropped."""
+    A, rhs, _, _ = _reduce(blocks, 0)
+    return methods._drop_roundoff(A), rhs
+
+
 @pytest.mark.parametrize("method,k", [("rt", 1), ("bdm", 2), ("hdg", 1)])
 def test_saddle_matrix_symmetry_after_sign_flip(method, k):
     mesh = uniform_refine(unit_square(1))
     space = SpaceDescriptor(method, k)
     tau = make_tau(mesh) if method == "hdg" else None
     blocks = assemble(mesh, space, SMOOTH.data(), tau=tau)
-    A, rhs, _, _ = _reduce(blocks, 0)
+    A, rhs = saddle_system(blocks)
     D = np.ones(A.shape[0])
     nQ = mesh.num_triangles * space.flux_dim
     D[nQ : nQ + mesh.num_triangles * space.scalar_dim] = -1.0
@@ -352,7 +359,7 @@ def test_saddle_matrix_matches_reference(method, k):
     mesh = perturbed_mesh()
     tau = StabilizationFunction.single_face(mesh, 2.0) if method == "hdg" else None
     blocks = assemble(mesh, SpaceDescriptor(method, k), CASES["varkappa"].data(), tau=tau)
-    A, rhs, _, _ = _reduce(blocks, 0)
+    A, rhs = saddle_system(blocks)
     interior = blocks.interior_dofs
     A_ref, rhs_ref = reference_saddle_matrix(blocks)
     assert rel_diff(A.toarray(), A_ref.toarray()) < 1e-13
@@ -367,7 +374,7 @@ def test_saddle_matrix_matches_reference(method, k):
 def test_saddle_solve_matches_colamd_lu(method, k, tau, case, mesh_name):
     mesh = perturbed_mesh() if mesh_name == "perturbed" else uniform_refine(unit_square(2))
     blocks = condensed_blocks(mesh, method, k, tau, case)
-    A, rhs, _, _ = _reduce(blocks, 0)
+    A, rhs = saddle_system(blocks)
     interior = blocks.interior_dofs
     got = saddle_solution(solve_saddle(blocks), interior)
     assert rel_diff(got, reference_saddle_solve(A, rhs)) <= 1e-12
@@ -383,7 +390,7 @@ def test_saddle_order_on_the_smallest_meshes(method, k, tau, mesh):
     interior edge of the square (the one triangle has none): the order of
     the reduced saddle system itself."""
     blocks = condensed_blocks(mesh, method, k, tau)
-    A, rhs, _, _ = _reduce(blocks, 0)
+    A, rhs = saddle_system(blocks)
     interior = blocks.interior_dofs
     assert len(interior) == (0 if mesh.num_triangles == 1 else k + 1)
     assert np.array_equal(methods._saddle_order(blocks), np.arange(len(rhs)))
@@ -401,7 +408,7 @@ def test_saddle_solve_rejects_a_zero_pivot(element, message):
     # would solve it, but condensation rejects that element too
     blocks = assemble(uniform_refine(unit_square(1)), SpaceDescriptor("rt", 0), SMOOTH.data())
     blocks.A[element] = 0.0
-    A, rhs, _, _ = _reduce(blocks, 0)
+    A, rhs = saddle_system(blocks)
     assert (np.linalg.matrix_rank(A.toarray()) == len(rhs)) == (element == 3)
     with pytest.raises(SingularSystem, match=message):
         solve_saddle(blocks)
@@ -418,7 +425,7 @@ def test_saddle_order_fills_less_than_colamd(monkeypatch, method, k, tau):
     for _ in range(3):
         mesh = uniform_refine(mesh)
     blocks = condensed_blocks(perturbed_by(mesh, 3, 0.2), method, k, tau)
-    A, _, _, _ = _reduce(blocks, 0)
+    A, _ = saddle_system(blocks)
     factors, splu = [], spla.splu
 
     def spy(*args, **kwargs):
@@ -484,8 +491,7 @@ def test_symmetry_defect_is_roundoff(method, k, tau):
 @pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
 def test_solve_runs_the_public_condensed_system(monkeypatch, method, k, tau):
     """The solve forms K through the public ``condensed_system`` (the
-    function the benchmark's tracer wraps) and reports its defect; the
-    saddle and primal reductions report a defect of 0."""
+    function the benchmark's tracer wraps) and reports its defect."""
     blocks = condensed_blocks(perturbed_mesh(), method, k, tau)
     calls, condense = [], methods.condensed_system
 
@@ -497,8 +503,6 @@ def test_solve_runs_the_public_condensed_system(monkeypatch, method, k, tau):
     info = solve_hybridized(blocks).solve_info
     assert len(calls) == 1
     assert info.symmetry_defect == calls[0][6]
-    for m in (0, blocks.space.flux_dim):
-        assert _reduce(blocks, m)[3] == 0.0
 
 
 @pytest.mark.parametrize("method,k,tau", [("bdm", 1, None), ("hdg", 0, "constant"), ("hdg", 0, "single-face"),
@@ -935,7 +939,7 @@ def test_saddle_schur_complements_are_condensed_and_dirichlet_forms(method, k):
     the potential it is the Dirichlet form (c-free data)."""
     mesh = perturbed_mesh()
     blocks = condensed_blocks(mesh, method, k, "single-face" if method == "hdg" else None)
-    A = _reduce(blocks, 0)[0].toarray()
+    A = saddle_system(blocks)[0].toarray()
     nQ = mesh.num_triangles * blocks.space.flux_dim
     nU = nQ + mesh.num_triangles * blocks.space.scalar_dim
 
