@@ -12,6 +12,7 @@ squared boundary L2 norm).
 from __future__ import annotations
 
 import json
+import pathlib
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -451,6 +452,8 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     data = case.data()
 
     mesh = load_mesh(config.mesh_file) if config.mesh_file else unit_square(2)
+    if config.out:  # an unusable --out fails before the first level
+        pathlib.Path(config.out).mkdir(parents=True, exist_ok=True)
     rows = []
     for level in range(config.levels):
         timings = {}
@@ -522,10 +525,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
 
 
 def _write_report(report: ConvergenceReport, config: StudyConfig):
-    import pathlib
-
     outdir = pathlib.Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{config.method}_k{config.degree}_{report.config['case']}"
     if "json" in config.formats:
         (outdir / f"{stem}.json").write_text(report.to_json())

@@ -109,12 +109,12 @@ _BLOCK_BYTES = 1 << 20  # per block of the bytes per element that each element p
 
 
 def _blocks(nt, bytes_per_element):
-    """Consecutive slices of the nt elements (or edges),
-    each of ``_BLOCK_BYTES`` at ``bytes_per_element`` (one element at least).
-    Every element pass runs over them: the reduction declares its element
-    matrices, the quadrature passes :func:`_pass_bytes`.  A pass that sums
-    over elements sums per block and then the block sums in element
-    order."""
+    """Consecutive slices of the nt elements (or edges), each of
+    ``_BLOCK_BYTES`` at ``bytes_per_element`` (one element at least).  Every
+    element pass runs over them: the reduction declares its element
+    matrices, assembly and the quadrature passes :func:`_pass_bytes`.  A
+    pass sums per block and then the block sums in element order, or
+    writes each block's rows into arrays allocated once."""
     step = max(1, _BLOCK_BYTES // bytes_per_element)
     for start in range(0, nt, step):
         yield slice(start, start + step)
@@ -176,6 +176,11 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     ``quad_exactness`` raises the data quadrature above the default 2k+4
     (used by identity diagnostics that need the data integrals resolved
     beyond the tolerance under test).
+
+    The data are sampled, checked and integrated one block of :func:`_blocks`
+    at a time, each writing its rows of A, Mc and F.  Validation thus runs
+    block by block: kappa, then f, then c, so with bad data in two blocks
+    the first bad block decides the error.
     """
     if space.is_hdg:
         if tau is None:
@@ -193,36 +198,28 @@ def assemble(mesh: Mesh, space: SpaceDescriptor, data: ProblemData, tau=None,
     quad_exactness = max(quad_exactness or 0, 2 * k + 4)
     vol, erule = ps.quadrature_rules(k, quad_exactness)
 
-    geo = mesh.geometry
-    Bmat, detJ = geo.B, geo.detJ
-
-    # Volume data at all quadrature points of all elements.
-    xq = geo.forward(vol.points)
-    kap = pj._at(data.kappa, xq, finite=False)  # non-finite kappa is NonPositiveDiffusion
-    if not np.all((kap > 0.0) & np.isfinite(kap)):
-        raise NonPositiveDiffusion("kappa must be finite and strictly positive")
-    fvals = pj._at(data.f, xq)
-    cvals = None
-    if data.c is not None:
-        cvals = pj._at(data.c, xq)
-        if not np.all(cvals >= 0.0):
-            raise InvalidProblemData("c must be nonnegative")
-
-    Vhat = vb.eval(vol.points)        # (ng, nq, 2)
     What = sb.eval(vol.points)        # (ng, nw)
-    divhat = vb.div(vol.points)       # (ng, nq)
-
-    T = np.einsum("edc,edb->ecb", Bmat, Bmat)[:, [0, 1, 0], [0, 1, 1]]  # B^T B entries, (nt, 3)
-    wk = vol.weights / (kap * detJ[:, None])
-    A = (wk[:, :, None] * T[:, None]).reshape(len(T), -1) @ ps.packed_gram_table(Vhat)
-
-    Bdiv = np.einsum("g,gq,gi->iq", vol.weights, divhat, What)
-
-    F = np.einsum("eg,gi->ei", vol.weights[None, :] * fvals, What) * detJ[:, None]
-
-    Mc = None
-    if cvals is not None:
-        Mc = (vol.weights * cvals * detJ[:, None]) @ ps.packed_gram_table(What)
+    Bdiv = np.einsum("g,gq,gi->iq", vol.weights, vb.div(vol.points), What)
+    gram_A, gram_M = ps.packed_gram_table(vb.eval(vol.points)), ps.packed_gram_table(What)
+    nt = mesh.num_triangles
+    A, F = np.empty((nt, gram_A.shape[1])), np.empty((nt, sb.dim))
+    Mc = None if data.c is None else np.empty((nt, gram_M.shape[1]))
+    for rows in _blocks(nt, _pass_bytes(vol, None)):
+        geo = mesh.geometry.rows(rows)
+        xq, detJ = geo.forward(vol.points), geo.detJ[:, None]
+        kap = pj._at(data.kappa, xq, finite=False)  # non-finite kappa is NonPositiveDiffusion
+        if not np.all((kap > 0.0) & np.isfinite(kap)):
+            raise NonPositiveDiffusion("kappa must be finite and strictly positive")
+        fvals = pj._at(data.f, xq)
+        if Mc is not None:
+            cvals = pj._at(data.c, xq)
+            if not np.all(cvals >= 0.0):
+                raise InvalidProblemData("c must be nonnegative")
+            Mc[rows] = (vol.weights * cvals * detJ) @ gram_M
+        T = np.einsum("edc,edb->ecb", geo.B, geo.B)[:, [0, 1, 0], [0, 1, 1]]  # B^T B entries, (nb, 3)
+        wk = vol.weights / (kap * detJ)
+        A[rows] = (wk[:, :, None] * T[:, None]).reshape(len(T), -1) @ gram_A
+        F[rows] = np.einsum("eg,gi->ei", vol.weights[None, :] * fvals, What) * detJ
 
     # Dirichlet data on boundary edges, in the global edge bases;
     # project_face rejects g that is not finite at its quadrature points.

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import hybridfem.harness as harness
 import hybridfem.polyspaces as ps
 import hybridfem.projections as pj
 from hybridfem.errors import ConfigError, UnsupportedDegree
@@ -381,4 +382,19 @@ def test_cli_mesh_with_a_triangle_listed_twice_fails_fast(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "triangles 0 and 1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_unusable_out_fails_before_the_first_level(tmp_path, capsys, monkeypatch):
+    """An --out below a regular file exits 2 before anything is assembled,
+    not after solving every level."""
+    def assemble_never(*args, **kwargs):
+        raise AssertionError("assembled before --out was checked")
+
+    monkeypatch.setattr(harness, "assemble", assemble_never)
+    (tmp_path / "file").write_text("")
+    rc = cli_main(["--method", "hdg", "--degree", "1", "--levels", "6", "--out", str(tmp_path / "file" / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1

@@ -638,6 +638,85 @@ def test_condensation_peak_memory_near_its_output():
     assert peak < 1.65 * returned
 
 
+def assembly_bytes(space, elements):
+    """Value of ``methods._BLOCK_BYTES`` that makes ``assemble`` stream
+    ``elements`` elements at a time on its default data rule."""
+    k = space.degree
+    return elements * methods._pass_bytes(ps.quadrature_rules(k, 2 * k + 4)[0], None)
+
+
+@pytest.mark.parametrize("method,k,tau", CONDENSED_SPACES)
+def test_assembly_independent_of_element_blocks(monkeypatch, method, k, tau):
+    """128 elements assembled 7 at a time (the last block holds 2) and 127
+    at a time (the last block holds 1) give the one-block load and
+    Dirichlet data bit for bit, and the one-block masses within 1e-14 of
+    each element's largest entry: a GEMM row rounds by the block's row
+    count."""
+    mesh = perturbed_mesh(levels=2)
+    space = SpaceDescriptor(method, k)
+
+    def run(elements):
+        monkeypatch.setattr(methods, "_BLOCK_BYTES", assembly_bytes(space, elements))
+        return condensed_blocks(mesh, method, k, tau, case="reaction")
+
+    one = run(mesh.num_triangles)
+    for elements in (7, 127):
+        blocks = run(elements)
+        assert np.array_equal(blocks.F, one.F)
+        assert np.array_equal(blocks.gdir, one.gdir)
+        for got, want in ((blocks.A, one.A), (blocks.Mc, one.Mc)):
+            scale = np.abs(want).max(axis=1)
+            assert np.all(np.abs(got - want).max(axis=1) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize(
+    "name,value,error",
+    [("kappa", 0.0, NonPositiveDiffusion), ("kappa", -1.0, NonPositiveDiffusion),
+     ("kappa", np.nan, NonPositiveDiffusion), ("f", np.nan, InvalidProblemData),
+     ("c", np.nan, InvalidProblemData), ("c", -1.0, InvalidProblemData)],
+)
+def test_assembly_rejects_bad_data_in_the_last_block(monkeypatch, name, value, error):
+    """Validation runs block by block, and no block goes unchecked: data
+    that is bad only inside the elements of the last of 19 blocks still
+    raises."""
+    mesh = perturbed_mesh(levels=2)
+    space = SpaceDescriptor("bdm", 1)
+    monkeypatch.setattr(methods, "_BLOCK_BYTES", assembly_bytes(space, 7))
+    last = mesh.geometry.rows(slice(7 * ((mesh.num_triangles - 1) // 7), None))
+    data = REACTION.data()
+    good = getattr(data, name)
+
+    def bad(x):
+        xhat = last.inverse(x)  # (nb, N, 2), inside one of the last block's elements or none
+        inside = np.any((xhat > 1e-12).all(axis=-1) & (xhat.sum(axis=-1) < 1.0 - 1e-12), axis=0)
+        return np.where(inside, value, good(x))
+
+    setattr(data, name, bad)
+    with pytest.raises(error):
+        assemble(mesh, space, data)
+
+
+def test_assembly_peak_memory_near_its_output():
+    """Assembly samples its data one element block at a time: on 2,048
+    BDM k=2 triangles at data exactness 20 the traced peak of ``assemble``
+    above its inputs stays below twice the bytes it returns.  Sampling
+    every quadrature point of the mesh at once read about 16 times."""
+    mesh = unit_square(2)
+    for _ in range(4):
+        mesh = uniform_refine(mesh)
+    data = CASES["varkappa"].data()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        blocks = assemble(mesh, SpaceDescriptor("bdm", 2), data, quad_exactness=20)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    returned = sum(value.nbytes for value in vars(blocks).values() if isinstance(value, np.ndarray))
+    assert peak < 2 * returned
+
+
 @pytest.mark.parametrize("mesh", [ONE_TRIANGLE, unit_square(1), perturbed_mesh()],
                          ids=["one-triangle", "two-triangles", "perturbed"])
 @pytest.mark.parametrize("kq,kw,nf", [(0, 0, 2), (0, 3, 2), (6, 3, 2)], ids=["condensed", "primal", "saddle"])
